@@ -10,9 +10,7 @@ state the server can distribute from zigzag-style resources.
 
 from .graphs import (
     Graph,
-    GraphState,
     ShapeClass,
-    apply_cz,
     classify_graph,
     complete_graph,
     cycle_graph,
@@ -50,12 +48,10 @@ from .states import StateVector, state_locally_equivalent, to_state_vector
 
 __all__ = [
     "Graph",
-    "GraphState",
     "Multigraph",
     "ProtocolResult",
     "ShapeClass",
     "StateVector",
-    "apply_cz",
     "apply_word",
     "build_block",
     "build_circulant",

@@ -16,96 +16,13 @@ import tempfile
 import time
 from fractions import Fraction
 
-import jsonschema
+import numpy as np
 
 from . import minors, optics as po, protocols as pr
 from .graphs import Graph, graph_from_json, graph_to_dot, graph_to_json
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = "1"
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "command", "results", "pass", "timing_seconds"],
-    "properties": {
-        "schema_version": {"type": "string"},
-        "command": {"type": "object", "required": ["verb"]},
-        "results": {"type": "object"},
-        "pass": {"type": ["boolean", "null"]},
-        "timing_seconds": {"type": "number"},
-    },
-}
-
-GRAPH_SCHEMA = {
-    "type": "object",
-    "required": ["vertices", "edges"],
-    "properties": {
-        "vertices": {"type": "array", "items": {"type": "integer"}},
-        "edges": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
-        },
-    },
-}
-
-PROTOCOL_RESULT_SCHEMA = {
-    "type": "object",
-    "required": ["protocol", "final_graph", "probability", "measurement_record", "m_minus", "corrections"],
-    "properties": {
-        "protocol": {"type": "string"},
-        "final_graph": GRAPH_SCHEMA,
-        "probability": {
-            "type": "object",
-            "required": ["exponent", "value"],
-            "properties": {"exponent": {"type": "integer"}, "value": {"type": "number"}},
-        },
-        "measurement_record": {"type": "array"},
-        "m_minus": {"type": "integer"},
-        "corrections": {"type": "array"},
-        "resources": {"type": "object"},
-    },
-}
-
-RESULT_SCHEMAS = {
-    "simulate": {
-        "type": "object",
-        "anyOf": [
-            {"required": ["result"]},
-            {"required": ["result", "chain"]},
-        ],
-        "properties": {"result": PROTOCOL_RESULT_SCHEMA, "chain": {"type": "object"}},
-    },
-    "classify": {
-        "type": "object",
-        "required": ["word", "predicted"],
-        "properties": {
-            "word": {"type": "string"},
-            "predicted": {"type": "string"},
-            "simulated": {"type": "string"},
-            "equivalent": {"type": ["boolean", "null"]},
-        },
-    },
-    "verify": {
-        "type": "object",
-        "required": ["criteria"],
-        "properties": {
-            "criteria": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["name", "passed", "details"],
-                },
-            }
-        },
-    },
-    "montecarlo": {
-        "type": "object",
-        "required": ["stats"],
-        "properties": {"stats": {"type": "object", "required": ["trials", "estimated_probability"]}},
-    },
-    "export": {"type": "object", "required": ["format", "content"]},
-}
-
 
 class UsageError(Exception):
     pass
@@ -173,97 +90,97 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _report(verb: str, command: dict, results: dict, passed: bool | None, t0: float) -> dict:
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": {"verb": verb, **command},
         "results": results,
         "pass": passed,
         "timing_seconds": time.time() - t0,
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
-    jsonschema.validate(results, RESULT_SCHEMAS[verb])
-    return report
+
+
+def _request(args) -> dict:
+    """The protocol request (README schema) named by ``simulate``/``montecarlo`` flags."""
+    protocol = args.protocol
+    request: dict = {"protocol": protocol}
+    if protocol in ("ghz", "path", "cycle"):
+        if args.users is None:
+            raise UsageError("--users is required for this protocol")
+        request["M"] = args.users
+        if args.server:
+            if protocol == "cycle":
+                raise UsageError("the cycle protocol keeps no server qubit")
+            request["server"] = True
+    elif getattr(args, "outcomes", None):
+        raise UsageError(f"the {protocol} protocol takes no --outcomes")
+    if protocol == "caterpillar":
+        if not args.layout:
+            raise UsageError("--layout is required for the caterpillar protocol")
+        request["layout"] = args.layout.split(",")
+        bad = set(request["layout"]) - {"spine", "leaf"}
+        if bad:
+            raise UsageError(f"layout entries must be spine/leaf, got {sorted(bad)}")
+        request["close"] = args.close
+    elif protocol == "chain":
+        if not args.blocks:
+            raise UsageError("--blocks is required for the chain protocol")
+        request["blocks"] = args.blocks.split(",")
+        bad = {b.lower() for b in request["blocks"]} - set(pr.BLOCK_KINDS)
+        if bad:
+            raise UsageError(f"unknown block kinds {sorted(bad)}")
+        if args.plan:
+            request["plan"] = list(args.plan)
+        request["close"] = args.close
+    return request
 
 
 # -- verbs ---------------------------------------------------------------------
 
+#: the ``simulate`` flags each protocol echoes in its report's command
+_SIMULATE_ECHO = {
+    "ghz": ("users", "server"),
+    "path": ("users", "server"),
+    "cycle": ("users",),
+    "caterpillar": ("layout", "close"),
+    "chain": ("blocks", "plan", "close", "seed"),
+}
+
+_FAILED_CHAIN_RESULT = {
+    "protocol": "chain",
+    "final_graph": {"vertices": [], "edges": []},
+    "probability": {"exponent": 0, "value": 1.0},
+    "measurement_record": [],
+    "m_minus": 0,
+    "corrections": [],
+    "resources": {},
+}
+
 
 def _cmd_simulate(args) -> tuple[dict, bool | None, dict]:
-    command: dict = {"protocol": args.protocol}
-    if args.protocol in ("ghz", "path", "cycle"):
-        if args.users is None:
-            raise UsageError("--users is required for this protocol")
-        command["users"] = args.users
-        if args.protocol != "cycle":
-            command["server"] = args.server
-    if args.protocol == "caterpillar":
-        if not args.layout:
-            raise UsageError("--layout is required for the caterpillar protocol")
-        bad = set(args.layout.split(",")) - {"spine", "leaf"}
-        if bad:
-            raise UsageError(f"layout entries must be spine/leaf, got {sorted(bad)}")
-        command["layout"] = args.layout
-        command["close"] = args.close
-    if args.protocol == "chain":
-        if not args.blocks:
-            raise UsageError("--blocks is required for the chain protocol")
-        bad = set(args.blocks.lower().split(",")) - set(pr.BLOCK_KINDS)
-        if bad:
-            raise UsageError(f"unknown block kinds {sorted(bad)}")
-        if args.seed is None:
-            raise UsageError("--seed is required when fusions are sampled")
-        command["blocks"] = args.blocks
-        command["plan"] = args.plan
-        command["close"] = args.close
-        command["seed"] = args.seed
-
-    if args.protocol == "chain":
-        import numpy as np
-
-        blocks = args.blocks.split(",")
-        plan = list(args.plan) if args.plan else None
-        chain = pr.fuse_chain(
-            blocks,
-            plan,
-            close_cycle=args.close,
-            keep_server_ends=args.keep_ends,
-            rng=np.random.default_rng(args.seed),
-        )
-        results: dict = {
-            "chain": {
-                "succeeded": chain.succeeded,
-                "blocks_consumed": chain.blocks_consumed,
-                "bell_pairs_used": chain.bell_pairs_used,
-                "fusion_attempts": chain.fusion_attempts,
-            }
-        }
-        if chain.result is not None:
-            results["result"] = protocol_result_as_dict(chain.result)
-            return command, chain.succeeded, results
-        results["result"] = {
-            "protocol": "chain",
-            "final_graph": {"vertices": [], "edges": []},
-            "probability": {"exponent": 0, "value": 1.0},
-            "measurement_record": [],
-            "m_minus": 0,
-            "corrections": [],
-            "resources": {},
-        }
-        return command, False, results
-
-    if args.protocol == "ghz":
-        res = pr.run_ghz(args.users, args.server, args.outcomes)
-    elif args.protocol == "path":
-        res = pr.run_path(args.users, args.server, args.outcomes)
-    elif args.protocol == "cycle":
-        res = pr.run_cycle(args.users, args.outcomes)
-    elif args.protocol == "caterpillar":
-        res = pr.run_caterpillar(args.layout.split(","), args.close)
-    else:
-        raise UsageError(f"unknown protocol {args.protocol!r}")
+    request = _request(args)
+    if args.protocol == "chain" and args.seed is None:
+        raise UsageError("--seed is required when fusions are sampled")
+    command = {"protocol": args.protocol}
+    command.update((flag, getattr(args, flag)) for flag in _SIMULATE_ECHO[args.protocol])
     if args.outcomes:
-        command["outcomes"] = args.outcomes
-    return command, True, {"result": protocol_result_as_dict(res)}
+        request["outcomes"] = command["outcomes"] = args.outcomes
+    if args.keep_ends:
+        request["keep_server_ends"] = True
+    rng = np.random.default_rng(args.seed) if args.seed is not None else None
+    res = pr.run_request(request, rng=rng)
+    if args.protocol != "chain":
+        return command, True, {"result": protocol_result_as_dict(res)}
+    results = {
+        "chain": {
+            "succeeded": res.succeeded,
+            "blocks_consumed": res.blocks_consumed,
+            "bell_pairs_used": res.bell_pairs_used,
+            "fusion_attempts": res.fusion_attempts,
+        },
+        "result": _FAILED_CHAIN_RESULT if res.result is None
+        else protocol_result_as_dict(res.result),
+    }
+    return command, res.succeeded, results
 
 
 def _cmd_classify(args) -> tuple[dict, bool | None, dict]:
@@ -299,7 +216,9 @@ def _cmd_verify(args) -> tuple[dict, bool | None, dict]:
         if args.seed is not None:
             kwargs["seed"] = args.seed
             command["seed"] = args.seed
-        if args.trials:
+        if args.trials is not None:
+            if args.trials < 1:
+                raise UsageError("--trials must be a positive integer")
             kwargs["trials"] = args.trials
             command["trials"] = args.trials
     criteria = run_suite(args.suite, **kwargs)
@@ -322,27 +241,7 @@ def _cmd_montecarlo(args) -> tuple[dict, bool | None, dict]:
         raise UsageError("--seed is required for montecarlo")
     if args.trials is None or args.trials < 1:
         raise UsageError("--trials must be a positive integer")
-    request: dict = {"protocol": args.protocol}
-    if args.protocol in ("ghz", "path", "cycle"):
-        if args.users is None:
-            raise UsageError("--users is required for this protocol")
-        request["M"] = args.users
-        if args.server:
-            request["server"] = True
-    elif args.protocol == "caterpillar":
-        if not args.layout:
-            raise UsageError("--layout is required for the caterpillar protocol")
-        request["layout"] = args.layout.split(",")
-        request["close"] = args.close
-    elif args.protocol == "chain":
-        if not args.blocks:
-            raise UsageError("--blocks is required for the chain protocol")
-        request["blocks"] = args.blocks.split(",")
-        if args.plan:
-            request["plan"] = list(args.plan)
-        request["close"] = args.close
-    else:
-        raise UsageError(f"unknown protocol {args.protocol!r}")
+    request = _request(args)
     trial_log: list | None = [] if args.csv else None
     stats = pr.monte_carlo(request, args.trials, args.seed, trial_log=trial_log)
     if args.csv:

@@ -171,24 +171,6 @@ def complete_graph(labels: Iterable[int]) -> Graph:
     return Graph(labels, itertools.combinations(labels, 2))
 
 
-# -- graph states -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphState:
-    """The stabilizer state obtained by applying CZ along every edge to all-|+>."""
-
-    graph: Graph
-
-
-def apply_cz(state: GraphState, u: int, v: int) -> GraphState:
-    """Toggle the edge {u, v}; CZ is self-inverse on graph states."""
-    if u == v:
-        raise ValueError("CZ needs two distinct qubits")
-    state.graph._require(u, v)
-    return GraphState(state.graph.with_edges_toggled([(u, v)]))
-
-
 # -- rewrite rules -----------------------------------------------------------
 
 
@@ -499,18 +481,3 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def graph_from_dot(text: str) -> Graph:
-    verts: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip().rstrip(";")
-        if not line or line.startswith("graph") or line == "}":
-            continue
-        if "--" in line:
-            u, v = (int(part.strip()) for part in line.split("--"))
-            edges.append((u, v))
-        else:
-            verts.append(int(line))
-    return Graph(verts + [u for e in edges for u in e], edges)

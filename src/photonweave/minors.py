@@ -602,23 +602,3 @@ def crosscheck_report(n: int, word: str, resource: str = "zigzag") -> dict:
         "simulated": classify_graph(sim).label,
         "equivalent": ok,
     }
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def multigraph_to_json_dict(mg: Multigraph) -> dict:
-    counts: dict[tuple[int, int], int] = {}
-    for pair in mg.edge_pairs():
-        counts[pair] = counts.get(pair, 0) + 1
-    return {
-        "vertices": sorted(mg.vertices),
-        "edges": [[u, v, c] for (u, v), c in sorted(counts.items())],
-    }
-
-
-def multigraph_from_json_dict(payload: dict) -> Multigraph:
-    pairs: list[tuple[int, int]] = []
-    for u, v, c in payload["edges"]:
-        pairs.extend([(u, v)] * c)
-    return Multigraph.from_pairs(payload["vertices"], pairs)

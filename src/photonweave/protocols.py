@@ -186,15 +186,6 @@ def comb_graph(m_users: int) -> Graph:
     return Graph(users + server, edges)
 
 
-def textbook_comb(m_users: int) -> Graph:
-    """The stylized comb: an M-vertex server spine with one user leaf each."""
-    edges = [(200 + j, j) for j in range(1, m_users + 1)]
-    edges += [(200 + j, 200 + j + 1) for j in range(1, m_users)]
-    return Graph(
-        list(range(1, m_users + 1)) + [200 + j for j in range(1, m_users + 1)], edges
-    )
-
-
 def path_optics(
     m_users: int,
     server_participates: bool = False,
@@ -521,22 +512,6 @@ def block_optics(kind: str) -> tuple[StateVector, float]:
 
 
 @dataclass(frozen=True)
-class FusionPolicy:
-    """Failure handling for chain fusions; only the published policy exists.
-
-    On a failed fusion the incoming block is discarded, its users reset
-    by Z measurements and re-entangled, and a fresh block is woven: a
-    failure never restarts the chain.
-    """
-
-    on_failure: str = "discard-last-block"
-
-    def __post_init__(self) -> None:
-        if self.on_failure != "discard-last-block":
-            raise ValueError("the only supported policy is 'discard-last-block'")
-
-
-@dataclass(frozen=True)
 class ChainResult:
     """Outcome of a fusion chain including its retry bookkeeping."""
 
@@ -554,14 +529,14 @@ def fuse_chain(
     keep_server_ends: bool = False,
     rng: np.random.Generator | None = None,
     failure_schedule: Iterable[bool] | None = None,
-    policy: FusionPolicy | None = None,
 ) -> ChainResult:
     """Fuse stored building blocks into one distributed graph state.
 
-    Each fusion succeeds with probability 1/2.  On failure the incoming
-    block is discarded (its users reset by Z measurements and re-entangle)
-    and a fresh block is woven; the stored chain is untouched, so failures
-    never restart the chain.  A closure-fusion failure aborts the whole
+    Each fusion succeeds with probability 1/2.  On failure the
+    discard-last-block policy applies: the incoming block is discarded
+    (its users reset by Z measurements and re-entangle) and a fresh block
+    is woven; the stored chain is untouched, so failures never restart
+    the chain.  A closure-fusion failure aborts the whole
     cycle attempt instead.  ``measurement_plan`` gives one basis (or None)
     per joint, applied after all fusions; open-chain outer server photons
     are then removed unless ``keep_server_ends``.
@@ -569,8 +544,6 @@ def fuse_chain(
     Fusion coins come from ``failure_schedule`` (True = fail) when given,
     otherwise from ``rng``; with neither, every fusion succeeds.
     """
-    if policy is None:
-        policy = FusionPolicy()
     blocks = [b.lower() for b in blocks]
     for b in blocks:
         if b not in BLOCK_KINDS:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphState, locally_equivalent
+from .graphs import Graph, locally_equivalent
 
 NORM_TOL = 1e-10
 STATE_VECTOR_LIMIT = 14
@@ -49,9 +49,8 @@ class StateVector:
         return self.n - 1 - self.qubit_order.index(qubit)
 
 
-def to_state_vector(state: GraphState | Graph) -> StateVector:
+def to_state_vector(g: Graph) -> StateVector:
     """Expand a graph state into its exact vector, amplitudes +-2^(-n/2)."""
-    g = state.graph if isinstance(state, GraphState) else state
     n = len(g.vertices)
     if n > STATE_VECTOR_LIMIT:
         raise ValueError(f"state vector limited to {STATE_VECTOR_LIMIT} qubits, got {n}")

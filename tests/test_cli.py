@@ -1,12 +1,96 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import pytest
 
-from photonweave.cli import (
-    PROTOCOL_RESULT_SCHEMA,
-    REPORT_SCHEMA,
-    main,
-)
+import photonweave
+from photonweave.cli import main
+
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "command", "results", "pass", "timing_seconds"],
+    "properties": {
+        "schema_version": {"type": "string"},
+        "command": {"type": "object", "required": ["verb"]},
+        "results": {"type": "object"},
+        "pass": {"type": ["boolean", "null"]},
+        "timing_seconds": {"type": "number"},
+    },
+}
+
+GRAPH_SCHEMA = {
+    "type": "object",
+    "required": ["vertices", "edges"],
+    "properties": {
+        "vertices": {"type": "array", "items": {"type": "integer"}},
+        "edges": {
+            "type": "array",
+            "items": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
+        },
+    },
+}
+
+PROTOCOL_RESULT_SCHEMA = {
+    "type": "object",
+    "required": ["protocol", "final_graph", "probability", "measurement_record", "m_minus", "corrections"],
+    "properties": {
+        "protocol": {"type": "string"},
+        "final_graph": GRAPH_SCHEMA,
+        "probability": {
+            "type": "object",
+            "required": ["exponent", "value"],
+            "properties": {"exponent": {"type": "integer"}, "value": {"type": "number"}},
+        },
+        "measurement_record": {"type": "array"},
+        "m_minus": {"type": "integer"},
+        "corrections": {"type": "array"},
+        "resources": {"type": "object"},
+    },
+}
+
+RESULT_SCHEMAS = {
+    "simulate": {
+        "type": "object",
+        "anyOf": [
+            {"required": ["result"]},
+            {"required": ["result", "chain"]},
+        ],
+        "properties": {"result": PROTOCOL_RESULT_SCHEMA, "chain": {"type": "object"}},
+    },
+    "classify": {
+        "type": "object",
+        "required": ["word", "predicted"],
+        "properties": {
+            "word": {"type": "string"},
+            "predicted": {"type": "string"},
+            "simulated": {"type": "string"},
+            "equivalent": {"type": ["boolean", "null"]},
+        },
+    },
+    "verify": {
+        "type": "object",
+        "required": ["criteria"],
+        "properties": {
+            "criteria": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["name", "passed", "details"],
+                },
+            }
+        },
+    },
+    "montecarlo": {
+        "type": "object",
+        "required": ["stats"],
+        "properties": {"stats": {"type": "object", "required": ["trials", "estimated_probability"]}},
+    },
+    "export": {"type": "object", "required": ["format", "content"]},
+}
 
 
 def run_cli(capsys, *argv):
@@ -16,8 +100,14 @@ def run_cli(capsys, *argv):
 
 
 def strip_timing(report):
+    """The report without its timing fields: ``timing_seconds`` and ``criteria[].seconds``."""
     report = dict(report)
     report.pop("timing_seconds", None)
+    results = report.get("results", {})
+    if "criteria" in results:
+        report["results"] = {**results, "criteria": [
+            {k: v for k, v in c.items() if k != "seconds"} for c in results["criteria"]
+        ]}
     return report
 
 
@@ -148,3 +238,84 @@ def test_montecarlo_csv_log(tmp_path, capsys):
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "trial,success,blocks,bell_pairs,fusions"
     assert len(lines) == 51
+
+
+# -- report schemas, one report per verb -------------------------------------
+
+
+def _graph_file(tmp_path):
+    graph_file = tmp_path / "p3.json"
+    graph_file.write_text('{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}')
+    return str(graph_file)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "ghz", "--users", "3"],
+    ["simulate", "--protocol", "chain", "--blocks", "three,three", "--seed", "2"],
+    ["classify", "--word", "XYYY"],
+    ["classify", "--word", "XXY", "--n", "6"],
+    ["verify", "--suite", "cz-gate"],
+    ["montecarlo", "--protocol", "ghz", "--users", "3", "--trials", "100", "--seed", "1"],
+    ["export", "--in", "GRAPH", "--format", "dot"],
+])
+def test_report_matches_schema(argv, tmp_path, capsys):
+    argv = [_graph_file(tmp_path) if a == "GRAPH" else a for a in argv]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    jsonschema.validate(report, REPORT_SCHEMA)
+    jsonschema.validate(report["results"], RESULT_SCHEMAS[argv[0]])
+
+
+def test_cli_import_skips_jsonschema():
+    src = str(Path(photonweave.__file__).resolve().parents[1])
+    code = "import sys, photonweave.cli; assert 'jsonschema' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# -- one request path for simulate and montecarlo -----------------------------
+
+
+@pytest.mark.parametrize("verb", ["simulate", "montecarlo"])
+@pytest.mark.parametrize("flags", [
+    ["--protocol", "chain", "--blocks", "foo,bar"],
+    ["--protocol", "chain", "--blocks", "path4,"],
+    ["--protocol", "caterpillar", "--layout", "spine,foo"],
+    ["--protocol", "caterpillar", "--layout", "spine,,leaf"],
+])
+def test_bad_blocks_or_layout_is_usage_error(verb, flags, capsys):
+    trials = ["--trials", "10"] if verb == "montecarlo" else []
+    assert main([verb, *flags, *trials, "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "caterpillar", "--layout", "spine,leaf,spine", "--outcomes", "+-"],
+    ["montecarlo", "--protocol", "cycle", "--users", "3", "--server", "--trials", "10", "--seed", "1"],
+])
+def test_flag_the_protocol_ignores_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+
+
+def test_simulate_chain_dispatch(capsys):
+    code, report = run_cli(capsys, "simulate", "--protocol", "chain",
+                           "--blocks", "three,three", "--close", "--seed", "2")
+    assert code == 0 and report["results"]["chain"]["succeeded"] is True
+    assert report["command"] == {"verb": "simulate", "protocol": "chain",
+                                 "blocks": "three,three", "plan": None,
+                                 "close": True, "seed": 2}
+    # seed 1 fails the closure fusion: runtime failure with an empty result
+    code, report = run_cli(capsys, "simulate", "--protocol", "chain",
+                           "--blocks", "three,three", "--close", "--seed", "1")
+    assert code == 1 and report["pass"] is False
+    assert report["results"]["result"]["final_graph"] == {"vertices": [], "edges": []}
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(trials, capsys):
+    assert main(["verify", "--suite", "monte-carlo", "--trials", trials]) == 2
+
+
+def test_verify_reports_identical_without_timing(capsys):
+    _, a = run_cli(capsys, "verify", "--suite", "cz-gate")
+    _, b = run_cli(capsys, "verify", "--suite", "cz-gate")
+    assert strip_timing(a) == strip_timing(b)

@@ -22,8 +22,6 @@ from photonweave.minors import (
     honeycomb_resource,
     interlacement,
     leaf_expansion,
-    multigraph_from_json_dict,
-    multigraph_to_json_dict,
     path_every_third_resource,
     predict_class,
     predict_representative,
@@ -296,17 +294,6 @@ def test_crosscheck_validation():
         crosscheck(8, "XXX", "zigzag")
     with pytest.raises(ValueError):
         crosscheck(8, "XXXX", "torus")
-
-
-# -- serialization ----------------------------------------------------------------------------
-
-
-def test_multigraph_json_round_trip():
-    mg = build_circulant(6)
-    payload = multigraph_to_json_dict(mg)
-    back = multigraph_from_json_dict(payload)
-    assert sorted(back.edge_pairs()) == sorted(mg.edge_pairs())
-    assert multigraph_to_json_dict(back) == payload
 
 
 def test_sampled_tours_all_equivalent_to_cycle():

@@ -26,7 +26,6 @@ from photonweave.protocols import (
     run_ghz,
     run_path,
     run_request,
-    textbook_comb,
     weave_graphs,
 )
 from photonweave.states import (
@@ -36,6 +35,16 @@ from photonweave.states import (
     states_equal_up_to_phase,
     to_state_vector,
 )
+
+
+def textbook_comb(m_users: int) -> Graph:
+    """The stylized comb: an M-vertex server spine with one user leaf each."""
+    edges = [(200 + j, j) for j in range(1, m_users + 1)]
+    edges += [(200 + j, 200 + j + 1) for j in range(1, m_users)]
+    return Graph(
+        list(range(1, m_users + 1)) + [200 + j for j in range(1, m_users + 1)], edges
+    )
+
 
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 
