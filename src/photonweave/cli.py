@@ -99,7 +99,30 @@ def _report(verb: str, command: dict, results: dict, passed: bool | None, t0: fl
     }
 
 
-def _request(args) -> dict:
+#: the flags each protocol reads; ``montecarlo`` also reads --trials, --seed and --csv
+_PROTOCOL_FLAGS = {
+    "ghz": ("users", "server", "outcomes"),
+    "path": ("users", "server", "outcomes"),
+    "cycle": ("users", "outcomes"),
+    "caterpillar": ("layout", "close"),
+    "chain": ("blocks", "plan", "close", "keep_ends", "seed"),
+}
+#: the flags each ``verify`` suite reads; the other suites, and ``all``, read none
+_SUITE_FLAGS = {"appendix-b": ("n",), "monte-carlo": ("trials", "seed")}
+#: ``simulate`` echoes these protocol flags only when they are set
+_ECHO_WHEN_SET = ("outcomes", "keep_ends")
+
+
+def _reject_unread(args, reads: tuple[str, ...], what: str) -> None:
+    """Raise ``UsageError`` for any flag set on the command line that ``what`` does not read."""
+    for flag, value in vars(args).items():
+        if flag in ("verb", "protocol", "suite", "out") or flag in reads:
+            continue
+        if value is not None and value is not False:
+            raise UsageError(f"{what} does not read --{flag.replace('_', '-')}")
+
+
+def _request(args, also_reads: tuple[str, ...] = ()) -> dict:
     """The protocol request (README schema) named by ``simulate``/``montecarlo`` flags."""
     protocol = args.protocol
     request: dict = {"protocol": protocol}
@@ -108,12 +131,8 @@ def _request(args) -> dict:
             raise UsageError("--users is required for this protocol")
         request["M"] = args.users
         if args.server:
-            if protocol == "cycle":
-                raise UsageError("the cycle protocol keeps no server qubit")
             request["server"] = True
-    elif getattr(args, "outcomes", None):
-        raise UsageError(f"the {protocol} protocol takes no --outcomes")
-    if protocol == "caterpillar":
+    elif protocol == "caterpillar":
         if not args.layout:
             raise UsageError("--layout is required for the caterpillar protocol")
         request["layout"] = args.layout.split(",")
@@ -121,7 +140,7 @@ def _request(args) -> dict:
         if bad:
             raise UsageError(f"layout entries must be spine/leaf, got {sorted(bad)}")
         request["close"] = args.close
-    elif protocol == "chain":
+    else:
         if not args.blocks:
             raise UsageError("--blocks is required for the chain protocol")
         request["blocks"] = args.blocks.split(",")
@@ -131,19 +150,11 @@ def _request(args) -> dict:
         if args.plan:
             request["plan"] = list(args.plan)
         request["close"] = args.close
+    _reject_unread(args, _PROTOCOL_FLAGS[protocol] + also_reads, f"the {protocol} protocol")
     return request
 
 
 # -- verbs ---------------------------------------------------------------------
-
-#: the ``simulate`` flags each protocol echoes in its report's command
-_SIMULATE_ECHO = {
-    "ghz": ("users", "server"),
-    "path": ("users", "server"),
-    "cycle": ("users",),
-    "caterpillar": ("layout", "close"),
-    "chain": ("blocks", "plan", "close", "seed"),
-}
 
 _FAILED_CHAIN_RESULT = {
     "protocol": "chain",
@@ -161,9 +172,10 @@ def _cmd_simulate(args) -> tuple[dict, bool | None, dict]:
     if args.protocol == "chain" and args.seed is None:
         raise UsageError("--seed is required when fusions are sampled")
     command = {"protocol": args.protocol}
-    command.update((flag, getattr(args, flag)) for flag in _SIMULATE_ECHO[args.protocol])
+    command.update((flag, getattr(args, flag)) for flag in _PROTOCOL_FLAGS[args.protocol]
+                   if flag not in _ECHO_WHEN_SET or getattr(args, flag))
     if args.outcomes:
-        request["outcomes"] = command["outcomes"] = args.outcomes
+        request["outcomes"] = args.outcomes
     if args.keep_ends:
         request["keep_server_ends"] = True
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
@@ -206,21 +218,19 @@ def _cmd_classify(args) -> tuple[dict, bool | None, dict]:
 
 
 def _cmd_verify(args) -> tuple[dict, bool | None, dict]:
+    _reject_unread(args, _SUITE_FLAGS.get(args.suite, ()), f"the {args.suite} suite")
     command = {"suite": args.suite}
     kwargs = {}
-    if args.suite == "appendix-b" and args.n is not None:
+    if args.n is not None:
         kwargs["zigzag_sizes"] = (args.n,)
         command["n"] = args.n
-    if args.suite == "monte-carlo":
-        # a fixed default seed keeps reruns byte-identical; never wall clock
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-            command["seed"] = args.seed
-        if args.trials is not None:
-            if args.trials < 1:
-                raise UsageError("--trials must be a positive integer")
-            kwargs["trials"] = args.trials
-            command["trials"] = args.trials
+    # a fixed default seed keeps monte-carlo reruns byte-identical; never wall clock
+    if args.seed is not None:
+        kwargs["seed"] = command["seed"] = args.seed
+    if args.trials is not None:
+        if args.trials < 1:
+            raise UsageError("--trials must be a positive integer")
+        kwargs["trials"] = command["trials"] = args.trials
     criteria = run_suite(args.suite, **kwargs)
     results = {
         "criteria": [
@@ -241,7 +251,7 @@ def _cmd_montecarlo(args) -> tuple[dict, bool | None, dict]:
         raise UsageError("--seed is required for montecarlo")
     if args.trials is None or args.trials < 1:
         raise UsageError("--trials must be a positive integer")
-    request = _request(args)
+    request = _request(args, also_reads=("trials", "seed", "csv"))
     trial_log: list | None = [] if args.csv else None
     stats = pr.monte_carlo(request, args.trials, args.seed, trial_log=trial_log)
     if args.csv:

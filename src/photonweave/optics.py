@@ -353,13 +353,15 @@ def _source_from_json(obj: dict) -> Source:
     raise ValueError(f"unknown source spec {obj}")
 
 
-def run_circuit(spec: dict) -> dict:
+def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     """Run a circuit description dict; see the package README for the schema.
 
     Keys: sources (list), elements (list of {"pbs": [a, b]} or
     {"hwp": [port, angle]}), postselect (port list), measure (list of
-    {"port": p, "basis": "HV"|"PM"}).  Returns the postselection
-    probability, the final state dump, and measurement branches.
+    {"port": p, "basis": "HV"|"PM", "outcome": o}, where the outcome
+    defaults to H or +).  Returns the final state, the postselection
+    probability (1.0 without a postselect key) and one
+    {port, basis, outcome, probability} entry per measurement.
     """
     state = prepare([_source_from_json(s) for s in spec.get("sources", [])])
     for element in spec.get("elements", []):
@@ -371,31 +373,20 @@ def run_circuit(spec: dict) -> dict:
             state = apply_hwp(state, port, angle)
         else:
             raise ValueError(f"unknown element {element}")
-    result: dict = {}
-    prob = None
+    prob = 1.0
     if "postselect" in spec:
         state, prob = postselect_coincidence(state, spec["postselect"])
-        result["postselect_probability"] = prob
-    branch_log = []
+    log = []
     for m in spec.get("measure", []):
         branches = measure_polarization(state, m["port"], m["basis"])
-        picked = m.get("outcome")
-        if picked is None:
-            picked = branches[0][0]
-        chosen = next(b for b in branches if b[0] == picked)
-        branch_log.append(
-            {
-                "port": m["port"],
-                "basis": m["basis"],
-                "outcome": chosen[0],
-                "probability": chosen[1],
-                "alternatives": [(o, p) for o, p, _ in branches],
-            }
-        )
-        state = chosen[2]
-    result["measurements"] = branch_log
-    result["state"] = state_to_json_dict(state)
-    return result
+        picked = m.get("outcome", branches[0][0])
+        chosen = [b for b in branches if b[0] == picked]
+        if not chosen:
+            raise ValueError(f"{picked!r} is not an outcome of the {m['basis']} basis")
+        _, branch_prob, state = chosen[0]
+        log.append({"port": m["port"], "basis": m["basis"], "outcome": picked,
+                    "probability": branch_prob})
+    return state, prob, log
 
 
 def state_to_json_dict(state: PhotonicState) -> dict:

@@ -2,8 +2,9 @@
 
 Every protocol exists twice: a graph-level runner that returns the
 distributed graph, the exact dyadic success probability, and the
-post-processing corrections, and an optics realization that builds the
-actual PBS/HWP circuit at oracle scale.  Tests assert that the two
+post-processing corrections, and an optics realization: a PBS/HWP
+circuit description, built from the two weaving primitives and run by
+``optics.run_circuit`` at oracle scale.  Tests assert that the two
 layers agree state-by-state.
 
 Label conventions: users are 1..M in weaving order; server-held
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -54,6 +55,48 @@ def _canonical_outcomes(outcomes: str | None, length: int) -> str:
     if len(outcomes) != length or any(c not in "+-" for c in outcomes):
         raise ValueError(f"need {length} outcomes over '+-', got {outcomes!r}")
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# optics circuits: the two weaving primitives and one runner
+# ---------------------------------------------------------------------------
+
+
+def _ghz_weave(ports: Sequence[int]) -> list[dict]:
+    """GHZ-state weaving: a PBS between each pair of consecutive ports."""
+    return [{"pbs": [a, b]} for a, b in zip(ports, ports[1:])]
+
+
+def _graph_weave(weaver: int, targets: Sequence[int], leaves: Container[int] = ()) -> list[dict]:
+    """Graph-state weaving: the weaver photon meets each target at a PBS.
+
+    A 22.5-degree HWP rotates the weaver before each target after the
+    first, except before a leaf, and once more at the end.
+    """
+    elements: list[dict] = []
+    for k, target in enumerate(targets):
+        if k and target not in leaves:
+            elements.append({"hwp": [weaver, 22.5]})
+        elements.append({"pbs": [weaver, target]})
+    return elements + [{"hwp": [weaver, 22.5]}]
+
+
+def _run_optics(pairs: Sequence[tuple[int, int]], elements: list[dict],
+                measure: Iterable[tuple[int, str, str]], qubits: dict[int, int]):
+    """Run one weaving circuit and read off its qubits ``port -> label``.
+
+    ``pairs`` are the GBell sources, each with its +/- photon first, and
+    every source port is postselected to one photon.  ``measure`` lists
+    (port, basis, outcome) in detection order.
+    """
+    spec = {
+        "sources": [{"gbell": list(pair)} for pair in pairs],
+        "elements": elements,
+        "postselect": [port for pair in pairs for port in pair],
+        "measure": [{"port": p, "basis": b, "outcome": o} for p, b, o in measure],
+    }
+    state, prob, _ = po.run_circuit(spec)
+    return po.extract_logical(state, qubits), prob
 
 
 # ---------------------------------------------------------------------------
@@ -105,30 +148,21 @@ def ghz_optics(
     outcomes: str | None = None,
 ) -> tuple[StateVector, float, tuple[tuple[str, str], ...]]:
     """Exact circuit for the GHZ protocol; returns (state, probability, record)."""
-    s = po.prepare([po.GBell(100 + i, i) for i in range(1, m_users + 1)])
-    for j in range(1, m_users):
-        s = po.apply_pbs(s, j, j + 1)
-    ports = [100 + i for i in range(1, m_users + 1)] + list(range(1, m_users + 1))
-    s, prob = po.postselect_coincidence(s, ports)
     detected = m_users - (1 if server_participates else 0)
     outcomes = _canonical_outcomes(outcomes, detected)
-    record = []
-    for j, out in zip(range(1, detected + 1), outcomes):
-        s = _pick(po.measure_polarization(s, j, "PM"), out)
-        record.append((f"b{j}", out))
-    port_map = {100 + i: i for i in range(1, m_users + 1)}
+    users = range(1, m_users + 1)
+    qubits = {100 + i: i for i in users}
     if server_participates:
-        port_map[m_users] = 0
-    return po.extract_logical(s, port_map), prob, tuple(record)
+        qubits[m_users] = 0
+    measure = [(j, "PM", out) for j, out in zip(users, outcomes)]
+    pairs = [(100 + i, i) for i in users]  # user i keeps port 100 + i
+    sv, prob = _run_optics(pairs, _ghz_weave(users), measure, qubits)
+    return sv, prob, tuple((f"b{j}", out) for j, out in zip(users, outcomes))
 
 
 # ---------------------------------------------------------------------------
 # path / caterpillar / cycle protocols (graph-state weaving)
 # ---------------------------------------------------------------------------
-
-
-def _pick(branches, outcome):
-    return next(b[2] for b in branches if b[0] == outcome)
 
 
 def run_path(
@@ -146,8 +180,8 @@ def run_path(
     if not 2 <= m_users <= 7:
         raise ValueError("path supports 2..7 users")
     outcomes = _canonical_outcomes(outcomes, m_users - 1)
-    if weaver_outcome not in "HV":
-        raise ValueError("weaver outcome is 'H' or 'V'")
+    if weaver_outcome not in ("H", "V"):
+        raise ValueError(f"weaver outcome is 'H' or 'V', got {weaver_outcome!r}")
     users = list(range(1, m_users + 1))
     final = path_graph(users + [0]) if server_participates else path_graph(users)
     corrections = [(u, "H") for u in users[1:]]
@@ -198,28 +232,24 @@ def path_optics(
     With ``stop_before_measurement`` the postselected pre-detection state
     is returned instead, with server photons mapped to 200 + j.
     """
-    s = po.prepare([po.GBell(100 + i, i) for i in range(1, m_users + 1)])
-    for j in range(2, m_users + 1):
-        s = po.apply_pbs(s, 1, j)
-        s = po.apply_hwp(s, 1, 22.5)
-    ports = [100 + i for i in range(1, m_users + 1)] + list(range(1, m_users + 1))
-    s, prob = po.postselect_coincidence(s, ports)
+    users = range(1, m_users + 1)
+    pairs = [(100 + i, i) for i in users]
+    elements = _graph_weave(1, users[1:])
+    qubits = {100 + i: i for i in users}
     if stop_before_measurement:
-        port_map = {100 + i: i for i in range(1, m_users + 1)}
-        port_map |= {j: 200 + j for j in range(1, m_users + 1)}
-        return po.extract_logical(s, port_map), prob, ()
+        qubits |= {j: 200 + j for j in users}
+        sv, prob = _run_optics(pairs, elements, (), qubits)
+        return sv, prob, ()
     outcomes = _canonical_outcomes(outcomes, m_users - 1)
-    record = []
-    for j, out in zip(range(2, m_users + 1), outcomes):
-        s = _pick(po.measure_polarization(s, j, "PM"), out)
-        record.append((f"b{j}", out))
-    port_map = {100 + i: i for i in range(1, m_users + 1)}
+    measure = [(j, "PM", out) for j, out in zip(users[1:], outcomes)]
+    record = [(f"b{j}", out) for j, out in zip(users[1:], outcomes)]
     if server_participates:
-        port_map[1] = 0
+        qubits[1] = 0
     else:
-        s = _pick(po.measure_polarization(s, 1, "HV"), weaver_outcome)
+        measure.append((1, "HV", weaver_outcome))
         record.append(("b1", weaver_outcome))
-    return po.extract_logical(s, port_map), prob, tuple(record)
+    sv, prob = _run_optics(pairs, elements, measure, qubits)
+    return sv, prob, tuple(record)
 
 
 def run_cycle(m_users: int, outcomes: str | None = None, weaver_outcome: str = "H") -> ProtocolResult:
@@ -231,6 +261,8 @@ def run_cycle(m_users: int, outcomes: str | None = None, weaver_outcome: str = "
     if not 3 <= m_users <= 6:
         raise ValueError("cycle supports 3..6 users")
     outcomes = _canonical_outcomes(outcomes, m_users)
+    if weaver_outcome not in ("H", "V"):
+        raise ValueError(f"weaver outcome is 'H' or 'V', got {weaver_outcome!r}")
     users = list(range(1, m_users + 1))
     final = cycle_graph([0] + users)
     corrections = [(u, "H") for u in users]
@@ -262,24 +294,10 @@ def cycle_optics(
     the weaver interfere at a PBS, the weaver side is rotated, and its
     H/V detection removes it as a leaf on the server qubit.
     """
-    sources = [po.GBell(50, 0)] + [po.GBell(100 + i, i) for i in range(1, m_users + 1)]
-    s = po.prepare(sources)
-    for j in range(1, m_users + 1):
-        s = po.apply_pbs(s, 50, j)
-        s = po.apply_hwp(s, 50, 22.5)
-    s = po.apply_pbs(s, 0, 50)
-    s = po.apply_hwp(s, 50, 22.5)
-    ports = [100 + i for i in range(1, m_users + 1)] + list(range(0, m_users + 1)) + [50]
-    s, prob = po.postselect_coincidence(s, ports)
     outcomes = _canonical_outcomes(outcomes, m_users)
-    record = []
-    for j, out in zip(range(1, m_users + 1), outcomes):
-        s = _pick(po.measure_polarization(s, j, "PM"), out)
-        record.append((f"b{j}", out))
-    s = _pick(po.measure_polarization(s, 50, "HV"), weaver_outcome)
-    record.append(("w", weaver_outcome))
-    port_map = {100 + i: i for i in range(1, m_users + 1)} | {0: 0}
-    return po.extract_logical(s, port_map), prob, tuple(record)
+    sv, prob = _caterpillar_circuit(["spine"] * m_users, True, outcomes, weaver_outcome)
+    record = [(f"b{j}", out) for j, out in zip(range(1, m_users + 1), outcomes)]
+    return sv, prob, (*record, ("w", weaver_outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +354,7 @@ def run_caterpillar(layout: Sequence[str], close_cycle: bool = False) -> Protoco
         raise ValueError("caterpillar supports up to 7 users")
     final = caterpillar_layout_graph(layout, close_cycle)
     exponent = m + 1 if close_cycle else m - 1
-    corrections = tuple((u, "H") for u in range(2, m + 1))
+    corrections = tuple((i + 1, "H") for i, kind in enumerate(layout) if kind == "spine")
     return ProtocolResult(
         protocol="caterpillar",
         final_graph=final,
@@ -353,38 +371,36 @@ def caterpillar_optics(
 ) -> tuple[StateVector, float]:
     """Exact circuit for the caterpillar protocol, canonical outcomes."""
     _check_layout(layout)
+    n_woven = len(layout) if close_cycle else len(layout) - 1
+    return _caterpillar_circuit(layout, close_cycle, "+" * n_woven, "H")
+
+
+def _caterpillar_circuit(
+    layout: Sequence[str], close_cycle: bool, outcomes: str, weaver_outcome: str
+) -> tuple[StateVector, float]:
+    """Weave the layout's users; the woven users are detected with ``outcomes``.
+
+    Closed, the weaver is a server photon (port 50) that ends on the
+    stored qubit 0.  Open, user 1's shared photon weaves, rotated once
+    before it meets user 2 when that user is on the spine.
+    """
     m = len(layout)
-    sources = [po.GBell(100 + i, i) for i in range(1, m + 1)]
+    users = range(1, m + 1)
+    leaves = {j for j in users if layout[j - 1] == "leaf"}
+    pairs = [(100 + i, i) for i in users]
+    qubits = {100 + i: i for i in users}
     if close_cycle:
-        sources = [po.GBell(50, 0)] + sources
-        s = po.prepare(sources)
-        weaver = 50
-        s = po.apply_pbs(s, weaver, 1)
-        first_woven = 1
+        weaver, woven = 50, users
+        pairs = [(50, 0), *pairs]
+        elements = _graph_weave(weaver, [*users, 0], leaves)
+        qubits[0] = 0
     else:
-        s = po.prepare(sources)
-        weaver = 1
-        first_woven = 2
-    for j in range(2, m + 1):
-        if layout[j - 1] == "spine":
-            s = po.apply_hwp(s, weaver, 22.5)
-        s = po.apply_pbs(s, weaver, j)
-    if close_cycle:
-        s = po.apply_hwp(s, weaver, 22.5)
-        s = po.apply_pbs(s, 0, weaver)
-    s = po.apply_hwp(s, weaver, 22.5)
-    ports = [100 + i for i in range(1, m + 1)] + list(range(first_woven - 1, m + 1))
-    if close_cycle:
-        ports.append(50)
-        ports = sorted(set(ports + [0]))
-    s, prob = po.postselect_coincidence(s, ports)
-    for j in range(first_woven, m + 1):
-        s = _pick(po.measure_polarization(s, j, "PM"), "+")
-    s = _pick(po.measure_polarization(s, weaver, "HV"), "H")
-    port_map = {100 + i: i for i in range(1, m + 1)}
-    if close_cycle:
-        port_map |= {0: 0}
-    return po.extract_logical(s, port_map), prob
+        weaver, woven = 1, users[1:]
+        lead = [{"hwp": [weaver, 22.5]}] if m > 1 and layout[1] == "spine" else []
+        elements = lead + _graph_weave(weaver, woven, leaves)
+    measure = [(j, "PM", out) for j, out in zip(woven, outcomes)]
+    measure.append((weaver, "HV", weaver_outcome))
+    return _run_optics(pairs, elements, measure, qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -476,39 +492,16 @@ def build_block(kind: str, index: int = 1) -> tuple[Graph, Fraction]:
 
 def block_optics(kind: str) -> tuple[StateVector, float]:
     """Exact circuit for one building block (index 1 labels)."""
-    if kind == "three":
-        s = po.prepare([po.GBell(60, 50), po.GBell(101, 1), po.GBell(61, 51)])
-        s = po.apply_pbs(s, 50, 1)
-        s = po.apply_hwp(s, 50, 22.5)
-        s = po.apply_pbs(s, 50, 51)
-        s = po.apply_hwp(s, 50, 22.5)
-        s, prob = po.postselect_coincidence(s, [60, 50, 101, 1, 61, 51])
-        for p in (1, 51):
-            s = _pick(po.measure_polarization(s, p, "PM"), "+")
-        s = _pick(po.measure_polarization(s, 50, "HV"), "H")
-        return po.extract_logical(s, {60: -1, 101: 1, 61: -2}), prob
-    sources = [po.GBell(60, 50), po.GBell(101, 1), po.GBell(102, 2), po.GBell(61, 51)]
-    s = po.prepare(sources)
-    if kind == "path4":
-        s = po.apply_pbs(s, 50, 1)
-        for target in (2, 51):
-            s = po.apply_hwp(s, 50, 22.5)
-            s = po.apply_pbs(s, 50, target)
-        s = po.apply_hwp(s, 50, 22.5)
-        s, prob = po.postselect_coincidence(s, [60, 50, 101, 1, 102, 2, 61, 51])
-        for p in (1, 2, 51):
-            s = _pick(po.measure_polarization(s, p, "PM"), "+")
-        s = _pick(po.measure_polarization(s, 50, "HV"), "H")
-    elif kind == "star4":
-        s = po.apply_pbs(s, 50, 1)
-        s = po.apply_pbs(s, 1, 2)
-        s = po.apply_pbs(s, 2, 51)
-        s, prob = po.postselect_coincidence(s, [60, 50, 101, 1, 102, 2, 61, 51])
-        for p in (50, 1, 2, 51):
-            s = _pick(po.measure_polarization(s, p, "PM"), "+")
-    else:
+    if kind not in BLOCK_KINDS:
         raise ValueError(f"unknown block kind {kind!r}")
-    return po.extract_logical(s, {60: -1, 101: 1, 102: 2, 61: -2}), prob
+    users = [1] if kind == "three" else [1, 2]
+    pairs = [(60, 50), *[(100 + u, u) for u in users], (61, 51)]
+    qubits = {60: -1, **{100 + u: u for u in users}, 61: -2}
+    if kind == "star4":
+        measure = [(p, "PM", "+") for p in (50, *users, 51)]
+        return _run_optics(pairs, _ghz_weave([50, *users, 51]), measure, qubits)
+    measure = [(p, "PM", "+") for p in (*users, 51)] + [(50, "HV", "H")]
+    return _run_optics(pairs, _graph_weave(50, [*users, 51]), measure, qubits)
 
 
 @dataclass(frozen=True)

@@ -291,9 +291,29 @@ def test_bad_blocks_or_layout_is_usage_error(verb, flags, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--protocol", "caterpillar", "--layout", "spine,leaf,spine", "--outcomes", "+-"],
     ["montecarlo", "--protocol", "cycle", "--users", "3", "--server", "--trials", "10", "--seed", "1"],
+    ["simulate", "--protocol", "ghz", "--users", "3", "--keep-ends", "--seed", "5"],
+    ["simulate", "--protocol", "ghz", "--users", "3", "--seed", "5"],
+    ["simulate", "--protocol", "caterpillar", "--layout", "spine,leaf", "--server"],
+    ["simulate", "--protocol", "path", "--users", "3", "--close"],
+    ["simulate", "--protocol", "chain", "--blocks", "three,three", "--users", "2", "--seed", "1"],
+    ["montecarlo", "--protocol", "caterpillar", "--layout", "spine,leaf", "--server",
+     "--trials", "10", "--seed", "1"],
+    ["montecarlo", "--protocol", "ghz", "--users", "3", "--plan", "Y", "--trials", "10", "--seed", "1"],
+    ["verify", "--suite", "cz-gate", "--trials", "0", "--n", "3"],
+    ["verify", "--suite", "cz-gate", "--seed", "3"],
+    ["verify", "--suite", "appendix-b", "--trials", "5"],
 ])
 def test_flag_the_protocol_ignores_is_usage_error(argv, capsys):
     assert main(argv) == 2
+
+
+def test_simulate_echoes_keep_ends_only_when_set(capsys):
+    argv = ["simulate", "--protocol", "chain", "--blocks", "path4,star4", "--seed", "3"]
+    _, plain = run_cli(capsys, *argv)
+    _, kept = run_cli(capsys, *argv, "--keep-ends")
+    assert "keep_ends" not in plain["command"]
+    assert kept["command"] == {**plain["command"], "keep_ends": True}
+    assert kept["results"]["result"] != plain["results"]["result"]
 
 
 def test_simulate_chain_dispatch(capsys):

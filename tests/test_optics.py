@@ -21,6 +21,7 @@ from photonweave.optics import (
     run_circuit,
     state_from_json,
     state_to_json,
+    state_to_json_dict,
 )
 from photonweave.states import state_locally_equivalent
 
@@ -268,10 +269,10 @@ def test_run_circuit_json():
         "postselect": [0, 1, 2],
         "measure": [{"port": 0, "basis": "HV"}],
     }
-    out = run_circuit(spec)
-    assert out["postselect_probability"] == pytest.approx(0.25, abs=1e-12)
-    assert out["measurements"][0]["outcome"] == "H"
-    assert json.dumps(out["state"])  # JSON-serializable dump
+    state, prob, log = run_circuit(spec)
+    assert prob == pytest.approx(0.25, abs=1e-12)
+    assert log[0]["outcome"] == "H"
+    assert json.dumps(state_to_json_dict(state))  # JSON-serializable dump
 
 
 def test_ghz3_state_dump_two_terms():
@@ -300,6 +301,17 @@ def test_run_circuit_outcome_selection():
         "postselect": [0, 1],
         "measure": [{"port": 0, "basis": "PM", "outcome": "-"}],
     }
-    out = run_circuit(spec)
-    assert out["measurements"][0]["outcome"] == "-"
-    assert out["measurements"][0]["probability"] == pytest.approx(0.5)
+    _, _, log = run_circuit(spec)
+    assert log[0]["outcome"] == "-"
+    assert log[0]["probability"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("basis,outcome", [("PM", "H"), ("PM", "x"), ("HV", "+"), ("HV", "")])
+def test_run_circuit_rejects_outcome_outside_basis(basis, outcome):
+    spec = {
+        "sources": [{"gbell": [0, 1]}],
+        "postselect": [0, 1],
+        "measure": [{"port": 0, "basis": basis, "outcome": outcome}],
+    }
+    with pytest.raises(ValueError, match="not an outcome"):
+        run_circuit(spec)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,9 @@ from photonweave.graphs import (
 from photonweave.protocols import (
     block_optics,
     build_block,
+    caterpillar_optics,
     comb_graph,
+    cycle_optics,
     fuse_chain,
     fuse_merge,
     fuse_within,
@@ -47,6 +50,14 @@ def textbook_comb(m_users: int) -> Graph:
 
 
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
+H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def reordered(sv: StateVector, order: tuple[int, ...]) -> StateVector:
+    """The same state with its qubits listed in ``order``."""
+    amps = sv.amplitudes.reshape([2] * sv.n)
+    axes = [sv.qubit_order.index(q) for q in order]
+    return StateVector(np.transpose(amps, axes).reshape(-1), order)
 
 
 # -- ghz protocol -----------------------------------------------------------------
@@ -127,6 +138,16 @@ def test_path_corrections_restore_state():
     assert states_equal_up_to_phase(apply_single_qubit(weaver_v, 4, X_MAT), ref)
 
 
+@pytest.mark.parametrize("weaver_outcome", ["", "HV", "X", "+"])
+def test_bad_weaver_outcome_is_rejected(weaver_outcome):
+    with pytest.raises(ValueError):
+        run_path(3, weaver_outcome=weaver_outcome)
+    with pytest.raises(ValueError):
+        run_cycle(3, weaver_outcome=weaver_outcome)
+    with pytest.raises(ValueError):
+        cycle_optics(3, weaver_outcome=weaver_outcome)
+
+
 def test_comb_intermediate():
     sv, prob, _ = path_optics(3, stop_before_measurement=True)
     assert prob == pytest.approx(0.25, abs=1e-12)
@@ -193,6 +214,26 @@ def test_caterpillar_exponents_and_class():
     closed = run_caterpillar(["spine", "spine", "leaf", "spine"], close_cycle=True)
     assert closed.success_exponent == 5
     assert classify_graph(closed.final_graph).label == "leafed-cycle"
+
+
+def _layouts_up_to(m_max: int):
+    for m in range(1, m_max + 1):
+        for rest in itertools.product(("spine", "leaf"), repeat=m - 1):
+            layout = ["spine", *rest]
+            yield pytest.param(layout, False, id=",".join(layout))
+            if layout.count("spine") >= 2:
+                yield pytest.param(layout, True, id=",".join(layout) + "-closed")
+
+
+@pytest.mark.parametrize("layout,close", _layouts_up_to(5))
+def test_caterpillar_corrections_give_final_graph_state(layout, close):
+    res = run_caterpillar(layout, close)
+    sv, _ = caterpillar_optics(layout, close)
+    for user, gate in res.corrections:
+        assert gate == "H"
+        sv = apply_single_qubit(sv, user, H_MAT)
+    want = to_state_vector(res.final_graph)
+    assert states_equal_up_to_phase(reordered(sv, want.qubit_order), want)
 
 
 def test_caterpillar_layout_validation():
