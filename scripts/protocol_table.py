@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tabulate protocol success probabilities: analytic vs Monte Carlo.
 
-    python3 scripts/protocol_table.py --trials 20000 --seed 1
+    PYTHONPATH=src python3 scripts/protocol_table.py --trials 20000 --seed 1
 """
 
 import argparse

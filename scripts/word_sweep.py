@@ -4,8 +4,8 @@
 Classifies every word over {X, Y, Z}, verifies the prediction against
 the rewrite-rule simulation, and tabulates the reachable shape classes.
 
-    python3 scripts/word_sweep.py --resource zigzag --n 10
-    python3 scripts/word_sweep.py --resource honeycomb --n 8 --csv shapes.csv
+    PYTHONPATH=src python3 scripts/word_sweep.py --resource zigzag --n 10
+    PYTHONPATH=src python3 scripts/word_sweep.py --resource honeycomb --n 8 --csv shapes.csv
 """
 
 import argparse
@@ -14,23 +14,16 @@ import json
 import sys
 from collections import Counter
 
-from photonweave.minors import (
-    crosscheck_report,
-    path_every_third_resource,
-    zigzag_resource,
-)
+from photonweave.minors import RESOURCE_BUILDERS, RESOURCES, crosscheck_report
 
 
 def word_length(resource: str, n: int) -> int:
-    if resource in ("zigzag", "honeycomb"):
-        return len(zigzag_resource(n)[1])
-    return len(path_every_third_resource(n)[1])
+    return len(RESOURCE_BUILDERS[resource](n)[1])
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--resource", default="zigzag",
-                        choices=["zigzag", "honeycomb", "path_every_third"])
+    parser.add_argument("--resource", default="zigzag", choices=RESOURCES)
     parser.add_argument("--n", type=int, default=8)
     parser.add_argument("--csv", help="also write one row per word here")
     args = parser.parse_args()

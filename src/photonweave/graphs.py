@@ -22,87 +22,118 @@ Edge = tuple[int, int]
 AXES = ("X", "Y", "Z")
 
 
-def _norm_edge(u: int, v: int) -> Edge:
+def _check_pair(adj: dict[int, frozenset[int]], u: int, v: int) -> None:
     if u == v:
         raise ValueError(f"self-loop at vertex {u} is not allowed")
-    return (u, v) if u < v else (v, u)
+    if u not in adj or v not in adj:
+        raise ValueError(f"edge ({min(u, v)},{max(u, v)}) references a missing vertex")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Graph:
-    """Immutable simple undirected graph on integer-labeled vertices."""
+    """Immutable simple undirected graph on integer-labeled vertices.
 
-    vertices: tuple[int, ...]
-    edges: frozenset[Edge]
+    ``adj`` maps each vertex, in vertex order, to the frozenset of its
+    neighbours; ``vertices`` and ``edges`` are read from it.  Two graphs
+    are equal when they have the same vertex order and the same edges.
+    """
+
+    adj: dict[int, frozenset[int]]
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        verts = tuple(dict.fromkeys(vertices))  # keep order, drop duplicates
-        vset = set(verts)
-        norm = frozenset(_norm_edge(u, v) for u, v in edges)
-        for u, v in norm:
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge ({u},{v}) references a missing vertex")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", norm)
+        adj: dict[int, set[int]] = {v: set() for v in vertices}  # keeps order, drops duplicates
+        for u, v in edges:
+            _check_pair(adj, u, v)
+            adj[u].add(v)
+            adj[v].add(u)
+        object.__setattr__(self, "adj", {v: frozenset(nbrs) for v, nbrs in adj.items()})
+
+    @classmethod
+    def _of(cls, adj: dict[int, frozenset[int]]) -> Graph:
+        """Wrap an adjacency map that is already symmetric and loop-free."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return tuple(self.adj) == tuple(other.adj) and self.adj == other.adj
 
     # -- basic queries ---------------------------------------------------
 
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self.adj)
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset((u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v)
+
     def __contains__(self, v: int) -> bool:
-        return v in set(self.vertices)
+        return v in self.adj
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.adj)
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._require(v)
-        return frozenset(u if w == v else w for u, w in self.edges if v in (u, w))
+        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} is not allowed")
+        return v in self.adj.get(u, ())
 
     def _require(self, *vs: int) -> None:
-        vset = set(self.vertices)
         for v in vs:
-            if v not in vset:
+            if v not in self.adj:
                 raise ValueError(f"unknown vertex {v}")
 
     # -- construction helpers --------------------------------------------
 
     def with_edges_toggled(self, pairs: Iterable[tuple[int, int]]) -> Graph:
-        edges = set(self.edges)
+        adj = dict(self.adj)
         for u, v in pairs:
-            e = _norm_edge(u, v)
-            if e in edges:
-                edges.remove(e)
-            else:
-                edges.add(e)
-        return Graph(self.vertices, edges)
+            _check_pair(adj, u, v)
+            adj[u] ^= {v}
+            adj[v] ^= {u}
+        return Graph._of(adj)
 
     def without_vertex(self, v: int) -> Graph:
-        self._require(v)
-        verts = tuple(u for u in self.vertices if u != v)
-        edges = [e for e in self.edges if v not in e]
-        return Graph(verts, edges)
+        gone = self.neighbors(v)
+        return Graph._of(
+            {u: nbrs - {v} if u in gone else nbrs for u, nbrs in self.adj.items() if u != v}
+        )
 
-    def add_vertex(self, v: int) -> Graph:
-        if v in set(self.vertices):
+    def add_vertex(self, v: int, nbrs: Iterable[int] = ()) -> Graph:
+        """Append v joined to ``nbrs``.
+
+        Adding a vertex that is already present is a no-op without
+        ``nbrs`` and an error with them.
+        """
+        nbrs = frozenset(nbrs)
+        if v in self.adj:
+            if nbrs:
+                raise ValueError(f"vertex {v} is already present")
             return self
-        return Graph(self.vertices + (v,), self.edges)
+        self._require(*nbrs)
+        adj = {u: un | {v} if u in nbrs else un for u, un in self.adj.items()}
+        adj[v] = nbrs
+        return Graph._of(adj)
 
     def add_edge(self, u: int, v: int) -> Graph:
         self._require(u, v)
-        return Graph(self.vertices, set(self.edges) | {_norm_edge(u, v)})
+        return self if self.has_edge(u, v) else self.with_edges_toggled([(u, v)])
 
     def induced(self, keep: Iterable[int]) -> Graph:
         kset = set(keep)
         self._require(*kset)
-        verts = tuple(v for v in self.vertices if v in kset)
-        edges = [e for e in self.edges if e[0] in kset and e[1] in kset]
-        return Graph(verts, edges)
+        return Graph._of({v: nbrs & kset for v, nbrs in self.adj.items() if v in kset})
 
     def relabel(self, mapping: dict[int, int]) -> Graph:
         verts = tuple(mapping.get(v, v) for v in self.vertices)
@@ -112,33 +143,29 @@ class Graph:
         return Graph(verts, edges)
 
     def disjoint_union(self, other: Graph) -> Graph:
-        overlap = set(self.vertices) & set(other.vertices)
+        overlap = self.adj.keys() & other.adj.keys()
         if overlap:
             raise ValueError(f"label collision: {sorted(overlap)}")
-        return Graph(self.vertices + other.vertices, set(self.edges) | set(other.edges))
+        return Graph._of(self.adj | other.adj)
 
     # -- topology ----------------------------------------------------------
 
     def components(self) -> list[frozenset[int]]:
         seen: set[int] = set()
         out = []
-        for start in self.vertices:
+        for start in self.adj:
             if start in seen:
                 continue
             comp = {start}
             queue = deque([start])
             while queue:
-                v = queue.popleft()
-                for w in self.neighbors(v):
+                for w in self.adj[queue.popleft()]:
                     if w not in comp:
                         comp.add(w)
                         queue.append(w)
             seen |= comp
             out.append(frozenset(comp))
         return out
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
 
 
 # -- standard families ----------------------------------------------------
@@ -177,7 +204,10 @@ def complete_graph(labels: Iterable[int]) -> Graph:
 def local_complement(g: Graph, v: int) -> Graph:
     """Toggle every edge between pairs of neighbors of v."""
     nbrs = g.neighbors(v)
-    return g.with_edges_toggled(itertools.combinations(sorted(nbrs), 2))
+    adj = dict(g.adj)
+    for u in nbrs:
+        adj[u] = adj[u] ^ (nbrs - {u})
+    return Graph._of(adj)
 
 
 def measure_pauli(g: Graph, v: int, axis: str, x_partner: int | None = None) -> Graph:
@@ -215,31 +245,28 @@ ORBIT_CAP = 10**6
 
 def lc_orbit(g: Graph, cap: int = ORBIT_CAP) -> Iterator[Graph]:
     """Breadth-first enumeration of the local-complementation orbit of g."""
-    seen = {g.edges}
+    # lc keeps the vertex order, so the neighbourhoods in that order identify a graph
+    seen = {tuple(g.adj.values())}
     queue = deque([g])
     while queue:
         cur = queue.popleft()
         yield cur
-        for v in cur.vertices:
-            if cur.degree(v) < 2:  # lc is a no-op below degree 2
+        for v, nbrs in cur.adj.items():
+            if len(nbrs) < 2:  # lc is a no-op below degree 2
                 continue
             nxt = local_complement(cur, v)
-            if nxt.edges not in seen:
+            key = tuple(nxt.adj.values())
+            if key not in seen:
                 if len(seen) >= cap:
                     raise RuntimeError(f"local-complementation orbit exceeds cap {cap}")
-                seen.add(nxt.edges)
+                seen.add(key)
                 queue.append(nxt)
 
 
 ORBIT_VERTEX_LIMIT = 12
 
 
-def locally_equivalent(
-    g1: Graph,
-    g2: Graph,
-    allow_relabel: bool = False,
-    cap: int = ORBIT_CAP,
-) -> bool:
+def locally_equivalent(g1: Graph, g2: Graph, allow_relabel: bool = False) -> bool:
     """True iff g2 lies in the local-complementation orbit of g1.
 
     Label-preserving by default; with ``allow_relabel`` any vertex
@@ -247,19 +274,18 @@ def locally_equivalent(
     """
     if g1.n > ORBIT_VERTEX_LIMIT or g2.n > ORBIT_VERTEX_LIMIT:
         raise ValueError(f"orbit search limited to {ORBIT_VERTEX_LIMIT} vertices")
-    if len(g1.vertices) != len(g2.vertices):
+    if g1.n != g2.n:
         return False
     if not allow_relabel:
-        if set(g1.vertices) != set(g2.vertices):
+        if g1.adj.keys() != g2.adj.keys():
             return False
         # components are invariant under lc: cheap rejection
-        if sorted(g1.components()) != sorted(g2.components()):
+        if set(g1.components()) != set(g2.components()):
             return False
-        target = g2.edges
-        return any(h.edges == target for h in lc_orbit(g1, cap))
+        return any(h.adj == g2.adj for h in lc_orbit(g1))
     if sorted(len(c) for c in g1.components()) != sorted(len(c) for c in g2.components()):
         return False
-    return any(_isomorphic(h, g2) for h in lc_orbit(g1, cap))
+    return any(_isomorphic(h, g2) for h in lc_orbit(g1))
 
 
 def _isomorphic(g1: Graph, g2: Graph) -> bool:

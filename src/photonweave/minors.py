@@ -21,6 +21,7 @@ from .graphs import (
     classify_graph,
     complete_graph,
     cycle_graph,
+    lc_orbit,
     locally_equivalent,
     measure_pauli,
     path_graph,
@@ -74,21 +75,9 @@ class Multigraph:
     def is_four_regular(self) -> bool:
         return all(self.degree(v) == 4 for v in self.vertices)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for (a, _), (b, _) in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+    def simple_graph(self) -> Graph:
+        """The simple graph underneath: loops dropped, parallel edges merged."""
+        return Graph(self.vertices, ((a, b) for (a, _), (b, _) in self.edges if a != b))
 
 
 def build_circulant(n: int) -> Multigraph:
@@ -147,7 +136,7 @@ def canonical_tour(n: int) -> EulerianTour:
 
 def find_tour(mg: Multigraph) -> EulerianTour:
     """Hierholzer's algorithm; deterministic given the edge ordering."""
-    if not mg.is_connected():
+    if len(mg.simple_graph().components()) > 1:
         raise ValueError("multigraph is disconnected")
     if any(mg.degree(v) % 2 for v in mg.vertices):
         raise ValueError("odd-degree vertex; no Eulerian tour")
@@ -425,23 +414,8 @@ def predict_class(word: str, close: bool) -> ShapeClass:
 
 
 def components_of(mg: Multigraph) -> list[Multigraph]:
-    adj: dict[int, set[int]] = {v: set() for v in mg.vertices}
-    for (a, _), (b, _) in mg.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[int] = set()
     out = []
-    for v in mg.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
+    for comp in mg.simple_graph().components():
         verts = tuple(u for u in mg.vertices if u in comp)
         edges = tuple(e for e in mg.edges if e[0][0] in comp)
         out.append(Multigraph(verts, edges))
@@ -466,9 +440,6 @@ def tour_interlacement(mg: Multigraph) -> Graph:
 # resources and the cross-check
 # ---------------------------------------------------------------------------
 
-RESOURCES = ("zigzag", "honeycomb", "path_every_third")
-
-
 def zigzag_resource(n: int) -> tuple[Graph, list[int], list[int]]:
     """Closed zigzag: the n-cycle with the server holding every other vertex.
 
@@ -487,7 +458,7 @@ def honeycomb_resource(n: int) -> tuple[Graph, list[int], list[int]]:
     """The zigzag cycle with one extra user leaf on every unmeasured vertex."""
     g, measured, survivors = zigzag_resource(n)
     for s in survivors:
-        g = g.add_vertex(100 + s).add_edge(s, 100 + s)
+        g = g.add_vertex(100 + s, [s])
     return g, measured, survivors
 
 
@@ -516,6 +487,15 @@ def path_every_third_resource(n: int) -> tuple[Graph, list[int], list[int]]:
     return g, measured, survivors
 
 
+#: each resource's builder: n -> (graph, measured server vertices, survivors)
+RESOURCE_BUILDERS = {
+    "zigzag": zigzag_resource,
+    "honeycomb": honeycomb_resource,
+    "path_every_third": path_every_third_resource,
+}
+RESOURCES = tuple(RESOURCE_BUILDERS)
+
+
 def simulate_word(g: Graph, measured: Sequence[int], word: str) -> Graph:
     """Measure the listed vertices per the word using the rewrite rules."""
     check_word(word)
@@ -538,30 +518,27 @@ def crosscheck(n: int, word: str, resource: str = "zigzag") -> bool:
     component is a caterpillar admitting at most one leaf per spine
     vertex.
     """
+    return _crosscheck(n, word, resource)[0]
+
+
+def _crosscheck(n: int, word: str, resource: str) -> tuple[bool, Graph]:
+    """``crosscheck``'s verdict and the simulated graph it judged."""
     if n > 12:
         raise ValueError("crosscheck capped at n = 12")
+    if resource not in RESOURCE_BUILDERS:
+        raise ValueError(f"unknown resource {resource!r}; use one of {RESOURCES}")
+    g, measured, survivors = RESOURCE_BUILDERS[resource](n)
+    if len(word) != len(measured):
+        raise ValueError(f"word length must be {len(measured)} for n={n}")
+    sim = simulate_word(g, measured, word)
     if resource == "zigzag":
-        g, measured, survivors = zigzag_resource(n)
-        if len(word) != len(measured):
-            raise ValueError(f"word length must be {len(measured)} for n={n}")
-        sim = simulate_word(g, measured, word)
         pred = predict_representative(word, close=True, survivors=survivors)
-        return locally_equivalent(sim, pred)
+        return locally_equivalent(sim, pred), sim
     if resource == "honeycomb":
-        g, measured, survivors = honeycomb_resource(n)
-        if len(word) != len(measured):
-            raise ValueError(f"word length must be {len(measured)} for n={n}")
-        sim = simulate_word(g, measured, word)
         mg, _ = honeycomb_multigraph(n)
         pred = tour_interlacement(apply_word(mg, measured, word))
-        return locally_equivalent(sim, pred)
-    if resource == "path_every_third":
-        g, measured, survivors = path_every_third_resource(n)
-        if len(word) != len(measured):
-            raise ValueError(f"word length must be {len(measured)} for n={n}")
-        sim = simulate_word(g, measured, word)
-        return all(_single_leaf_caterpillar(sim, comp) for comp in sim.components())
-    raise ValueError(f"unknown resource {resource!r}; use one of {RESOURCES}")
+        return locally_equivalent(sim, pred), sim
+    return all(_single_leaf_caterpillar(sim, comp) for comp in sim.components()), sim
 
 
 def _single_leaf_caterpillar(g: Graph, comp: frozenset[int]) -> bool:
@@ -570,13 +547,11 @@ def _single_leaf_caterpillar(g: Graph, comp: frozenset[int]) -> bool:
     A caterpillar whose maximum degree is three can always be re-rooted
     so that each spine vertex carries at most one leaf.
     """
-    from .graphs import lc_orbit
-
     sub = g.induced(comp)
     if len(comp) <= 2:
         return True
     for rep in lc_orbit(sub):
-        if max(rep.degree(v) for v in rep.vertices) > 3:
+        if max(map(len, rep.adj.values())) > 3:
             continue
         if classify_graph(rep).label in ("path", "star", "caterpillar", "empty"):
             return True
@@ -585,15 +560,8 @@ def _single_leaf_caterpillar(g: Graph, comp: frozenset[int]) -> bool:
 
 def crosscheck_report(n: int, word: str, resource: str = "zigzag") -> dict:
     """JSON-friendly classification report for one word."""
-    ok = crosscheck(n, word, resource)
+    ok, sim = _crosscheck(n, word, resource)
     predicted = predict_class(word, close=resource in ("zigzag", "honeycomb"))
-    if resource == "zigzag":
-        g, measured, _ = zigzag_resource(n)
-    elif resource == "honeycomb":
-        g, measured, _ = honeycomb_resource(n)
-    else:
-        g, measured, _ = path_every_third_resource(n)
-    sim = simulate_word(g, measured, word)
     return {
         "word": word,
         "resource": resource,

@@ -92,12 +92,6 @@ class PhotonicState:
     def ports(self) -> set[int]:
         return {port for p in self.terms for (port, _), _ in p}
 
-    def renormalized(self) -> PhotonicState:
-        norm = math.sqrt(self.norm_squared())
-        if norm < AMP_TOL:
-            raise ValueError("cannot renormalize an empty state")
-        return PhotonicState({p: a / norm for p, a in self.terms.items()}, self.total_photons)
-
 
 def prepare(sources: list[Source]) -> PhotonicState:
     """Tensor product of the sources; errors on port collisions."""

@@ -449,15 +449,17 @@ def fuse_merge(g1: Graph, a: int, g2: Graph, b: int, merged: int) -> Graph:
 
     The merged vertex inherits the union of both neighborhoods.
     """
-    if set(g1.vertices) & set(g2.vertices):
+    if g1.adj.keys() & g2.adj.keys():
         raise ValueError("graphs must carry disjoint labels")
-    nbrs = set(g1.neighbors(a)) | set(g2.neighbors(b))
-    g = g1.disjoint_union(g2)
-    keep = [v for v in g.vertices if v not in (a, b)]
-    g = g.induced(keep).add_vertex(merged)
-    for x in sorted(nbrs):
-        g = g.add_edge(merged, x)
-    return g
+    g1._require(a)
+    g2._require(b)
+    return _merge(g1.disjoint_union(g2), a, b, merged)
+
+
+def _merge(g: Graph, a: int, b: int, merged: int) -> Graph:
+    """Replace vertices a and b by one new last vertex joined to both neighborhoods."""
+    nbrs = g.neighbors(a) | g.neighbors(b)
+    return g.induced(v for v in g.vertices if v not in (a, b)).add_vertex(merged, nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +594,8 @@ def fuse_chain(
         if fusion_fails():
             closure_failed = True
         else:
-            joint = next_joint
-            nbrs = set(chain.neighbors(chain_right)) | set(chain.neighbors(chain_left))
-            keep = [v for v in chain.vertices if v not in (chain_right, chain_left)]
-            chain = chain.induced(keep).add_vertex(joint)
-            for x in sorted(nbrs):
-                chain = chain.add_edge(joint, x)
-            joint_labels.append(joint)
+            chain = _merge(chain, chain_right, chain_left, next_joint)
+            joint_labels.append(next_joint)
     if closure_failed:
         return ChainResult(None, False, blocks_consumed, bell_pairs, attempts)
 
@@ -692,9 +689,9 @@ def monte_carlo(
 ) -> MonteCarloStats:
     """Seeded Monte Carlo over protocol attempts.
 
-    For postselected protocols each trial is one attempt (success with the
-    analytic dyadic probability, outcomes sampled on success).  For chains
-    each trial runs the full retry policy and records resource use.
+    For postselected protocols each trial is one attempt, a success with
+    the analytic dyadic probability.  For chains each trial runs the full
+    retry policy and records resource use.
     Per-trial generators are derived from (seed, trial) so results do not
     depend on evaluation order.  Pass a list as ``trial_log`` to collect
     (trial, success, resource...) rows for CSV export.
@@ -730,14 +727,12 @@ def monte_carlo(
     else:
         base = run_request(request)
         analytic = float(Fraction(1, 2**base.success_exponent))
-        n_detect = len(base.measurement_record)
         pairs = base.resources.get("bell_pairs", 0)
         for t in range(trials):
             rng = _trial_rng(seed, t)
             success = rng.random() < analytic
             if success:
                 successes += 1
-                rng.integers(0, 2, size=max(n_detect, 1))  # sampled outcomes
             resource_totals["bell_pairs"] = resource_totals.get("bell_pairs", 0) + pairs
             if trial_log is not None:
                 trial_log.append((t, int(success), pairs))

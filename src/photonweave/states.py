@@ -211,20 +211,12 @@ def graph_form(sv: StateVector) -> Graph | None:
     x_rows, z_rows = _gf2_solve_to_identity(x_rows, z_rows, n)
     if x_rows is None:
         return None
-    adj = np.zeros((n, n), dtype=int)
-    for r in range(n):
-        for c in range(n):
-            adj[r, c] = (z_rows[r] >> (n - 1 - c)) & 1
-    np.fill_diagonal(adj, 0)  # diagonal Z bits are S-gate byproducts
-    if not np.array_equal(adj, adj.T):
+    # bit n-1-c of row r is the Z on qubit c; diagonal bits are S-gate byproducts
+    pairs = {(r, c) for r in range(n) for c in range(n) if r != c and z_rows[r] >> (n - 1 - c) & 1}
+    if any((c, r) not in pairs for r, c in pairs):
         return None
-    edges = [
-        (sv.qubit_order[i], sv.qubit_order[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if adj[i, j]
-    ]
-    return Graph(sv.qubit_order, edges)
+    q = sv.qubit_order
+    return Graph(q, ((q[r], q[c]) for r, c in pairs))
 
 
 def _lowest_set_bit(value: int) -> int:

@@ -56,6 +56,54 @@ def test_cz_toggles_edges():
         p2.with_edges_toggled([(1, 5)])
 
 
+def rebuilt(g: Graph) -> Graph:
+    """The graph read back from its vertex and edge views alone."""
+    return Graph(g.vertices, g.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.data())
+def test_neighbour_map_matches_edge_definitions(g, data):
+    # relabel into a random vertex order, so order preservation is tested
+    g = Graph(data.draw(st.permutations(g.vertices)), g.edges)
+    edges = g.edges
+    assert rebuilt(g) == g
+    if g.n > 1:
+        assert Graph(g.vertices[::-1], edges) != g  # equality keeps vertex order
+
+    for v in g.vertices:
+        nbrs = {u for e in edges if v in e for u in e if u != v}
+        assert g.neighbors(v) == nbrs
+        pairs = {(a, b) for a in nbrs for b in nbrs if a < b}
+        lc = local_complement(g, v)
+        assert lc == rebuilt(lc)
+        assert lc.vertices == g.vertices and lc.edges == edges ^ pairs
+        rest = g.without_vertex(v)
+        assert rest == rebuilt(rest)
+        assert rest.vertices == tuple(u for u in g.vertices if u != v)
+        assert rest.edges == {e for e in edges if v not in e}
+
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    groups: dict[int, set[int]] = {}
+    for v in g.vertices:
+        groups.setdefault(find(v), set()).add(v)
+    assert g.components() == [frozenset(c) for c in groups.values()]
+
+    keep = data.draw(st.sets(st.sampled_from(g.vertices)))
+    sub = g.induced(keep)
+    assert sub == rebuilt(sub)
+    assert sub.vertices == tuple(v for v in g.vertices if v in keep)
+    assert sub.edges == {e for e in edges if set(e) <= keep}
+
+
 # -- local complementation --------------------------------------------------------
 
 
@@ -129,6 +177,7 @@ def test_equivalence_is_label_preserving_by_default():
 @given(graphs(max_vertices=6))
 def test_equivalence_relation(g):
     assert locally_equivalent(g, g)  # reflexive
+    assert locally_equivalent(g, Graph(g.vertices[::-1], g.edges))  # whatever the vertex order
     for v in g.vertices:
         h = local_complement(g, v)
         assert locally_equivalent(g, h) and locally_equivalent(h, g)  # symmetric

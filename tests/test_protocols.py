@@ -353,6 +353,31 @@ def test_chain_closed_star4_is_leafed_cycle():
     assert classify_graph(chain.result.final_graph).label == "leafed-cycle"
 
 
+@pytest.mark.parametrize(
+    "blocks, plan, kwargs, vertices, edges",
+    [
+        (["star4"] * 3, None, {"close_cycle": True},
+         (1, 2, 3, 4, -1000, 5, 6, -1001, -1002),
+         [(-1002, 1), (-1002, 5), (-1001, 3), (-1001, 5), (-1000, 1), (-1000, 3),
+          (1, 2), (3, 4), (5, 6)]),
+        (["three"] * 5, list("YXYZY"), {"close_cycle": True},
+         (1, 2, 3, 4, 5),
+         [(1, 3), (1, 5), (2, 3), (3, 4)]),
+        (["path4", "three"], None, {"close_cycle": True},
+         (1, 2, 3, -1000, -1001),
+         [(-1001, 1), (-1001, 3), (-1000, 2), (-1000, 3), (1, 2)]),
+        (["star4", "path4", "three"], None, {"keep_server_ends": True},
+         (1, -1, 2, 3, 4, -1000, 5, -6, -1001),
+         [(-1001, 4), (-1001, 5), (-1000, 1), (-1000, 3), (-6, 5), (-1, 1), (1, 2), (3, 4)]),
+    ],
+)
+def test_chain_final_graph_is_pinned(blocks, plan, kwargs, vertices, edges):
+    # exact vertex order and edges: each joint vertex is appended when it is merged
+    g = fuse_chain(blocks, plan, **kwargs).result.final_graph
+    assert g.vertices == vertices
+    assert g.edges == frozenset(edges)
+
+
 def test_chain_exponent_bookkeeping():
     chain = fuse_chain(["path4", "path4"])
     assert chain.result.success_exponent == 3 + 3 + 1

@@ -1,0 +1,35 @@
+"""Smoke runs of the experiment scripts, as a user runs them from a checkout."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_word_sweep_script():
+    summary = json.loads(run_script("scripts/word_sweep.py", "--resource", "zigzag", "--n", "6"))
+    assert summary["resource"] == "zigzag" and summary["n"] == 6
+    assert summary["words"] == 27 == sum(summary["classes"].values())
+    assert summary["mismatches"] == []
+
+
+def test_protocol_table_script():
+    lines = run_script("scripts/protocol_table.py", "--trials", "200", "--seed", "1").splitlines()
+    assert lines[0].split() == ["protocol", "exact", "estimate", "3*sigma"]
+    rows = lines[1:-1]
+    assert len(rows) == 14  # GHZ M=2..6, path M=2..5, cycle M=3..5, two caterpillars
+    for row in rows:
+        exact, estimate, three_sigma = map(float, row.split()[-3:])
+        assert 0 < exact <= 0.5 and 0 <= estimate <= 1 and three_sigma >= 0
+    assert lines[-1].startswith("worst deviation:")
