@@ -5,6 +5,7 @@
 """
 
 import argparse
+import math
 import sys
 
 from photonweave.protocols import monte_carlo, run_request
@@ -38,11 +39,13 @@ def main() -> int:
             + ("/closed" if req.get("close") else "")
         )
         exact = float(res.success_probability)
-        sigma = max(stats.std_error, 1e-12)
+        # the binomial spread at the exact probability: an estimate with no
+        # successes has an empirical standard error of 0
+        sigma = math.sqrt(exact * (1 - exact) / args.trials)
         pull = abs(stats.estimated_probability - exact) / sigma
         worst = max(worst, pull)
         print(f"{label:30s} {exact:12.6f} {stats.estimated_probability:10.5f}"
-              f" {3 * stats.std_error:9.5f}")
+              f" {3 * sigma:9.5f}")
     print(f"worst deviation: {worst:.2f} sigma")
     return 0 if worst <= 5 else 1
 

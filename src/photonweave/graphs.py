@@ -135,13 +135,6 @@ class Graph:
         self._require(*kset)
         return Graph._of({v: nbrs & kset for v, nbrs in self.adj.items() if v in kset})
 
-    def relabel(self, mapping: dict[int, int]) -> Graph:
-        verts = tuple(mapping.get(v, v) for v in self.vertices)
-        if len(set(verts)) != len(verts):
-            raise ValueError("relabeling collides")
-        edges = [(mapping.get(u, u), mapping.get(v, v)) for u, v in self.edges]
-        return Graph(verts, edges)
-
     def disjoint_union(self, other: Graph) -> Graph:
         overlap = self.adj.keys() & other.adj.keys()
         if overlap:

@@ -68,11 +68,17 @@ def _pattern_ports(p: Pattern) -> dict[int, int]:
 
 
 class PhotonicState:
-    """Sparse superposition over occupation patterns; treat as immutable."""
+    """Sparse superposition over occupation patterns; treat as immutable.
 
-    __slots__ = ("terms", "total_photons")
+    ``ports`` are the spatial ports the state lives on: by default the
+    occupied ones, but a port stays a port when interference or
+    postselection leaves it empty in every term.
+    """
 
-    def __init__(self, terms: dict[Pattern, complex], total_photons: int | None = None):
+    __slots__ = ("terms", "total_photons", "ports")
+
+    def __init__(self, terms: dict[Pattern, complex], total_photons: int | None = None,
+                 ports: frozenset[int] | None = None):
         cleaned = {p: complex(a) for p, a in terms.items() if abs(a) > AMP_TOL}
         totals = {sum(c for _, c in p) for p in cleaned}
         if total_photons is None:
@@ -85,19 +91,23 @@ class PhotonicState:
             raise ValueError(f"at most {MAX_PHOTONS} photons supported")
         self.terms = cleaned
         self.total_photons = total_photons
+        if ports is None:
+            ports = frozenset(port for p in cleaned for (port, _), _ in p)
+        self.ports = ports
 
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.terms.values()))
 
-    def ports(self) -> set[int]:
-        return {port for p in self.terms for (port, _), _ in p}
+
+def _source_ports(s: Source) -> tuple[int, ...]:
+    return (s.port,) if isinstance(s, Plus) else (s.port_a, s.port_b)
 
 
-def prepare(sources: list[Source]) -> PhotonicState:
-    """Tensor product of the sources; errors on port collisions."""
+def _check_sources(sources: list[Source]) -> frozenset[int]:
+    """Distinct nonnegative ports within the capacity limits; returns the ports."""
     used: set[int] = set()
     for s in sources:
-        ports = (s.port,) if isinstance(s, Plus) else (s.port_a, s.port_b)
+        ports = _source_ports(s)
         if isinstance(s, (BellPsi, GBell)) and s.port_a == s.port_b:
             raise ValueError("source ports must be distinct")
         for p in ports:
@@ -108,8 +118,13 @@ def prepare(sources: list[Source]) -> PhotonicState:
             used.add(p)
     if len(used) > MAX_PORTS:
         raise ValueError(f"at most {MAX_PORTS} ports supported")
+    if len(used) > MAX_PHOTONS:  # one photon per source port
+        raise ValueError(f"at most {MAX_PHOTONS} photons supported")
+    return frozenset(used)
 
-    state: dict[Pattern, complex] = {(): 1.0 + 0j}
+
+def _expand(terms: dict[Pattern, complex], sources: list[Source]) -> dict[Pattern, complex]:
+    """Multiply a term map by more sources, on ports its terms leave empty."""
     for s in sources:
         if isinstance(s, Plus):
             pieces = [(((s.port, "H"), 1),), (((s.port, "V"), 1),)]
@@ -129,7 +144,7 @@ def prepare(sources: list[Source]) -> PhotonicState:
             ]
             amps = [0.5, 0.5, 0.5, -0.5]
         new: dict[Pattern, complex] = {}
-        for pat, amp in state.items():
+        for pat, amp in terms.items():
             base = dict(pat)
             for piece, pa in zip(pieces, amps):
                 counts = dict(base)
@@ -137,18 +152,28 @@ def prepare(sources: list[Source]) -> PhotonicState:
                     counts[mode] = counts.get(mode, 0) + c
                 new_pat = _pattern(counts)
                 new[new_pat] = new.get(new_pat, 0) + amp * pa
-        state = new
-    return PhotonicState(state)
+        terms = new
+    return terms
+
+
+def prepare(sources: list[Source]) -> PhotonicState:
+    """Tensor product of the sources; errors on port collisions."""
+    _check_sources(sources)
+    return PhotonicState(_expand({(): 1.0 + 0j}, sources))
+
+
+def _require_ports(known: frozenset[int], *ports: int) -> None:
+    """An element's ports: distinct, and each one of the ``known`` ports."""
+    if len(ports) == 2 and ports[0] == ports[1]:
+        raise ValueError("PBS needs two distinct ports")
+    for p in ports:
+        if p not in known:
+            raise ValueError(f"unknown port {p}")
 
 
 def apply_pbs(state: PhotonicState, port_a: int, port_b: int) -> PhotonicState:
     """Polarizing beam splitter: H transmits, V swaps between the two ports."""
-    if port_a == port_b:
-        raise ValueError("PBS needs two distinct ports")
-    known = state.ports()
-    for p in (port_a, port_b):
-        if p not in known:
-            raise ValueError(f"unknown port {p}")
+    _require_ports(state.ports, port_a, port_b)
     out: dict[Pattern, complex] = {}
     for pat, amp in state.terms.items():
         counts = dict(pat)
@@ -160,7 +185,7 @@ def apply_pbs(state: PhotonicState, port_a: int, port_b: int) -> PhotonicState:
             counts[(port_b, "V")] = va
         new_pat = _pattern(counts)
         out[new_pat] = out.get(new_pat, 0) + amp
-    return PhotonicState(out, state.total_photons)
+    return PhotonicState(out, state.total_photons, state.ports)
 
 
 def _hwp_matrix(angle_degrees: float) -> np.ndarray:
@@ -202,8 +227,7 @@ def _mode_mix_coeffs(n_h: int, n_v: int, u: np.ndarray) -> dict[tuple[int, int],
 
 def apply_hwp(state: PhotonicState, port: int, angle_degrees: float) -> PhotonicState:
     """Half-wave plate on one port: 22.5 degrees maps H/V to +/-, 0 is a Pauli Z."""
-    if port not in state.ports():
-        raise ValueError(f"unknown port {port}")
+    _require_ports(state.ports, port)
     u = _hwp_matrix(angle_degrees)
     out: dict[Pattern, complex] = {}
     for pat, amp in state.terms.items():
@@ -221,7 +245,7 @@ def apply_hwp(state: PhotonicState, port: int, angle_degrees: float) -> Photonic
                 new_counts[(port, "V")] = m_v
             new_pat = _pattern(new_counts)
             out[new_pat] = out.get(new_pat, 0) + amp * c
-    return PhotonicState(out, state.total_photons)
+    return PhotonicState(out, state.total_photons, state.ports)
 
 
 def postselect_coincidence(
@@ -243,10 +267,10 @@ def postselect_coincidence(
             kept[pat] = amp
     prob = float(sum(abs(a) ** 2 for a in kept.values()))
     if prob < AMP_TOL:
-        return PhotonicState({}, state.total_photons), 0.0
+        return PhotonicState({}, state.total_photons, state.ports), 0.0
     norm = math.sqrt(prob)
     kept = {p: a / norm for p, a in kept.items()}
-    return PhotonicState(kept, state.total_photons), prob
+    return PhotonicState(kept, state.total_photons, state.ports), prob
 
 
 def _single_photon_port(state: PhotonicState, port: int) -> None:
@@ -294,12 +318,9 @@ def measure_polarization(
             if abs(amp) > AMP_TOL:
                 terms[rest] = amp
         prob = float(sum(abs(a) ** 2 for a in terms.values()))
-        post = (
-            PhotonicState({p: a / math.sqrt(prob) for p, a in terms.items()},
-                          state.total_photons - 1)
-            if prob > AMP_TOL
-            else PhotonicState({}, state.total_photons - 1)
-        )
+        post = PhotonicState(
+            {p: a / math.sqrt(prob) for p, a in terms.items()} if prob > AMP_TOL else {},
+            state.total_photons - 1, state.ports - {port})
         branches.append((outcome, prob, post))
     return branches
 
@@ -347,6 +368,30 @@ def _source_from_json(obj: dict) -> Source:
     raise ValueError(f"unknown source spec {obj}")
 
 
+def _element_from_json(element: dict, known: frozenset[int]) -> tuple[tuple[int, ...], float | None]:
+    """An element's ports and HWP angle (None for a PBS), checked against the sources."""
+    if "pbs" in element:
+        a, b = element["pbs"]
+        ports, angle = (a, b), None
+    elif "hwp" in element:
+        port, angle = element["hwp"]
+        ports = (port,)
+    else:
+        raise ValueError(f"unknown element {element}")
+    _require_ports(known, *ports)
+    if angle is not None:
+        _hwp_matrix(angle)
+    return ports, angle
+
+
+def _join(state: PhotonicState, sources: list[Source]) -> PhotonicState:
+    if not sources:
+        return state
+    ports = [p for s in sources for p in _source_ports(s)]
+    return PhotonicState(_expand(state.terms, sources), state.total_photons + len(ports),
+                         state.ports.union(ports))
+
+
 def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     """Run a circuit description dict; see the package README for the schema.
 
@@ -356,17 +401,43 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     defaults to H or +).  Returns the final state, the postselection
     probability (1.0 without a postselect key) and one
     {port, basis, outcome, probability} entry per measurement.
+
+    Every source and element is checked before any term is built.  Each
+    source joins the state just before the first element on its ports,
+    and each postselected port retires after the last element on it: the
+    terms without exactly one photon there are dropped, unrenormalised.
+    No later element touches a retired port, so the result and the
+    probability are those of postselecting at the end.
     """
-    state = prepare([_source_from_json(s) for s in spec.get("sources", [])])
-    for element in spec.get("elements", []):
-        if "pbs" in element:
-            a, b = element["pbs"]
-            state = apply_pbs(state, a, b)
-        elif "hwp" in element:
-            port, angle = element["hwp"]
-            state = apply_hwp(state, port, angle)
+    sources = [_source_from_json(s) for s in spec.get("sources", [])]
+    known = _check_sources(sources)
+    elements = [_element_from_json(e, known) for e in spec.get("elements", [])]
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, (ports, _) in enumerate(elements):
+        for p in ports:
+            first.setdefault(p, i)
+            last[p] = i
+    joins: list[list[Source]] = [[] for _ in range(len(elements) + 1)]
+    for s in sources:
+        joins[min(first.get(p, len(elements)) for p in _source_ports(s))].append(s)
+    retires: list[list[int]] = [[] for _ in elements]
+    for p in dict.fromkeys(spec.get("postselect", ())):
+        if p in last:
+            retires[last[p]].append(p)
+
+    state = PhotonicState({(): 1.0 + 0j}, 0, frozenset())
+    for (ports, angle), joining, retiring in zip(elements, joins, retires):
+        state = _join(state, joining)
+        if angle is None:
+            state = apply_pbs(state, *ports)
         else:
-            raise ValueError(f"unknown element {element}")
+            state = apply_hwp(state, ports[0], angle)
+        for p in retiring:
+            kept = {pat: a for pat, a in state.terms.items() if _pattern_ports(pat).get(p) == 1}
+            state = PhotonicState(kept, state.total_photons, state.ports)
+    state = _join(state, joins[-1])
+
     prob = 1.0
     if "postselect" in spec:
         state, prob = postselect_coincidence(state, spec["postselect"])

@@ -120,16 +120,16 @@ def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = NORM_T
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform over index parity."""
+    """Walsh-Hadamard transform over index parity, one butterfly level at a time."""
     out = values.copy()
     h = 1
     n = out.shape[0]
     while h < n:
-        for start in range(0, n, h * 2):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h].copy()
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
+        pairs = out.reshape(-1, 2, h)
+        a = pairs[:, 0].copy()
+        b = pairs[:, 1].copy()
+        pairs[:, 0] = a + b
+        pairs[:, 1] = a - b
         h *= 2
     return out
 

@@ -24,7 +24,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .states import StateVector, state_locally_equivalent, to_state_vector
+from .states import EQUIVALENCE_LIMIT, StateVector, state_locally_equivalent, to_state_vector
 
 PROB_TOL = 1e-12
 AMP_TOL = 1e-10
@@ -153,9 +153,12 @@ def check_protocol_exponents() -> CriterionResult:
 
 
 def check_dual_path() -> CriterionResult:
-    """Optics layer and graph layer agree for every protocol at M <= 5."""
+    """Optics layer and graph layer agree over every protocol's full range.
+
+    The comb intermediate (2M qubits) stops at M = 5, the equivalence limit.
+    """
     t0 = time.time()
-    for m in range(2, 6):
+    for m in range(2, 9):
         sv, prob, _ = pr.ghz_optics(m)
         res = pr.run_ghz(m)
         if abs(prob - float(res.success_probability)) > PROB_TOL:
@@ -165,10 +168,11 @@ def check_dual_path() -> CriterionResult:
         sv, prob, _ = pr.ghz_optics(m, server_participates=True)
         if not state_locally_equivalent(sv, pr.run_ghz(m, True).final_graph):
             return _result("dual-path", False, f"ghz+server M={m} state", t0)
-    for m in range(2, 6):
-        comb_sv, prob, _ = pr.path_optics(m, stop_before_measurement=True)
-        if not state_locally_equivalent(comb_sv, pr.comb_graph(m)):
-            return _result("dual-path", False, f"path M={m} comb intermediate", t0)
+    for m in range(2, 8):
+        if 2 * m <= EQUIVALENCE_LIMIT:
+            comb_sv, prob, _ = pr.path_optics(m, stop_before_measurement=True)
+            if not state_locally_equivalent(comb_sv, pr.comb_graph(m)):
+                return _result("dual-path", False, f"path M={m} comb intermediate", t0)
         sv, prob, _ = pr.path_optics(m)
         res = pr.run_path(m)
         if abs(prob - float(res.success_probability)) > PROB_TOL:
@@ -178,7 +182,7 @@ def check_dual_path() -> CriterionResult:
         sv, _, _ = pr.path_optics(m, server_participates=True)
         if not state_locally_equivalent(sv, pr.run_path(m, True).final_graph):
             return _result("dual-path", False, f"path+server M={m} state", t0)
-    for m in range(3, 6):
+    for m in range(3, 7):
         sv, prob, _ = pr.cycle_optics(m)
         res = pr.run_cycle(m)
         if abs(prob - float(res.success_probability)) > PROB_TOL:
@@ -191,6 +195,8 @@ def check_dual_path() -> CriterionResult:
         (["spine", "leaf", "leaf", "spine"], False),
         (["spine", "spine", "leaf"], True),
         (["spine", "spine", "spine", "leaf"], True),
+        (["spine", "leaf", "spine", "leaf", "spine", "leaf", "spine"], False),
+        (["spine", "spine", "leaf", "spine", "leaf", "spine", "leaf"], True),
     ]
     for layout, close in layouts:
         sv, prob = pr.caterpillar_optics(layout, close)
@@ -204,7 +210,8 @@ def check_dual_path() -> CriterionResult:
         g, p = pr.build_block(kind)
         if abs(prob - float(p)) > PROB_TOL or not state_locally_equivalent(sv, g):
             return _result("dual-path", False, f"block {kind}", t0)
-    return _result("dual-path", True, "ghz/path/cycle/caterpillar/blocks agree at M<=5", t0)
+    return _result("dual-path", True, "ghz M<=8, path M<=7 (comb M<=5), cycle M<=6, "
+                   "caterpillar M<=7 and blocks agree", t0)
 
 
 def check_appendix_a() -> CriterionResult:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonweave import optics
 from photonweave.graphs import path_graph, star_graph
 from photonweave.optics import (
     BellPsi,
@@ -314,4 +315,156 @@ def test_run_circuit_rejects_outcome_outside_basis(basis, outcome):
         "measure": [{"port": 0, "basis": basis, "outcome": outcome}],
     }
     with pytest.raises(ValueError, match="not an outcome"):
+        run_circuit(spec)
+
+
+# -- run_circuit against the direct composition ------------------------------------------
+
+SOURCE_KINDS = {"plus": Plus, "bell_psi": BellPsi, "gbell": GBell}
+
+
+def composed(spec):
+    """The slow path run_circuit must match: prepare every source, run every
+    element on the whole state, then postselect and measure."""
+    sources = []
+    for src in spec["sources"]:
+        (kind, ports), = src.items()
+        sources.append(SOURCE_KINDS[kind](*(ports if isinstance(ports, list) else [ports])))
+    state = prepare(sources)
+    for element in spec["elements"]:
+        if "pbs" in element:
+            state = apply_pbs(state, *element["pbs"])
+        else:
+            state = apply_hwp(state, *element["hwp"])
+    prob = 1.0
+    if "postselect" in spec:
+        state, prob = postselect_coincidence(state, spec["postselect"])
+    log = []
+    for m in spec.get("measure", []):
+        branches = {o: (p, post) for o, p, post in measure_polarization(state, m["port"], m["basis"])}
+        picked = m.get("outcome", "H" if m["basis"] == "HV" else "+")
+        branch_prob, state = branches[picked]
+        log.append({"port": m["port"], "basis": m["basis"], "outcome": picked,
+                    "probability": branch_prob})
+    return state, prob, log
+
+
+def _run_or_error(run, spec):
+    try:
+        return run(spec), None
+    except Exception as exc:  # compared by type and message below
+        return None, (type(exc), str(exc))
+
+
+def assert_matches_composition(spec):
+    fast, fast_error = _run_or_error(run_circuit, spec)
+    slow, slow_error = _run_or_error(composed, spec)
+    assert fast_error == slow_error
+    if slow_error:
+        return
+    (state, prob, log), (ref_state, ref_prob, ref_log) = fast, slow
+    assert set(state.terms) == set(ref_state.terms)
+    for pat, amp in ref_state.terms.items():
+        assert abs(state.terms[pat] - amp) <= 1e-12
+    assert state.total_photons == ref_state.total_photons
+    assert abs(prob - ref_prob) <= 1e-12
+    assert len(log) == len(ref_log)
+    for entry, ref in zip(log, ref_log):
+        assert {k: v for k, v in entry.items() if k != "probability"} == \
+            {k: v for k, v in ref.items() if k != "probability"}
+        assert abs(entry["probability"] - ref["probability"]) <= 1e-12
+
+
+@st.composite
+def circuits(draw):
+    """1-3 sources of any kind, 0-6 PBS/HWP elements on their ports, every port
+    postselected and an optional final measurement."""
+    free = list(draw(st.permutations(range(6))))
+    sources, used = [], []
+    for kind in draw(st.lists(st.sampled_from(sorted(SOURCE_KINDS)), min_size=1, max_size=3)):
+        if kind == "plus":
+            used.append(free.pop())
+            sources.append({kind: used[-1]})
+        else:
+            used += [free.pop(), free.pop()]
+            sources.append({kind: used[-2:]})
+    hwp = st.tuples(st.sampled_from(used), st.sampled_from([0, 22.5]))
+    options = [hwp.map(lambda pa: {"hwp": list(pa)})]
+    if len(used) > 1:
+        pairs = [[a, b] for a in used for b in used if a != b]
+        options.append(st.sampled_from(pairs).map(lambda ab: {"pbs": ab}))
+    elements = draw(st.lists(st.one_of(options), max_size=6))
+    spec = {"sources": sources, "elements": elements, "postselect": sorted(used)}
+    measure = draw(st.none() | st.tuples(st.sampled_from(used), st.sampled_from(["HV", "PM"])))
+    if measure is not None:
+        spec["measure"] = [{"port": measure[0], "basis": measure[1]}]
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits())
+def test_run_circuit_matches_composition(spec):
+    assert_matches_composition(spec)
+
+
+def test_zero_probability_circuit():
+    # port 5 has no source, so no term can hold one photon on it
+    spec = {"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}],
+            "postselect": [0, 1, 5], "measure": [{"port": 0, "basis": "PM"}]}
+    state, prob, log = run_circuit(spec)
+    assert prob == 0.0 and not state.terms
+    assert log == [{"port": 0, "basis": "PM", "outcome": "+", "probability": 0.0}]
+    assert_matches_composition(spec)
+
+
+def test_retirement_can_empty_the_state(monkeypatch):
+    # port 2 turns V and port 1 turns H, so the PBS sends both photons to port 1;
+    # port 1 retires after it with two photons in every term
+    spec = {"sources": [{"plus": 1}, {"plus": 2}],
+            "elements": [{"hwp": [2, 0]}, {"hwp": [2, 22.5]}, {"hwp": [1, 22.5]},
+                         {"pbs": [2, 1]}, {"hwp": [2, 22.5]}],
+            "postselect": [1, 2], "measure": [{"port": 2, "basis": "HV"}]}
+    seen = []
+    real = optics.apply_hwp
+
+    def spy(state, port, angle):
+        seen.append(len(state.terms))
+        return real(state, port, angle)
+
+    monkeypatch.setattr(optics, "apply_hwp", spy)
+    state, prob, log = run_circuit(spec)
+    assert seen[-1] == 0  # the last element runs on an empty state
+    assert prob == 0.0 and not state.terms and log[0]["probability"] == 0.0
+    monkeypatch.undo()
+    assert_matches_composition(spec)
+
+
+def test_interference_emptied_port_is_still_a_port():
+    # both photons leave port 2; a later element on it acts on vacuum
+    s = prepare([Plus(1), Plus(2)])
+    for port, angle in ((2, 0), (2, 22.5), (1, 22.5)):
+        s = apply_hwp(s, port, angle)
+    s = apply_pbs(s, 2, 1)
+    assert all(dict(pat).get((2, "H"), 0) + dict(pat).get((2, "V"), 0) == 0 for pat in s.terms)
+    assert s.ports == {1, 2}
+    assert apply_hwp(s, 2, 22.5).terms == s.terms
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"sources": [{"plus": 0}, {"bell_psi": [0, 1]}], "elements": [{"pbs": [0, 1]}]},
+     "port 0 used by two sources"),
+    ({"sources": [{"gbell": [2, 2]}]}, "source ports must be distinct"),
+    ({"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}, {"mirror": [0]}]},
+     "unknown element"),
+    ({"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}, {"hwp": [7, 0]}]},
+     "unknown port 7"),
+    ({"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}, {"hwp": [1, 45]}]},
+     "unsupported HWP angle"),
+])
+def test_bad_circuit_raises_before_any_term(monkeypatch, spec, message):
+    def no_terms(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(optics, "_expand", no_terms)
+    with pytest.raises(ValueError, match=message):
         run_circuit(spec)

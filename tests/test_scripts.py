@@ -33,3 +33,12 @@ def test_protocol_table_script():
         exact, estimate, three_sigma = map(float, row.split()[-3:])
         assert 0 < exact <= 0.5 and 0 <= estimate <= 1 and three_sigma >= 0
     assert lines[-1].startswith("worst deviation:")
+
+
+def test_protocol_table_script_zero_successes():
+    # at 30 trials cycle M=5 (exact 1/64) sees no success on this seed; the
+    # pull uses the binomial spread at the exact probability, so it passes
+    lines = run_script("scripts/protocol_table.py", "--trials", "30", "--seed", "3").splitlines()
+    cycle5 = next(row for row in lines if row.startswith("cycle M=5"))
+    assert float(cycle5.split()[-2]) == 0.0
+    assert float(lines[-1].split()[2]) <= 5

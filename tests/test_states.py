@@ -15,6 +15,7 @@ from photonweave.graphs import (
 )
 from photonweave.states import (
     StateVector,
+    _fwht,
     graph_form,
     pauli_eigenstates,
     project_qubit,
@@ -177,3 +178,26 @@ def test_decoder_invariant_under_local_cliffords(rnd):
         decoded = graph_form(sv)
         assert decoded is not None
         assert locally_equivalent(decoded, g)
+
+
+def loop_fwht(values):
+    """The reference Walsh-Hadamard transform: one Python loop over blocks per level."""
+    out = values.copy()
+    h = 1
+    n = out.shape[0]
+    while h < n:
+        for start in range(0, n, h * 2):
+            a = out[start : start + h].copy()
+            b = out[start + h : start + 2 * h].copy()
+            out[start : start + h] = a + b
+            out[start + h : start + 2 * h] = a - b
+        h *= 2
+    return out
+
+
+def test_fwht_matches_loop_version_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in range(11):
+        for _ in range(4):
+            v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            assert np.array_equal(_fwht(v), loop_fwht(v)), n
