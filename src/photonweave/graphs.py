@@ -259,64 +259,21 @@ def lc_orbit(g: Graph, cap: int = ORBIT_CAP) -> Iterator[Graph]:
 ORBIT_VERTEX_LIMIT = 12
 
 
-def locally_equivalent(g1: Graph, g2: Graph, allow_relabel: bool = False) -> bool:
+def locally_equivalent(g1: Graph, g2: Graph) -> bool:
     """True iff g2 lies in the local-complementation orbit of g1.
 
-    Label-preserving by default; with ``allow_relabel`` any vertex
-    bijection is also allowed.  Orbit search is capped at desk scale.
+    Label-preserving: a vertex keeps its label, so two graphs that differ
+    only by a relabelling are not equivalent unless the orbit holds both.
+    Orbit search is capped at desk scale.
     """
     if g1.n > ORBIT_VERTEX_LIMIT or g2.n > ORBIT_VERTEX_LIMIT:
         raise ValueError(f"orbit search limited to {ORBIT_VERTEX_LIMIT} vertices")
-    if g1.n != g2.n:
+    if g1.adj.keys() != g2.adj.keys():
         return False
-    if not allow_relabel:
-        if g1.adj.keys() != g2.adj.keys():
-            return False
-        # components are invariant under lc: cheap rejection
-        if set(g1.components()) != set(g2.components()):
-            return False
-        return any(h.adj == g2.adj for h in lc_orbit(g1))
-    if sorted(len(c) for c in g1.components()) != sorted(len(c) for c in g2.components()):
+    # components are invariant under lc: cheap rejection
+    if set(g1.components()) != set(g2.components()):
         return False
-    return any(_isomorphic(h, g2) for h in lc_orbit(g1))
-
-
-def _isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test with degree-sequence pruning (desk scale)."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    deg1 = sorted(g1.degree(v) for v in g1.vertices)
-    deg2 = sorted(g2.degree(v) for v in g2.vertices)
-    if deg1 != deg2:
-        return False
-    order = sorted(g1.vertices, key=lambda v: -g1.degree(v))
-    candidates = {
-        v: [w for w in g2.vertices if g2.degree(w) == g1.degree(v)] for v in order
-    }
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = all(
-                g1.has_edge(v, u) == g2.has_edge(w, mapping[u]) for u in mapping
-            )
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return extend(0)
+    return any(h.adj == g2.adj for h in lc_orbit(g1))
 
 
 # -- shape classification -----------------------------------------------------
@@ -456,24 +413,6 @@ def classify_graph(g: Graph) -> ShapeClass:
     if all(s.kind in caterpillarish for s in shapes):
         return ShapeClass("caterpillar-forest", shapes, contig)
     return ShapeClass("other", shapes, contig)
-
-
-def reconstruct_from_witness(shape_class: ShapeClass) -> Graph:
-    """Rebuild the classified graph from its witness decomposition."""
-    verts: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for comp in shape_class.components:
-        verts.extend(comp.spine)
-        verts.extend(leaf for leaf, _ in comp.leaves)
-        if comp.kind in ("path", "caterpillar", "empty", "star"):
-            edges.extend(zip(comp.spine, comp.spine[1:]))
-        elif comp.kind in ("cycle", "leafed-cycle"):
-            edges.extend(zip(comp.spine, comp.spine[1:]))
-            edges.append((comp.spine[-1], comp.spine[0]))
-        else:
-            raise ValueError("witness for 'other' components is not constructive")
-        edges.extend(comp.leaves)
-    return Graph(verts, edges)
 
 
 # -- serialization ------------------------------------------------------------

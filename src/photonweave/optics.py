@@ -156,12 +156,6 @@ def _expand(terms: dict[Pattern, complex], sources: list[Source]) -> dict[Patter
     return terms
 
 
-def prepare(sources: list[Source]) -> PhotonicState:
-    """Tensor product of the sources; errors on port collisions."""
-    _check_sources(sources)
-    return PhotonicState(_expand({(): 1.0 + 0j}, sources))
-
-
 def _require_ports(known: frozenset[int], *ports: int) -> None:
     """An element's ports: distinct, and each one of the ``known`` ports."""
     if len(ports) == 2 and ports[0] == ports[1]:
@@ -273,56 +267,44 @@ def postselect_coincidence(
     return PhotonicState(kept, state.total_photons, state.ports), prob
 
 
-def _single_photon_port(state: PhotonicState, port: int) -> None:
-    for pat in state.terms:
-        per_port = _pattern_ports(pat)
-        if per_port.get(port, 0) != 1:
-            raise ValueError(f"port {port} does not hold exactly one photon in every term")
+_S2 = 1 / math.sqrt(2)
+#: each basis's outcomes as weights on the H and V amplitudes of the detected photon
+_OUTCOMES = {
+    "HV": {"H": {"H": 1.0}, "V": {"V": 1.0}},
+    "PM": {"+": {"H": _S2, "V": _S2}, "-": {"H": _S2, "V": -_S2}},
+}
 
 
-def measure_polarization(
-    state: PhotonicState, port: int, basis: str
-) -> list[tuple[str, float, PhotonicState]]:
-    """Detect the photon at one port in the HV or PM basis.
+def _detect(state: PhotonicState, port: int, basis: str, outcome: str) -> tuple[float, PhotonicState]:
+    """Detect the photon at one port in the HV or PM basis; keep the named branch.
 
-    Returns every outcome branch as (outcome, probability, post-state);
-    the photon is removed from the state.  Probabilities sum to 1.
+    Returns the branch probability and the post-state without the photon,
+    renormalised unless the probability is 0.
     """
     if basis not in ("HV", "PM"):
         raise ValueError("basis must be 'HV' or 'PM'")
-    _single_photon_port(state, port)
     # amplitude organized by the polarization present at `port`
     by_rest: dict[Pattern, dict[str, complex]] = {}
     for pat, amp in state.terms.items():
-        counts = dict(pat)
-        if counts.pop((port, "H"), 0):
-            pol = "H"
-        else:
-            counts.pop((port, "V"))
-            pol = "V"
-        rest = _pattern(counts)
+        here = [(pol, c) for (p, pol), c in pat if p == port]
+        if len(here) != 1 or here[0][1] != 1:
+            raise ValueError(f"port {port} does not hold exactly one photon in every term")
+        rest = tuple(item for item in pat if item[0][0] != port)
         bucket = by_rest.setdefault(rest, {})
-        bucket[pol] = bucket.get(pol, 0) + amp
-
-    if basis == "HV":
-        combos = {"H": {"H": 1.0}, "V": {"V": 1.0}}
-    else:
-        s = 1 / math.sqrt(2)
-        combos = {"+": {"H": s, "V": s}, "-": {"H": s, "V": -s}}
-
-    branches = []
-    for outcome, weights in combos.items():
-        terms = {}
-        for rest, pols in by_rest.items():
-            amp = sum(np.conj(w) * pols.get(pol, 0) for pol, w in weights.items())
-            if abs(amp) > AMP_TOL:
-                terms[rest] = amp
-        prob = float(sum(abs(a) ** 2 for a in terms.values()))
-        post = PhotonicState(
-            {p: a / math.sqrt(prob) for p, a in terms.items()} if prob > AMP_TOL else {},
-            state.total_photons - 1, state.ports - {port})
-        branches.append((outcome, prob, post))
-    return branches
+        bucket[here[0][0]] = bucket.get(here[0][0], 0) + amp
+    weights = next((w for o, w in _OUTCOMES[basis].items() if o == outcome), None)
+    if weights is None:
+        raise ValueError(f"{outcome!r} is not an outcome of the {basis} basis")
+    terms = {}
+    for rest, pols in by_rest.items():
+        amp = sum(np.conj(w) * pols.get(pol, 0) for pol, w in weights.items())
+        if abs(amp) > AMP_TOL:
+            terms[rest] = amp
+    prob = float(sum(abs(a) ** 2 for a in terms.values()))
+    post = PhotonicState(
+        {p: a / math.sqrt(prob) for p, a in terms.items()} if prob > AMP_TOL else {},
+        state.total_photons - 1, state.ports - {port})
+    return prob, post
 
 
 def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> StateVector:
@@ -332,7 +314,8 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
     """
     ports = list(port_to_qubit)
     for port in ports:
-        _single_photon_port(state, port)
+        if any(_pattern_ports(pat).get(port, 0) != 1 for pat in state.terms):
+            raise ValueError(f"port {port} does not hold exactly one photon in every term")
     for pat in state.terms:
         extra = set(_pattern_ports(pat)) - set(ports)
         if extra:
@@ -443,12 +426,8 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
         state, prob = postselect_coincidence(state, spec["postselect"])
     log = []
     for m in spec.get("measure", []):
-        branches = measure_polarization(state, m["port"], m["basis"])
-        picked = m.get("outcome", branches[0][0])
-        chosen = [b for b in branches if b[0] == picked]
-        if not chosen:
-            raise ValueError(f"{picked!r} is not an outcome of the {m['basis']} basis")
-        _, branch_prob, state = chosen[0]
+        picked = m.get("outcome", "H" if m["basis"] == "HV" else "+")
+        branch_prob, state = _detect(state, m["port"], m["basis"], picked)
         log.append({"port": m["port"], "basis": m["basis"], "outcome": picked,
                     "probability": branch_prob})
     return state, prob, log

@@ -62,12 +62,12 @@ def _canonical_outcomes(outcomes: str | None, length: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ghz_weave(ports: Sequence[int]) -> list[dict]:
+def ghz_weave(ports: Sequence[int]) -> list[dict]:
     """GHZ-state weaving: a PBS between each pair of consecutive ports."""
     return [{"pbs": [a, b]} for a, b in zip(ports, ports[1:])]
 
 
-def _graph_weave(weaver: int, targets: Sequence[int], leaves: Container[int] = ()) -> list[dict]:
+def graph_weave(weaver: int, targets: Sequence[int], leaves: Container[int] = ()) -> list[dict]:
     """Graph-state weaving: the weaver photon meets each target at a PBS.
 
     A 22.5-degree HWP rotates the weaver before each target after the
@@ -113,7 +113,10 @@ def run_ghz(
 
     The server detects its photons in the +/- basis (keeping one photon
     when participating); an odd number of '-' results flips the GHZ
-    parity and costs one Z correction.
+    parity and costs one Z correction on the centre (user 1, or server
+    qubit 0 when it participates).  The users' photons already hold the
+    star state of ``final_graph`` up to one H on user 1, which only the
+    run without server participation needs.
     """
     if not 2 <= m_users <= 8:
         raise ValueError("ghz supports 2..8 users")
@@ -127,7 +130,7 @@ def run_ghz(
     else:
         final = star_graph(users[0], users[1:])
         center = users[0]
-    corrections: list[tuple[int, str]] = [(u, "H") for u in final.vertices if u != center]
+    corrections: list[tuple[int, str]] = [] if server_participates else [(center, "H")]
     if m_minus % 2 == 1:
         corrections.append((center, "Z"))
     record = tuple((f"b{j}", out) for j, out in enumerate(outcomes, start=1))
@@ -156,7 +159,7 @@ def ghz_optics(
         qubits[m_users] = 0
     measure = [(j, "PM", out) for j, out in zip(users, outcomes)]
     pairs = [(100 + i, i) for i in users]  # user i keeps port 100 + i
-    sv, prob = _run_optics(pairs, _ghz_weave(users), measure, qubits)
+    sv, prob = _run_optics(pairs, ghz_weave(users), measure, qubits)
     return sv, prob, tuple((f"b{j}", out) for j, out in zip(users, outcomes))
 
 
@@ -234,7 +237,7 @@ def path_optics(
     """
     users = range(1, m_users + 1)
     pairs = [(100 + i, i) for i in users]
-    elements = _graph_weave(1, users[1:])
+    elements = graph_weave(1, users[1:])
     qubits = {100 + i: i for i in users}
     if stop_before_measurement:
         qubits |= {j: 200 + j for j in users}
@@ -392,12 +395,12 @@ def _caterpillar_circuit(
     if close_cycle:
         weaver, woven = 50, users
         pairs = [(50, 0), *pairs]
-        elements = _graph_weave(weaver, [*users, 0], leaves)
+        elements = graph_weave(weaver, [*users, 0], leaves)
         qubits[0] = 0
     else:
         weaver, woven = 1, users[1:]
         lead = [{"hwp": [weaver, 22.5]}] if m > 1 and layout[1] == "spine" else []
-        elements = lead + _graph_weave(weaver, woven, leaves)
+        elements = lead + graph_weave(weaver, woven, leaves)
     measure = [(j, "PM", out) for j, out in zip(woven, outcomes)]
     measure.append((weaver, "HV", weaver_outcome))
     return _run_optics(pairs, elements, measure, qubits)
@@ -501,9 +504,9 @@ def block_optics(kind: str) -> tuple[StateVector, float]:
     qubits = {60: -1, **{100 + u: u for u in users}, 61: -2}
     if kind == "star4":
         measure = [(p, "PM", "+") for p in (50, *users, 51)]
-        return _run_optics(pairs, _ghz_weave([50, *users, 51]), measure, qubits)
+        return _run_optics(pairs, ghz_weave([50, *users, 51]), measure, qubits)
     measure = [(p, "PM", "+") for p in (*users, 51)] + [(50, "HV", "H")]
-    return _run_optics(pairs, _graph_weave(50, [*users, 51]), measure, qubits)
+    return _run_optics(pairs, graph_weave(50, [*users, 51]), measure, qubits)
 
 
 @dataclass(frozen=True)

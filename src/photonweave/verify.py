@@ -42,14 +42,17 @@ def _result(name: str, passed: bool, details: str, t0: float) -> CriterionResult
     return CriterionResult(name, passed, details, time.time() - t0)
 
 
+def _plus_circuit(n: int, elements: list[dict]) -> dict:
+    """A circuit description on n |+> photons at ports 0..n-1, all postselected."""
+    return {"sources": [{"plus": i} for i in range(n)], "elements": elements,
+            "postselect": list(range(n))}
+
+
 def check_ghz_postselection() -> CriterionResult:
     """N-photon coincidence chain: probability 2^-(N-1), GHZ output."""
     t0 = time.time()
     for n in range(2, 9):
-        s = po.prepare([po.Plus(i) for i in range(n)])
-        for i in range(n - 1):
-            s = po.apply_pbs(s, i, i + 1)
-        s, prob = po.postselect_coincidence(s, list(range(n)))
+        s, prob, _ = po.run_circuit(_plus_circuit(n, pr.ghz_weave(range(n))))
         if abs(prob - 0.5 ** (n - 1)) > PROB_TOL:
             return _result("ghz-postselection", False, f"N={n}: prob {prob}", t0)
         for amp in s.terms.values():
@@ -64,11 +67,8 @@ def check_ghz_postselection() -> CriterionResult:
 def check_cz_gate() -> CriterionResult:
     """Auxiliary-photon CZ: probability 1/4, the four-term state, recovery."""
     t0 = time.time()
-    s = po.prepare([po.Plus(0), po.Plus(1), po.Plus(2)])
-    for target in (1, 2):
-        s = po.apply_pbs(s, 0, target)
-        s = po.apply_hwp(s, 0, 22.5)
-    s, prob = po.postselect_coincidence(s, [0, 1, 2])
+    elements = pr.graph_weave(0, [1, 2])
+    s, prob, _ = po.run_circuit(_plus_circuit(3, elements))
     if abs(prob - 0.25) > PROB_TOL:
         return _result("cz-gate", False, f"prob {prob}", t0)
     # literal four-term target, auxiliary written in the +/- basis
@@ -88,7 +88,9 @@ def check_cz_gate() -> CriterionResult:
         return _result("cz-gate", False, "postselected state != four-term target", t0)
     # both auxiliary H/V branches recover the two-qubit path state
     z2 = np.diag([1.0, -1.0])
-    for outcome, _, post in po.measure_polarization(s, 0, "HV"):
+    for outcome in ("H", "V"):
+        measure = [{"port": 0, "basis": "HV", "outcome": outcome}]
+        post, _, _ = po.run_circuit({**_plus_circuit(3, elements), "measure": measure})
         branch = po.extract_logical(post, {1: 1, 2: 2})
         if outcome == "V":  # recorded correction: Z on the photon the weaver left
             from .states import apply_single_qubit
@@ -104,11 +106,8 @@ def check_path_weaving() -> CriterionResult:
     """Weaving chain on N photons: probability 2^-N and an (N+1)-path."""
     t0 = time.time()
     for n in range(2, 8):
-        s = po.prepare([po.Plus(i) for i in range(n + 1)])  # 0 is the weaver
-        for i in range(1, n + 1):
-            s = po.apply_pbs(s, 0, i)
-            s = po.apply_hwp(s, 0, 22.5)
-        s, prob = po.postselect_coincidence(s, list(range(n + 1)))
+        weave = pr.graph_weave(0, range(1, n + 1))  # 0 is the weaver
+        s, prob, _ = po.run_circuit(_plus_circuit(n + 1, weave))
         if abs(prob - 0.5**n) > PROB_TOL:
             return _result("path-weaving", False, f"N={n}: prob {prob}", t0)
         sv = po.extract_logical(s, {i: i for i in range(1, n + 1)} | {0: n + 1})
@@ -327,15 +326,18 @@ def check_properties(seed: int = 3) -> CriterionResult:
             return _result("properties", False, "Z-measure != deletion", t0)
     # unitarity and photon-number conservation through random circuits
     rng = np.random.default_rng(seed)
+    sources = [{"gbell": [0, 1]}, {"plus": 2}, {"bell_psi": [3, 4]}]
     for _ in range(40):
-        s = po.prepare([po.GBell(0, 1), po.Plus(2), po.BellPsi(3, 4)])
+        elements = []
         for _ in range(6):
             op = rng.integers(0, 2)
-            ports = sorted(rng.choice(5, size=2, replace=False))
+            a, b = (int(p) for p in sorted(rng.choice(5, size=2, replace=False)))
             if op == 0:
-                s = po.apply_pbs(s, int(ports[0]), int(ports[1]))
+                elements.append({"pbs": [a, b]})
             else:
-                s = po.apply_hwp(s, int(ports[0]), 22.5 if rng.integers(0, 2) else 0)
+                elements.append({"hwp": [a, 22.5 if rng.integers(0, 2) else 0]})
+        for k in range(1, len(elements) + 1):  # checked after every element
+            s, _, _ = po.run_circuit({"sources": sources, "elements": elements[:k]})
             if abs(s.norm_squared() - 1.0) > 1e-12:
                 return _result("properties", False, "unitarity violated", t0)
             if any(sum(c for _, c in pat) != s.total_photons for pat in s.terms):

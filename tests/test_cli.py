@@ -199,7 +199,8 @@ def test_export_dot(tmp_path, capsys):
 
 
 def test_export_state_csv(tmp_path, capsys):
-    from photonweave.optics import GBell, prepare, state_to_json
+    from optics_oracle import prepare
+    from photonweave.optics import GBell, state_to_json
 
     state_file = tmp_path / "state.json"
     state_file.write_text(state_to_json(prepare([GBell(0, 1)])))

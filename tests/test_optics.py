@@ -1,11 +1,14 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonweave
 from photonweave import optics
 from photonweave.graphs import path_graph, star_graph
 from photonweave.optics import (
@@ -16,15 +19,15 @@ from photonweave.optics import (
     apply_hwp,
     apply_pbs,
     extract_logical,
-    measure_polarization,
     postselect_coincidence,
-    prepare,
     run_circuit,
     state_from_json,
     state_to_json,
     state_to_json_dict,
 )
+from photonweave.protocols import ghz_weave
 from photonweave.states import state_locally_equivalent
+from optics_oracle import SOURCE_KINDS, composed, prepare
 
 S2 = 1 / math.sqrt(2)
 
@@ -163,9 +166,18 @@ def test_zero_probability_is_a_value():
     assert prob == 0.0 and not out.terms
 
 
+def detect(spec, port, basis):
+    """Every branch of one detection after a circuit, as (outcome, probability, post-state)."""
+    branches = []
+    for outcome in ("H", "V") if basis == "HV" else ("+", "-"):
+        measure = [{"port": port, "basis": basis, "outcome": outcome}]
+        post, _, log = run_circuit({**spec, "measure": measure})
+        branches.append((outcome, log[0]["probability"], post))
+    return branches
+
+
 def test_measure_plus_photon():
-    s = prepare([Plus(0)])
-    branches = measure_polarization(s, 0, "HV")
+    branches = detect({"sources": [{"plus": 0}]}, 0, "HV")
     assert sorted((o, pytest.approx(p)) for o, p, _ in branches) == [
         ("H", pytest.approx(0.5)),
         ("V", pytest.approx(0.5)),
@@ -173,18 +185,16 @@ def test_measure_plus_photon():
 
 
 def test_measure_requires_definite_photon():
-    s = prepare([Plus(0), Plus(1)])
-    bunched = apply_pbs(s, 0, 1)  # port 0 can hold 0 or 2 photons now
-    with pytest.raises(ValueError):
-        measure_polarization(bunched, 0, "HV")
+    # after the PBS, port 0 can hold 0 or 2 photons
+    bunched = {"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}]}
+    with pytest.raises(ValueError, match="exactly one photon"):
+        detect(bunched, 0, "HV")
 
 
 def test_ghz_pm_branches_are_bell_states():
-    s = prepare([Plus(i) for i in range(3)])
-    for i in range(2):
-        s = apply_pbs(s, i, i + 1)
-    s, _ = postselect_coincidence(s, [0, 1, 2])
-    branches = measure_polarization(s, 2, "PM")
+    spec = {"sources": [{"plus": i} for i in range(3)], "elements": ghz_weave(range(3)),
+            "postselect": [0, 1, 2]}
+    branches = detect(spec, 2, "PM")
     for outcome, prob, post in branches:
         assert prob == pytest.approx(0.5)
         sv = extract_logical(post, {0: 0, 1: 1})
@@ -289,8 +299,8 @@ def test_ghz3_state_dump_two_terms():
 
 
 def test_deterministic_branch_has_zero_probability_twin():
-    s = PhotonicState({one(0, "H"): 1.0})
-    branches = measure_polarization(s, 0, "HV")
+    # the 22.5-degree plate turns the + photon into H
+    branches = detect({"sources": [{"plus": 0}], "elements": [{"hwp": [0, 22.5]}]}, 0, "HV")
     probs = {o: p for o, p, _ in branches}
     assert probs["H"] == pytest.approx(1.0) and probs["V"] == pytest.approx(0.0)
 
@@ -319,35 +329,6 @@ def test_run_circuit_rejects_outcome_outside_basis(basis, outcome):
 
 
 # -- run_circuit against the direct composition ------------------------------------------
-
-SOURCE_KINDS = {"plus": Plus, "bell_psi": BellPsi, "gbell": GBell}
-
-
-def composed(spec):
-    """The slow path run_circuit must match: prepare every source, run every
-    element on the whole state, then postselect and measure."""
-    sources = []
-    for src in spec["sources"]:
-        (kind, ports), = src.items()
-        sources.append(SOURCE_KINDS[kind](*(ports if isinstance(ports, list) else [ports])))
-    state = prepare(sources)
-    for element in spec["elements"]:
-        if "pbs" in element:
-            state = apply_pbs(state, *element["pbs"])
-        else:
-            state = apply_hwp(state, *element["hwp"])
-    prob = 1.0
-    if "postselect" in spec:
-        state, prob = postselect_coincidence(state, spec["postselect"])
-    log = []
-    for m in spec.get("measure", []):
-        branches = {o: (p, post) for o, p, post in measure_polarization(state, m["port"], m["basis"])}
-        picked = m.get("outcome", "H" if m["basis"] == "HV" else "+")
-        branch_prob, state = branches[picked]
-        log.append({"port": m["port"], "basis": m["basis"], "outcome": picked,
-                    "probability": branch_prob})
-    return state, prob, log
-
 
 def _run_or_error(run, spec):
     try:
@@ -468,3 +449,20 @@ def test_bad_circuit_raises_before_any_term(monkeypatch, spec, message):
     monkeypatch.setattr(optics, "_expand", no_terms)
     with pytest.raises(ValueError, match=message):
         run_circuit(spec)
+
+
+OPTICS_PRIMITIVES = {"apply_pbs", "apply_hwp", "postselect_coincidence", "prepare",
+                     "measure_polarization"}
+
+
+def test_run_circuit_is_the_only_optics_path():
+    # every package module outside optics builds its states through run_circuit
+    for path in sorted(Path(photonweave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"prepare", "measure_polarization"}, path.name
+        if path.name == "optics.py":
+            continue
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & OPTICS_PRIMITIVES, path.name

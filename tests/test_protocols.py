@@ -32,12 +32,13 @@ from photonweave.protocols import (
     weave_graphs,
 )
 from photonweave.states import (
+    NORM_TOL,
     StateVector,
     apply_single_qubit,
     state_locally_equivalent,
-    states_equal_up_to_phase,
     to_state_vector,
 )
+from optics_oracle import prepare
 
 
 def textbook_comb(m_users: int) -> Graph:
@@ -51,6 +52,14 @@ def textbook_comb(m_users: int) -> Graph:
 
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+Z_MAT = np.diag([1, -1]).astype(complex)
+
+
+def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
+    if a.qubit_order != b.qubit_order:
+        return False
+    overlap = np.vdot(a.amplitudes, b.amplitudes)
+    return abs(abs(overlap) - 1.0) < tol
 
 
 def reordered(sv: StateVector, order: tuple[int, ...]) -> StateVector:
@@ -58,6 +67,18 @@ def reordered(sv: StateVector, order: tuple[int, ...]) -> StateVector:
     amps = sv.amplitudes.reshape([2] * sv.n)
     axes = [sv.qubit_order.index(q) for q in order]
     return StateVector(np.transpose(amps, axes).reshape(-1), order)
+
+
+def corrected(sv: StateVector, corrections) -> StateVector:
+    """An optics output with a result's graph-frame H and Z corrections applied in order."""
+    for vertex, gate in corrections:
+        sv = apply_single_qubit(sv, vertex, {"H": H_MAT, "Z": Z_MAT}[gate])
+    return sv
+
+
+def assert_is_final_graph_state(sv: StateVector, res) -> None:
+    want = to_state_vector(res.final_graph)
+    assert states_equal_up_to_phase(reordered(sv, want.qubit_order), want)
 
 
 # -- ghz protocol -----------------------------------------------------------------
@@ -236,11 +257,47 @@ def _layouts_up_to(m_max: int):
 def test_caterpillar_corrections_give_final_graph_state(layout, close):
     res = run_caterpillar(layout, close)
     sv, _ = caterpillar_optics(layout, close)
-    for user, gate in res.corrections:
-        assert gate == "H"
-        sv = apply_single_qubit(sv, user, H_MAT)
-    want = to_state_vector(res.final_graph)
-    assert states_equal_up_to_phase(reordered(sv, want.qubit_order), want)
+    assert all(gate == "H" for _, gate in res.corrections)
+    assert_is_final_graph_state(corrected(sv, res.corrections), res)
+
+
+BRANCH_RUNNERS = {"ghz": (run_ghz, ghz_optics), "path": (run_path, path_optics),
+                  "cycle": (run_cycle, cycle_optics)}
+
+
+def _outcome_branches():
+    """(protocol, keyword arguments) for every detector-outcome branch checked exactly."""
+
+    def strings(n, every):
+        if every:
+            return ["".join(s) for s in itertools.product("+-", repeat=n)]
+        return ["+" * n, "-" * n, ("+-" * n)[:n]]
+
+    for m in range(2, 8):
+        for server in (False, True):
+            for outcomes in strings(m - server, m <= 5):
+                yield "ghz", {"m_users": m, "server_participates": server, "outcomes": outcomes}
+    for m in range(2, 6):
+        for server in (False, True):
+            for outcomes in strings(m - 1, True):
+                for weaver in ("H",) if server else ("H", "V"):
+                    yield "path", {"m_users": m, "server_participates": server,
+                                   "outcomes": outcomes, "weaver_outcome": weaver}
+    for m in (3, 4):
+        for outcomes in strings(m, True):
+            for weaver in ("H", "V"):
+                yield "cycle", {"m_users": m, "outcomes": outcomes, "weaver_outcome": weaver}
+
+
+@pytest.mark.parametrize("protocol,kwargs", [
+    pytest.param(protocol, kwargs, id=f"{protocol}-" + "-".join(map(str, kwargs.values())))
+    for protocol, kwargs in _outcome_branches()
+])
+def test_corrections_give_final_graph_state_on_every_branch(protocol, kwargs):
+    run, optics_run = BRANCH_RUNNERS[protocol]
+    res = run(**kwargs)
+    sv = optics_run(**kwargs)[0]
+    assert_is_final_graph_state(corrected(sv, res.corrections), res)
 
 
 def test_caterpillar_layout_validation():
@@ -478,7 +535,7 @@ def test_run_request_dispatch():
 def test_weave_optics_realization():
     # weaving two Bell pairs through the auxiliary-photon gate: success 1/4
     # and the same shape the graph-level operation produces
-    from photonweave.optics import GBell, Plus, apply_hwp, apply_pbs, extract_logical, postselect_coincidence, prepare
+    from photonweave.optics import GBell, Plus, apply_hwp, apply_pbs, extract_logical, postselect_coincidence
 
     s = prepare([Plus(0), GBell(1, 2), GBell(3, 4)])
     for target in (2, 4):

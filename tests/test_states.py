@@ -14,16 +14,60 @@ from photonweave.graphs import (
     star_graph,
 )
 from photonweave.states import (
+    NORM_TOL,
     StateVector,
     _fwht,
     graph_form,
-    pauli_eigenstates,
-    project_qubit,
-    schmidt_rank,
     state_locally_equivalent,
     to_state_vector,
 )
 from conftest import random_graph
+
+# -- state-vector oracles ----------------------------------------------------------
+
+PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_eigenstates(axis: str) -> list[np.ndarray]:
+    """The +1 and -1 eigenvectors of a Pauli, in that order."""
+    vals, vecs = np.linalg.eigh(PAULI[axis])
+    order = np.argsort(-vals)
+    return [vecs[:, i].copy() for i in order]
+
+
+def project_qubit(sv: StateVector, qubit: int, direction: np.ndarray) -> tuple[float, StateVector | None]:
+    """Project one qubit onto a single-qubit state and drop it.
+
+    Returns the outcome probability and the renormalized post-state on the
+    remaining qubits (None for probability 0).
+    """
+    bit = sv.bit_of(qubit)
+    n = sv.n
+    amps = sv.amplitudes.reshape([2] * n)
+    axis = n - 1 - bit  # numpy axis of this qubit
+    contracted = np.tensordot(np.conj(direction), amps, axes=([0], [axis]))
+    flat = contracted.reshape(-1)
+    prob = float(np.sum(np.abs(flat) ** 2))
+    if prob < NORM_TOL:
+        return 0.0, None
+    rest = tuple(q for q in sv.qubit_order if q != qubit)
+    return prob, StateVector(flat / np.sqrt(prob), rest)
+
+
+def schmidt_rank(sv: StateVector, part: set[int]) -> int:
+    """Rank of the bipartition (part | rest); 1 means product across the cut."""
+    bits_a = sorted(sv.bit_of(q) for q in part)
+    bits_b = sorted(sv.bit_of(q) for q in set(sv.qubit_order) - part)
+    mat = np.zeros((2 ** len(bits_a), 2 ** len(bits_b)), dtype=complex)
+    for idx, amp in enumerate(sv.amplitudes):
+        ia = sum(((idx >> b) & 1) << k for k, b in enumerate(bits_a))
+        ib = sum(((idx >> b) & 1) << k for k, b in enumerate(bits_b))
+        mat[ia, ib] = amp
+    return int(np.linalg.matrix_rank(mat, tol=1e-8))
 
 
 def cz_matrix_oracle(g: Graph) -> np.ndarray:
