@@ -13,7 +13,7 @@ zigzag- or honeycomb-shaped resource can hand to the users.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import (
     Graph,
@@ -62,18 +62,8 @@ class Multigraph:
             if u not in vset or v not in vset:
                 raise ValueError(f"edge ({u},{v}) references a missing vertex")
 
-    @classmethod
-    def from_pairs(cls, vertices: Iterable[int], pairs: Iterable[tuple[int, int]]) -> Multigraph:
-        return cls(tuple(vertices), tuple(((u, None), (v, None)) for u, v in pairs))
-
     def degree(self, v: int) -> int:
         return sum((a == v) + (b == v) for (a, _), (b, _) in self.edges)
-
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(tuple(sorted((a, b))) for (a, _), (b, _) in self.edges))
-
-    def is_four_regular(self) -> bool:
-        return all(self.degree(v) == 4 for v in self.vertices)
 
     def simple_graph(self) -> Graph:
         """The simple graph underneath: loops dropped, parallel edges merged."""

@@ -331,6 +331,8 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
                 idx |= 1 << (n - 1 - i)
         amps[idx] = amp
     norm = np.linalg.norm(amps)
+    if norm <= AMP_TOL:
+        raise ValueError("zero-probability state: no amplitude to read")
     if abs(norm - 1.0) > 1e-9:
         amps = amps / norm
     return StateVector(amps, qubits)

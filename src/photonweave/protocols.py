@@ -17,7 +17,7 @@ the frame Hadamards listed alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Container, Iterable, Sequence
 
@@ -647,17 +647,7 @@ class MonteCarloStats:
     flagged: bool = False  # estimate further than 3 sigma from analytic
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimated_probability": self.estimated_probability,
-            "std_error": self.std_error,
-            "resource_means": dict(sorted(self.resource_means.items())),
-            "rng_seed": self.rng_seed,
-            "analytic_probability": self.analytic_probability,
-            "deviation_sigmas": self.deviation_sigmas,
-            "flagged": self.flagged,
-        }
+        return asdict(self) | {"resource_means": dict(sorted(self.resource_means.items()))}
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -1,14 +1,15 @@
 """Dense state vectors for small qubit registers and stabilizer decoding.
 
 The vector layer is the oracle that ties the optics engine to the graph
-calculus: any stabilizer vector can be decoded back to a graph (its
-local-Clifford frame is discarded), after which equivalence questions
-reduce to orbit search on graphs.
+calculus: ``graph_form`` decodes any stabilizer vector back to a graph in
+one pass over its amplitudes (its local-Clifford frame is discarded),
+after which equivalence questions reduce to orbit search on graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +36,8 @@ class StateVector:
         n = len(self.qubit_order)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state has non-finite amplitudes")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
@@ -77,146 +80,63 @@ def apply_single_qubit(sv: StateVector, qubit: int, u: np.ndarray) -> StateVecto
 # -- stabilizer decoding -------------------------------------------------------
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform over index parity, one butterfly level at a time."""
-    out = values.copy()
-    h = 1
-    n = out.shape[0]
-    while h < n:
-        pairs = out.reshape(-1, 2, h)
-        a = pairs[:, 0].copy()
-        b = pairs[:, 1].copy()
-        pairs[:, 0] = a + b
-        pairs[:, 1] = a - b
-        h *= 2
-    return out
-
-
-def stabilizer_generators(sv: StateVector, tol: float = 1e-8) -> list[tuple[int, int]] | None:
-    """Find n independent stabilizers of sv as (x_mask, z_mask) pairs.
-
-    A Pauli X^x Z^z (phases ignored) stabilizes sv iff
-    |<psi| X^x Z^z |psi>| = 1.  Returns None if sv is not a stabilizer
-    state.  Bit i of a mask refers to sv.qubit_order[i] counted from the
-    most significant end, matching the amplitude indexing.
-    """
-    n = sv.n
-    dim = 2**n
-    psi = sv.amplitudes
-    rows: list[tuple[int, int]] = []
-    basis: list[int] = []  # GF(2) row space of (x|z) masks
-
-    def independent(vec: int) -> bool:
-        acc = vec
-        for b in basis:
-            acc = min(acc, acc ^ b)
-        return acc != 0
-
-    def insert(vec: int) -> None:
-        acc = vec
-        for b in basis:
-            acc = min(acc, acc ^ b)
-        basis.append(acc)
-        basis.sort(reverse=True)
-
-    for x in range(dim):
-        overlap = np.conj(psi) * psi[np.arange(dim) ^ x]
-        f = _fwht(overlap)
-        hits = np.nonzero(np.abs(np.abs(f) - 1.0) < tol)[0]
-        for z in hits:
-            vec = (x << n) | int(z)
-            if vec and independent(vec):
-                rows.append((x, int(z)))
-                insert(vec)
-                if len(rows) == n:
-                    return rows
-    return None
-
-
 def graph_form(sv: StateVector) -> Graph | None:
     """Decode a stabilizer vector to a graph in some local-Clifford frame.
 
-    Returns None when sv is not a stabilizer state.  The local Cliffords
-    relating sv to the returned graph's state are dropped; they never
-    change the local-equivalence class.
+    A stabilizer vector is supported on an affine subspace x0 + V with equal
+    magnitudes, and its phases relative to x0 are i^l(y) (-1)^q(y) for a
+    linear l and quadratic q in the coordinates y over a basis of V
+    (Dehaene and De Moor, PRA 68, 042318, 2003).  With V in reduced form,
+    one pivot bit per basis vector, q gives the pivot-pivot edges, each
+    basis vector's other bits give its pivot's edges to non-pivot qubits,
+    and X on the bits of x0, S and Z on the pivots and H on the non-pivots
+    are the dropped frame.  Returns None when sv is not a stabilizer state.
     """
-    gens = stabilizer_generators(sv)
-    if gens is None:
+    tol = 1e-8
+    n, amps = sv.n, sv.amplitudes
+    support = np.flatnonzero(np.abs(amps) > tol)
+    k = support.size.bit_length() - 1
+    if support.size != 1 << k or np.any(np.abs(np.abs(amps[support]) - 2 ** (-k / 2)) > tol):
         return None
-    n = sv.n
-    x_rows = [x for x, _ in gens]
-    z_rows = [z for _, z in gens]
+    x0 = int(support[0])
+    rest, basis, pivots = support ^ x0, [], []
+    for bit in reversed(range(n)):
+        col = (rest >> bit) & 1
+        hit = np.flatnonzero(col)
+        if hit.size:
+            b = int(rest[hit[0]])
+            rest = rest ^ (col * b)
+            basis = [c ^ b if c >> bit & 1 else c for c in basis] + [b]
+            pivots.append(bit)
+    if len(basis) != k:
+        return None  # the support is not an affine subspace
 
-    # Make the X block invertible, pulling columns over from Z (a Hadamard
-    # on that qubit) whenever elimination leaves an all-zero X row.
-    for _ in range(n + 1):
-        x_rows, z_rows = _gf2_eliminate(x_rows, z_rows, n)
-        stuck = [r for r in range(n) if x_rows[r] == 0]
-        if not stuck:
-            break
-        r = stuck[0]
-        if z_rows[r] == 0:
-            return None  # degenerate generator set
-        mask = 1 << _lowest_set_bit(z_rows[r])
-        for i in range(n):
-            xb, zb = x_rows[i] & mask, z_rows[i] & mask
-            x_rows[i] = (x_rows[i] & ~mask) | zb
-            z_rows[i] = (z_rows[i] & ~mask) | xb
-    else:
-        return None
+    def phase(x: int) -> complex:
+        return amps[x0 ^ x] / amps[x0]
 
-    # Row-reduce the X block to the identity; Z block becomes the adjacency.
-    x_rows, z_rows = _gf2_solve_to_identity(x_rows, z_rows, n)
-    if x_rows is None:
+    unit = [phase(b) for b in basis]
+    if any(min(abs(u - 1j**e) for e in range(4)) > tol for u in unit):
         return None
-    # bit n-1-c of row r is the Z on qubit c; diagonal bits are S-gate byproducts
-    pairs = {(r, c) for r in range(n) for c in range(n) if r != c and z_rows[r] >> (n - 1 - c) & 1}
-    if any((c, r) not in pairs for r, c in pairs):
+    edges = []
+    for j, l in combinations(range(k), 2):
+        ratio = phase(basis[j] ^ basis[l]) / (unit[j] * unit[l])
+        if abs(ratio + 1) <= tol:
+            edges.append((j, l))
+        elif abs(ratio - 1) > tol:
+            return None
+    # predict the phase over the whole span, one pivot at a time
+    points, predicted = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    for j, b in enumerate(basis):
+        mask = sum(1 << pivots[l] for l, m in edges if m == j)
+        sign = np.where(np.bitwise_count(points & mask) & 1, -1, 1)
+        points = np.concatenate([points, points ^ b])
+        predicted = np.concatenate([predicted, predicted * unit[j] * sign])
+    if np.any(np.abs(amps[x0 ^ points] - amps[x0] * predicted) > tol):
         return None
     q = sv.qubit_order
-    return Graph(q, ((q[r], q[c]) for r, c in pairs))
-
-
-def _lowest_set_bit(value: int) -> int:
-    return (value & -value).bit_length() - 1
-
-
-def _gf2_eliminate(x_rows: list[int], z_rows: list[int], n: int) -> tuple[list[int], list[int]]:
-    """Gaussian elimination on the X block, mirroring row ops onto Z."""
-    xs, zs = list(x_rows), list(z_rows)
-    rank = 0
-    for c in range(n - 1, -1, -1):
-        mask = 1 << c
-        pivot = next((i for i in range(rank, n) if xs[i] & mask), None)
-        if pivot is None:
-            continue
-        xs[rank], xs[pivot] = xs[pivot], xs[rank]
-        zs[rank], zs[pivot] = zs[pivot], zs[rank]
-        for i in range(n):
-            if i != rank and xs[i] & mask:
-                xs[i] ^= xs[rank]
-                zs[i] ^= zs[rank]
-        rank += 1
-    return xs, zs
-
-
-def _gf2_solve_to_identity(
-    x_rows: list[int], z_rows: list[int], n: int
-) -> tuple[list[int] | None, list[int] | None]:
-    xs, zs = _gf2_eliminate(x_rows, z_rows, n)
-    # reorder rows so xs[r] has its pivot at column r
-    out_x = [0] * n
-    out_z = [0] * n
-    for r in range(n):
-        if xs[r] == 0:
-            return None, None
-        pivot_col = n - xs[r].bit_length()
-        out_x[pivot_col] = xs[r]
-        out_z[pivot_col] = zs[r]
-    for r in range(n):
-        if out_x[r] != (1 << (n - 1 - r)):
-            return None, None
-    return out_x, out_z
+    pairs = [(pivots[j], pivots[l]) for j, l in edges]
+    pairs += [(p, bit) for p, b in zip(pivots, basis) for bit in range(n) if bit not in pivots and b >> bit & 1]
+    return Graph(q, ((q[n - 1 - u], q[n - 1 - v]) for u, v in pairs))
 
 
 def state_locally_equivalent(sv: StateVector, g: Graph) -> bool:

@@ -218,6 +218,15 @@ def test_extract_logical_bell():
     assert np.allclose(sv.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
+def test_extract_logical_rejects_zero_probability_state():
+    # port 5 never holds a photon, so postselection keeps no term
+    spec = {"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}], "postselect": [0, 1, 5]}
+    state, prob, _ = run_circuit(spec)
+    assert prob == 0.0 and not state.terms
+    with pytest.raises(ValueError, match="zero-probability"):
+        extract_logical(state, {0: 0, 1: 1})
+
+
 # -- reference circuits ----------------------------------------------------------------
 
 

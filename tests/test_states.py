@@ -1,22 +1,30 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import photonweave
+import stabilizer_oracle
 from photonweave.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     empty_graph,
     local_complement,
+    locally_equivalent,
     measure_pauli,
     path_graph,
     star_graph,
 )
 from photonweave.states import (
     NORM_TOL,
+    STATE_VECTOR_LIMIT,
     StateVector,
-    _fwht,
+    apply_single_qubit,
     graph_form,
     state_locally_equivalent,
     to_state_vector,
@@ -106,6 +114,12 @@ def test_size_limit():
 def test_norm_validation():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0]), (1,))
+
+
+def test_non_finite_amplitudes_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(np.array([bad, 0.0]), (1,))
 
 
 # -- stabilizer decoding -------------------------------------------------------------
@@ -203,15 +217,18 @@ def test_cycle_five_not_ghz():
     assert not state_locally_equivalent(sv, star_graph(1, [2, 3, 4, 5]))
 
 
+GATES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.diag([1, 1j]).astype(complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "T": np.diag([1, np.exp(1j * np.pi / 4)]),
+}
+
+
 def test_decoder_invariant_under_local_cliffords(rnd):
     # a graph state pushed through any single-qubit Clifford frame must
     # decode back into the same local-equivalence class
-    from photonweave.graphs import locally_equivalent
-    from photonweave.states import apply_single_qubit
-
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s = np.diag([1, 1j]).astype(complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    h, s, x = GATES["H"], GATES["S"], GATES["X"]
     gates = [h, s, x, s @ h, h @ s, s @ h @ s]
     for _ in range(50):
         g = random_graph(rnd, rnd.randint(2, 6))
@@ -222,6 +239,61 @@ def test_decoder_invariant_under_local_cliffords(rnd):
         decoded = graph_form(sv)
         assert decoded is not None
         assert locally_equivalent(decoded, g)
+
+
+@st.composite
+def decoder_inputs(draw):
+    """A graph state under random H, S and X, sometimes made non-stabilizer.
+
+    A CCZ keeps the support and every pairwise phase ratio of a stabilizer
+    vector, so only the check over the whole span can reject it.
+    """
+    n = draw(st.integers(1, 8))
+    labels = list(range(1, n + 1))
+    pairs = list(itertools.combinations(labels, 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    sv = to_state_vector(Graph(labels, [p for p, keep in zip(pairs, mask) if keep]))
+    for q, gate in draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from("HSX")), max_size=12)):
+        sv = apply_single_qubit(sv, q, GATES[gate])
+    kind = draw(st.sampled_from(["clifford", "clifford", "t-rotated", "ccz", "random"]))
+    if kind == "ccz" and n >= 3:
+        idx = np.arange(2**n)
+        bits = draw(st.permutations(range(n)))[:3]
+        parity = (idx >> bits[0]) & (idx >> bits[1]) & (idx >> bits[2]) & 1
+        sv = StateVector(sv.amplitudes * np.where(parity, -1, 1), sv.qubit_order)
+    elif kind == "t-rotated":
+        sv = apply_single_qubit(sv, draw(st.sampled_from(labels)), GATES["T"] @ GATES["H"])
+    elif kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        sv = StateVector(amps / np.linalg.norm(amps), sv.qubit_order)
+    return sv
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoder_inputs())
+def test_graph_form_matches_fwht_oracle(sv):
+    got, want = graph_form(sv), stabilizer_oracle.graph_form(sv)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.vertices == sv.qubit_order
+        assert locally_equivalent(got, want)
+
+
+def test_graph_form_decodes_at_state_vector_limit():
+    g = cycle_graph(STATE_VECTOR_LIMIT)
+    sv = to_state_vector(g)
+    for q in g.vertices[:2]:
+        sv = apply_single_qubit(sv, q, GATES["H"])
+    assert graph_form(sv) is not None
+
+
+def test_fwht_decoder_is_test_only():
+    # the n*4^n stabilizer search lives only in tests/stabilizer_oracle.py
+    for path in sorted(Path(photonweave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"stabilizer_generators", "_fwht"}, path.name
 
 
 def loop_fwht(values):
@@ -244,4 +316,4 @@ def test_fwht_matches_loop_version_bit_for_bit():
     for n in range(11):
         for _ in range(4):
             v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            assert np.array_equal(_fwht(v), loop_fwht(v)), n
+            assert np.array_equal(stabilizer_oracle._fwht(v), loop_fwht(v)), n
