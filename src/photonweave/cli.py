@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import minors, optics as po, protocols as pr
-from .graphs import Graph, graph_from_json, graph_to_dot, graph_to_json
+from .graphs import Graph, InputShapeError, graph_from_json, graph_to_dot, graph_to_json
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = "1"
@@ -201,10 +201,7 @@ def _cmd_classify(args) -> tuple[dict, bool | None, dict]:
     if args.open and args.n is not None:
         raise UsageError("--open makes no sense with a closed resource simulation")
     command = {"word": args.word, "resource": args.resource, "close": not args.open}
-    try:
-        minors.check_word(args.word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    minors.check_word(args.word)
     if args.n is None:
         shape = minors.predict_class(args.word, close=not args.open)
         return command, None, {
@@ -382,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     try:
         command, passed, results = HANDLERS[args.verb](args)
-    except UsageError as exc:
+    except (UsageError, InputShapeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -22,6 +22,14 @@ Edge = tuple[int, int]
 AXES = ("X", "Y", "Z")
 
 
+class InputShapeError(ValueError):
+    """An input string of the wrong length or alphabet for what reads it.
+
+    Measurement words, detector outcomes and measurement plans raise it;
+    the command line reports it as a usage error, not a runtime failure.
+    """
+
+
 def _check_pair(adj: dict[int, frozenset[int]], u: int, v: int) -> None:
     if u == v:
         raise ValueError(f"self-loop at vertex {u} is not allowed")
@@ -300,85 +308,47 @@ class ShapeClass:
     contiguous_leaves: bool | None  # leaf-carrying spine vertices consecutive?
 
 
-def _path_order(g: Graph, comp: frozenset[int]) -> tuple[int, ...] | None:
-    """Return the vertices of comp in path order, or None if not a path."""
-    degs = {v: len(g.neighbors(v) & comp) for v in comp}
-    if len(comp) == 1:
-        return (next(iter(comp)),)
+def _spine_walk(g: Graph) -> tuple[str, tuple[int, ...]] | None:
+    """Order a graph of two or more vertices along the path or cycle it is.
+
+    A path is walked from its smaller end and a cycle from its smallest
+    vertex towards that vertex's smaller neighbour; None if g is neither.
+    """
+    degs = {v: len(nbrs) for v, nbrs in g.adj.items()}
     ends = [v for v, d in degs.items() if d == 1]
-    if len(ends) != 2 or any(d > 2 for d in degs.values()):
+    if len(ends) not in (0, 2) or max(degs.values()) > 2:
         return None
-    order = [min(ends)]
-    prev = None
-    while len(order) < len(comp):
-        nxt = [w for w in g.neighbors(order[-1]) & comp if w != prev]
-        if len(nxt) != 1:
-            return None
+    kind, start = ("path", min(ends)) if ends else ("cycle", min(degs))
+    order, prev = [start], None
+    while (nxt := sorted(g.adj[order[-1]] - {prev})) and nxt[0] != start:
         prev = order[-1]
         order.append(nxt[0])
-    return tuple(order)
-
-
-def _cycle_order(g: Graph, comp: frozenset[int]) -> tuple[int, ...] | None:
-    degs = {v: len(g.neighbors(v) & comp) for v in comp}
-    if len(comp) < 3 or any(d != 2 for d in degs.values()):
-        return None
-    start = min(comp)
-    order = [start]
-    prev = None
-    while True:
-        nbrs = sorted(g.neighbors(order[-1]) & comp)
-        nxt = [w for w in nbrs if w != prev]
-        step = min(nxt) if len(order) == 1 else nxt[0]
-        if step == start:
-            break
-        prev = order[-1]
-        order.append(step)
-    return tuple(order) if len(order) == len(comp) else None
+    return (kind, tuple(order)) if len(order) == len(degs) else None
 
 
 def _classify_component(g: Graph, comp: frozenset[int]) -> ComponentShape:
     sub = g.induced(comp)
     if len(comp) == 1:
         return ComponentShape("empty", tuple(comp), ())
-    order = _path_order(sub, comp)
-    if order is not None:
-        return ComponentShape("path", order, ())
-    cyc = _cycle_order(sub, comp)
-    if cyc is not None:
-        return ComponentShape("cycle", cyc, ())
-    degs = {v: sub.degree(v) for v in comp}
+    walked = _spine_walk(sub)
+    if walked is not None:
+        return ComponentShape(*walked, ())
+    degs = {v: len(nbrs) for v, nbrs in sub.adj.items()}
     centers = [v for v, d in degs.items() if d == len(comp) - 1]
     if len(centers) == 1 and all(d == 1 for v, d in degs.items() if v != centers[0]):
         c = centers[0]
         return ComponentShape(
             "star", (c,), tuple((v, c) for v in sorted(comp) if v != c)
         )
-    # strip degree-1 vertices once; a path core means caterpillar, a cycle
-    # core means leafed cycle
-    leaves = {v for v, d in degs.items() if d == 1}
-    core = comp - leaves
-    if core:
-        core_sub = sub.induced(core)
-        attach = {}
-        ok = True
-        for v in leaves:
-            anchor = sub.neighbors(v) & core
-            if len(anchor) != 1:
-                ok = False
-                break
-            attach[v] = next(iter(anchor))
-        if ok:
-            order = _path_order(core_sub, frozenset(core))
-            if order is not None:
-                return ComponentShape(
-                    "caterpillar", order, tuple(sorted(attach.items()))
-                )
-            cyc = _cycle_order(core_sub, frozenset(core))
-            if cyc is not None:
-                return ComponentShape(
-                    "leafed-cycle", cyc, tuple(sorted(attach.items()))
-                )
+    # strip the degree-1 vertices once; in a connected component of three or
+    # more vertices each hangs off a core vertex.  A path core means
+    # caterpillar, a cycle core means leafed cycle
+    attach = {v: next(iter(sub.adj[v])) for v, d in degs.items() if d == 1}
+    walked = _spine_walk(sub.induced(comp - attach.keys()))
+    if walked is not None:
+        kind, order = walked
+        kind = "caterpillar" if kind == "path" else "leafed-cycle"
+        return ComponentShape(kind, order, tuple(sorted(attach.items())))
     return ComponentShape("other", tuple(sorted(comp)), ())
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .graphs import (
     Graph,
+    InputShapeError,
     ShapeClass,
     classify_graph,
     complete_graph,
@@ -42,10 +43,10 @@ FRAGMENT_PAIRINGS = {
 
 def check_word(word: str) -> str:
     if not word:
-        raise ValueError("word is empty")
+        raise InputShapeError("word is empty")
     bad = set(word) - set("XYZ")
     if bad:
-        raise ValueError(f"word letters must be X/Y/Z, got {sorted(bad)}")
+        raise InputShapeError(f"word letters must be X/Y/Z, got {sorted(bad)}")
     return word
 
 
@@ -199,8 +200,8 @@ def apply_word(mg: Multigraph, measured: Sequence[int], word: str) -> Multigraph
     """
     check_word(word)
     if len(measured) != len(word):
-        raise ValueError(f"{len(measured)} measured vertices but {len(word)} letters")
-    edges: dict[int, list[End]] = {i: list(e) for i, e in enumerate(mg.edges)}
+        raise InputShapeError(f"{len(measured)} measured vertices but {len(word)} letters")
+    edges: dict[int, MEdge] = dict(enumerate(mg.edges))
     next_id = len(mg.edges)
     for v, letter in zip(measured, word):
         slots: dict[int, tuple[int, int]] = {}  # tag -> (edge id, side)
@@ -217,55 +218,32 @@ def apply_word(mg: Multigraph, measured: Sequence[int], word: str) -> Multigraph
         for ta, tb in FRAGMENT_PAIRINGS[letter]:
             partner[slots[ta]] = slots[tb]
             partner[slots[tb]] = slots[ta]
-        # walk wires: from each external end, cross edges and junctions
         handled: set[tuple[int, int]] = set()
-        new_edges: list[list[End]] = []
+
+        def walk(half: tuple[int, int]) -> End | None:
+            """Cross edges and v's junctions from slot ``half`` to the wire's end off v.
+
+            None when the wire closes on itself without leaving v.
+            """
+            while True:
+                eid, side = half
+                handled.update((half, (eid, 1 - side)))
+                far = edges[eid][1 - side]
+                if far[0] != v:
+                    return far
+                half = partner[(eid, 1 - side)]
+                if half in handled:
+                    return None
+
+        # the new edges only join ends off v, so they can go in while v's wires are walked
         for tag in (-2, -1, 1, 2):
-            eid, side = slots[tag]
-            if (eid, side) in handled:
-                continue
-            # walk outward: start at this junction slot
-            chain_ends: list[End] = []
-            cursor = (eid, side)
-            closed = False
-            while True:
-                handled.add(cursor)
-                cur_eid, cur_side = cursor
-                far = edges[cur_eid][1 - cur_side]
-                if (cur_eid, 1 - cur_side) in partner or far[0] == v:
-                    # the far side is also a junction slot at v
-                    handled.add((cur_eid, 1 - cur_side))
-                    nxt = partner[(cur_eid, 1 - cur_side)]
-                    if nxt in handled:
-                        closed = True
-                        break
-                    cursor = nxt
-                else:
-                    chain_ends.append(far)
-                    break
-            if closed:
-                continue  # free loop, dropped
-            # walk the other direction from the starting slot's junction partner
-            cursor = partner[(eid, side)]
-            while True:
-                handled.add(cursor)
-                cur_eid, cur_side = cursor
-                far = edges[cur_eid][1 - cur_side]
-                if far[0] == v:
-                    handled.add((cur_eid, 1 - cur_side))
-                    cursor = partner[(cur_eid, 1 - cur_side)]
-                else:
-                    chain_ends.append(far)
-                    break
-            if len(chain_ends) == 2:
-                new_edges.append(chain_ends)
-        for eid in [eid for eid, ends in edges.items() if v in (ends[0][0], ends[1][0])]:
-            del edges[eid]
-        for ends in new_edges:
-            edges[next_id] = ends
-            next_id += 1
+            if slots[tag] not in handled and (end := walk(slots[tag])) is not None:
+                edges[next_id] = (end, walk(partner[slots[tag]]))
+                next_id += 1
+        for eid, _ in slots.values():
+            edges.pop(eid, None)  # a loop at v holds two of its slots
     survivors = tuple(v for v in mg.vertices if v not in set(measured))
-    return Multigraph(survivors, tuple(tuple(e) for e in edges.values()))
+    return Multigraph(survivors, tuple(edges.values()))
 
 
 def leaf_expansion(
@@ -298,9 +276,7 @@ def leaf_expansion(
         )
 
     new_edges = [reassign(eid, ends) for eid, ends in enumerate(mg.edges)]
-    d1 = ((leaf_label, None), (v, None))
-    d2 = ((leaf_label, None), (v, None))
-    new_edges += [d1, d2]
+    new_edges += [((leaf_label, None), (v, None))] * 2
     m1, m2 = len(mg.edges), len(mg.edges) + 1
     verts = tuple(list(mg.vertices) + [leaf_label])
     new_mg = Multigraph(verts, tuple(new_edges))
@@ -344,11 +320,7 @@ def predict_representative(
         survivors = list(range(n_survivors))
     if len(survivors) != n_survivors:
         raise ValueError(f"need {n_survivors} survivor labels, got {len(survivors)}")
-    if close:
-        head = None
-        after = list(survivors)  # after[i] follows measured vertex i
-    else:
-        head, *after = survivors
+    after = list(survivors if close else survivors[1:])  # after[i] follows measured vertex i
 
     edges: list[tuple[int, int]] = []
     if close and "Z" not in word:
@@ -364,37 +336,18 @@ def predict_representative(
                 edges.append((after[i], after[prev_y]))
         return Graph(after, edges)
 
-    # cut at Z letters; each maximal Z-free run is one caterpillar component
-    runs: list[tuple[int | None, list[int]]]  # (boundary letter index, letter run)
-    if close:
-        z_pos = [i for i, c in enumerate(word) if c == "Z"]
-        runs = []
-        for zi, z in enumerate(z_pos):
-            nxt = z_pos[(zi + 1) % len(z_pos)]
-            run = []
-            i = (z + 1) % k
-            while i != nxt:
-                run.append(i)
-                i = (i + 1) % k
-            runs.append((z, run))
-    else:
-        bounds = [None] + [i for i, c in enumerate(word) if c == "Z"]
-        runs = []
-        for bi, b in enumerate(bounds):
-            start = 0 if b is None else b + 1
-            end = bounds[bi + 1] if bi + 1 < len(bounds) else k
-            runs.append((b, list(range(start, end))))
-    for boundary, run in runs:
-        spine_tail = head if boundary is None else after[boundary]
-        for i in run:
-            if word[i] == "Y":
-                if spine_tail is not None:
-                    edges.append((spine_tail, after[i]))
-                spine_tail = after[i]
-            else:  # X
-                edges.append((after[i], spine_tail))
-    verts = ([head] if head is not None else []) + after
-    return Graph(verts, edges)
+    # a closed word is read once round from just after its first Z, an open one from its head
+    start = word.index("Z") + 1 if close else 0
+    tail = after[start - 1] if close else survivors[0]
+    for i in range(start, start + k):
+        letter, here = word[i % k], after[i % k]
+        if letter == "X":
+            edges.append((here, tail))  # a leaf off the spine's tail
+            continue
+        if letter == "Y":
+            edges.append((tail, here))
+        tail = here  # Y extends the spine, Z starts a new one here
+    return Graph(survivors, edges)
 
 
 def predict_class(word: str, close: bool) -> ShapeClass:
@@ -403,24 +356,17 @@ def predict_class(word: str, close: bool) -> ShapeClass:
     return classify_graph(rep)
 
 
-def components_of(mg: Multigraph) -> list[Multigraph]:
-    out = []
-    for comp in mg.simple_graph().components():
-        verts = tuple(u for u in mg.vertices if u in comp)
-        edges = tuple(e for e in mg.edges if e[0][0] in comp)
-        out.append(Multigraph(verts, edges))
-    return out
-
-
 def tour_interlacement(mg: Multigraph) -> Graph:
     """Interlacement graph of one Eulerian tour per connected component."""
     verts: list[int] = []
     edges: list[tuple[int, int]] = []
-    for comp in components_of(mg):
-        if not comp.edges:
-            verts.extend(comp.vertices)
+    for comp in mg.simple_graph().components():
+        comp_verts = tuple(u for u in mg.vertices if u in comp)
+        comp_edges = tuple(e for e in mg.edges if e[0][0] in comp)
+        if not comp_edges:
+            verts.extend(comp_verts)
             continue
-        g = interlacement(find_tour(comp))
+        g = interlacement(find_tour(Multigraph(comp_verts, comp_edges)))
         verts.extend(g.vertices)
         edges.extend(g.edges)
     return Graph(verts, edges)
@@ -490,7 +436,7 @@ def simulate_word(g: Graph, measured: Sequence[int], word: str) -> Graph:
     """Measure the listed vertices per the word using the rewrite rules."""
     check_word(word)
     if len(measured) != len(word):
-        raise ValueError("one letter per measured vertex")
+        raise InputShapeError("one letter per measured vertex")
     for v, letter in zip(measured, word):
         g = measure_pauli(g, v, letter)
     return g
@@ -519,7 +465,7 @@ def _crosscheck(n: int, word: str, resource: str) -> tuple[bool, Graph]:
         raise ValueError(f"unknown resource {resource!r}; use one of {RESOURCES}")
     g, measured, survivors = RESOURCE_BUILDERS[resource](n)
     if len(word) != len(measured):
-        raise ValueError(f"word length must be {len(measured)} for n={n}")
+        raise InputShapeError(f"word length must be {len(measured)} for n={n}")
     sim = simulate_word(g, measured, word)
     if resource == "zigzag":
         pred = predict_representative(word, close=True, survivors=survivors)

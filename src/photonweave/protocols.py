@@ -24,7 +24,8 @@ from typing import Container, Iterable, Sequence
 import numpy as np
 
 from . import optics as po
-from .graphs import Graph, cycle_graph, measure_pauli, path_graph, star_graph
+from .graphs import Graph, InputShapeError, cycle_graph, measure_pauli, path_graph, star_graph
+from .minors import predict_representative
 from .states import StateVector
 
 BLOCK_KINDS = ("path4", "star4", "three")
@@ -53,7 +54,7 @@ def _canonical_outcomes(outcomes: str | None, length: int) -> str:
     if outcomes is None:
         outcomes = "+" * length
     if len(outcomes) != length or any(c not in "+-" for c in outcomes):
-        raise ValueError(f"need {length} outcomes over '+-', got {outcomes!r}")
+        raise InputShapeError(f"need {length} outcomes over '+-', got {outcomes!r}")
     return outcomes
 
 
@@ -320,27 +321,21 @@ def _check_layout(layout: Sequence[str]) -> None:
 def caterpillar_layout_graph(layout: Sequence[str], close_cycle: bool = False) -> Graph:
     """The caterpillar (or leafed cycle) a layout describes over users 1..M.
 
-    Leaf users attach to the most recent spine user; with close_cycle the
-    spine closes through the stored server qubit 0.
+    The layout is a measurement word read off the users, spine Y and leaf
+    X (see ``minors.predict_representative``): leaf users attach to the
+    most recent spine user.  Open, user 1 is the word's head; with
+    close_cycle the spine closes through the stored server qubit 0, read
+    as a leading Y.
     """
     _check_layout(layout)
-    m = len(layout)
-    spine = [i + 1 for i, kind in enumerate(layout) if kind == "spine"]
-    edges: list[tuple[int, int]] = []
-    last = None
-    for i, kind in enumerate(layout):
-        if kind == "spine":
-            last = i + 1
-        else:
-            edges.append((last, i + 1))
+    word = "".join("Y" if kind == "spine" else "X" for kind in layout)
     if close_cycle:
-        if len(spine) < 2:
+        if word.count("Y") < 2:
             raise ValueError("closing needs at least two spine users")
-        ring = [0] + spine
-        edges += list(zip(ring, ring[1:])) + [(ring[-1], ring[0])]
-        return Graph([0] + list(range(1, m + 1)), edges)
-    edges += list(zip(spine, spine[1:]))
-    return Graph(range(1, m + 1), edges)
+        return predict_representative("Y" + word, close=True, survivors=range(len(word) + 1))
+    if len(word) == 1:
+        return Graph([1])
+    return predict_representative(word[1:], close=False, survivors=range(1, len(word) + 1))
 
 
 def run_caterpillar(layout: Sequence[str], close_cycle: bool = False) -> ProtocolResult:
@@ -351,9 +346,9 @@ def run_caterpillar(layout: Sequence[str], close_cycle: bool = False) -> Protoco
     rotation).  Open runs cost 2^-(M-1); closing through a server pair
     costs 2^-(M+1).
     """
-    _check_layout(layout)
     m = len(layout)
     if m > 7:
+        _check_layout(layout)  # a malformed layout reports that before the size cap
         raise ValueError("caterpillar supports up to 7 users")
     final = caterpillar_layout_graph(layout, close_cycle)
     exponent = m + 1 if close_cycle else m - 1
@@ -550,7 +545,7 @@ def fuse_chain(
         raise ValueError("a chain needs at least two blocks")
     joints = len(blocks) - 1 + (1 if close_cycle else 0)
     if measurement_plan is not None and len(measurement_plan) != joints:
-        raise ValueError(f"plan length {len(measurement_plan)} != joints {joints}")
+        raise InputShapeError(f"plan length {len(measurement_plan)} != joints {joints}")
     schedule = iter(failure_schedule) if failure_schedule is not None else None
 
     def fusion_fails() -> bool:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +26,13 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .states import EQUIVALENCE_LIMIT, StateVector, state_locally_equivalent, to_state_vector
+from .states import (
+    EQUIVALENCE_LIMIT,
+    StateVector,
+    apply_single_qubit,
+    state_locally_equivalent,
+    to_state_vector,
+)
 
 PROB_TOL = 1e-12
 AMP_TOL = 1e-10
@@ -93,8 +101,6 @@ def check_cz_gate() -> CriterionResult:
         post, _, _ = po.run_circuit({**_plus_circuit(3, elements), "measure": measure})
         branch = po.extract_logical(post, {1: 1, 2: 2})
         if outcome == "V":  # recorded correction: Z on the photon the weaver left
-            from .states import apply_single_qubit
-
             branch = apply_single_qubit(branch, 2, z2)
         target = to_state_vector(path_graph(2))
         if np.abs(np.abs(np.vdot(branch.amplitudes, target.amplitudes)) - 1) > AMP_TOL:
@@ -139,8 +145,6 @@ def check_protocol_exponents() -> CriterionResult:
                     m + 1,
                 )
             )
-    from fractions import Fraction
-
     for kind, expected in (("path4", 3), ("star4", 3), ("three", 2)):
         _, p = pr.build_block(kind)
         if p != Fraction(1, 2**expected):
@@ -165,7 +169,10 @@ def check_dual_path() -> CriterionResult:
         if not state_locally_equivalent(sv, res.final_graph):
             return _result("dual-path", False, f"ghz M={m} state", t0)
         sv, prob, _ = pr.ghz_optics(m, server_participates=True)
-        if not state_locally_equivalent(sv, pr.run_ghz(m, True).final_graph):
+        res = pr.run_ghz(m, True)
+        if abs(prob - float(res.success_probability)) > PROB_TOL:
+            return _result("dual-path", False, f"ghz+server M={m} prob", t0)
+        if not state_locally_equivalent(sv, res.final_graph):
             return _result("dual-path", False, f"ghz+server M={m} state", t0)
     for m in range(2, 8):
         if 2 * m <= EQUIVALENCE_LIMIT:
@@ -178,8 +185,11 @@ def check_dual_path() -> CriterionResult:
             return _result("dual-path", False, f"path M={m} prob", t0)
         if not state_locally_equivalent(sv, res.final_graph):
             return _result("dual-path", False, f"path M={m} state", t0)
-        sv, _, _ = pr.path_optics(m, server_participates=True)
-        if not state_locally_equivalent(sv, pr.run_path(m, True).final_graph):
+        sv, prob, _ = pr.path_optics(m, server_participates=True)
+        res = pr.run_path(m, True)
+        if abs(prob - float(res.success_probability)) > PROB_TOL:
+            return _result("dual-path", False, f"path+server M={m} prob", t0)
+        if not state_locally_equivalent(sv, res.final_graph):
             return _result("dual-path", False, f"path+server M={m} state", t0)
     for m in range(3, 7):
         sv, prob, _ = pr.cycle_optics(m)
@@ -231,8 +241,6 @@ def check_appendix_a() -> CriterionResult:
         prob = float(np.sum(np.abs(amps) ** 2))
         if abs(prob - 0.5) > PROB_TOL:
             return _result("appendix-a", False, f"N={n}: fusion prob {prob}", t0)
-        from .states import apply_single_qubit
-
         fused_sv = StateVector(amps / math.sqrt(prob), sv.qubit_order)
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         fused_sv = apply_single_qubit(fused_sv, n, hadamard)
@@ -303,8 +311,6 @@ def check_monte_carlo(trials: int = 100_000, seed: int = 7) -> CriterionResult:
 def check_properties(seed: int = 3) -> CriterionResult:
     """Structural invariants at the sizes the module contracts state."""
     t0 = time.time()
-    import random
-
     rnd = random.Random(seed)
 
     def random_graph(n: int) -> Graph:

@@ -171,6 +171,22 @@ def test_runtime_error_exit_code(capsys):
     assert code == 1  # size cap exceeded is a runtime failure, not usage
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "ghz", "--users", "3", "--outcomes", "+-"],
+        ["simulate", "--protocol", "ghz", "--users", "3", "--outcomes", "+x+"],
+        ["simulate", "--protocol", "chain", "--blocks", "path4,path4", "--plan", "YY",
+         "--seed", "1"],
+        ["classify", "--word", "XXYYZZ", "--resource", "zigzag", "--n", "8"],
+    ],
+)
+def test_wrong_length_input_is_usage_error(argv, capsys):
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_usage_error_exit_code_from_argparse(capsys):
     code = main(["simulate", "--protocol", "warp"])
     assert code == 2

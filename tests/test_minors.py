@@ -166,6 +166,18 @@ def test_apply_word_length_mismatch():
         apply_word(build_circulant(6), [0, 2], "X")
 
 
+@pytest.mark.parametrize("word", ["ZXX", "ZXZ"])
+def test_apply_word_exact(word):
+    # after Z at 0 and X at 1, vertex 2 carries a loop joining its slots -2 and -1:
+    # a final X walks through it, a final Z closes it into a dropped wire.  A
+    # rewrite of the wire walk must keep the edge order and each edge's end order
+    out = apply_word(build_circulant(5), [0, 1, 2], word)
+    assert out.vertices == (3, 4)
+    assert out.edges == (
+        ((3, 1), (4, -1)), ((3, 2), (4, 1)), ((4, 2), (3, -2)), ((3, -1), (4, -2)),
+    )
+
+
 def test_transition_minor_zigzag_style():
     # measuring out the even vertices leaves a 4-regular multigraph on the odds
     out = apply_word(build_circulant(12), [0, 2, 4, 6, 8, 10], "XXYYXZ")
@@ -240,6 +252,21 @@ def test_predict_word_validation():
         predict_class("", close=True)
     with pytest.raises(ValueError):
         predict_class("XQ", close=True)
+
+
+@pytest.mark.parametrize(
+    "word, close, edges",
+    [
+        ("ZXY", True, {(0, 1), (0, 2)}),  # first Z at the start
+        ("XYZYX", True, {(0, 3), (1, 3), (2, 3), (3, 4)}),  # first Z in the middle
+        ("YXYZ", True, {(0, 1), (0, 2), (0, 3)}),  # first Z at the end
+        ("XYZXYZY", False, {(0, 1), (0, 2), (3, 4), (3, 5), (6, 7)}),  # open, two Zs
+    ],
+)
+def test_predict_representative_exact(word, close, edges):
+    rep = predict_representative(word, close)
+    assert rep.vertices == tuple(range(len(word) + (not close)))
+    assert rep.edges == frozenset(edges)
 
 
 def test_z_split_locality():
