@@ -378,6 +378,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     t0 = time.time()
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError("--seed must be a non-negative integer")
         command, passed, results = HANDLERS[args.verb](args)
     except (UsageError, InputShapeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

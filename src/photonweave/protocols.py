@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -515,6 +515,26 @@ class ChainResult:
     fusion_attempts: int
 
 
+def _retry_counts(
+    blocks: Sequence[str], close_cycle: bool, fusion_fails: Callable[[], bool]
+) -> tuple[bool, int, int, int]:
+    """The discard-last-block policy as counts: (succeeded, blocks, bell_pairs, fusions).
+
+    Each joint in order weaves a fresh incoming block until a coin from
+    ``fusion_fails`` says success; a closed chain then draws one closure
+    coin, whose failure aborts the chain.
+    """
+    consumed, pairs = 1, BLOCK_BELL_PAIRS[blocks[0]]
+    for kind in blocks[1:]:
+        tries = 1
+        while fusion_fails():
+            tries += 1
+        consumed += tries
+        pairs += tries * BLOCK_BELL_PAIRS[kind]
+    fusions = consumed - 1 + (1 if close_cycle else 0)
+    return not (close_cycle and fusion_fails()), consumed, pairs, fusions
+
+
 def fuse_chain(
     blocks: Sequence[str],
     measurement_plan: Sequence[str | None] | None = None,
@@ -529,10 +549,11 @@ def fuse_chain(
     discard-last-block policy applies: the incoming block is discarded
     (its users reset by Z measurements and re-entangle) and a fresh block
     is woven; the stored chain is untouched, so failures never restart
-    the chain.  A closure-fusion failure aborts the whole
-    cycle attempt instead.  ``measurement_plan`` gives one basis (or None)
-    per joint, applied after all fusions; open-chain outer server photons
-    are then removed unless ``keep_server_ends``.
+    the chain and the final graph does not depend on them.  A
+    closure-fusion failure aborts the whole cycle attempt instead.
+    ``measurement_plan`` gives one basis (or None) per joint, applied
+    after all fusions; open-chain outer server photons are then removed
+    unless ``keep_server_ends``.
 
     Fusion coins come from ``failure_schedule`` (True = fail) when given,
     otherwise from ``rng``; with neither, every fusion succeeds.
@@ -544,8 +565,12 @@ def fuse_chain(
     if len(blocks) < 2:
         raise ValueError("a chain needs at least two blocks")
     joints = len(blocks) - 1 + (1 if close_cycle else 0)
-    if measurement_plan is not None and len(measurement_plan) != joints:
-        raise InputShapeError(f"plan length {len(measurement_plan)} != joints {joints}")
+    plan = [None] * joints if measurement_plan is None else list(measurement_plan)
+    if len(plan) != joints:
+        raise InputShapeError(f"plan length {len(plan)} != joints {joints}")
+    for axis in plan:
+        if axis not in ("X", "Y", "Z", None):
+            raise InputShapeError(f"plan entries are 'X', 'Y', 'Z' or None, got {axis!r}")
     schedule = iter(failure_schedule) if failure_schedule is not None else None
 
     def fusion_fails() -> bool:
@@ -555,73 +580,41 @@ def fuse_chain(
             return bool(rng.integers(0, 2))
         return False
 
-    blocks_consumed = 0
-    bell_pairs = 0
-    attempts = 0
-    joint_labels: list[int] = []
-    next_user = 1
-
-    def weave(kind: str, slot: int) -> tuple[Graph, int, int]:
-        # users are numbered sequentially along the chain; retries reuse
-        # the same labels since the block's users re-entangle
-        nonlocal blocks_consumed, bell_pairs
-        blocks_consumed += 1
-        bell_pairs += BLOCK_BELL_PAIRS[kind]
+    succeeded, consumed, pairs, fusions = _retry_counts(blocks, close_cycle, fusion_fails)
+    if not succeeded:
+        return ChainResult(None, False, consumed, pairs, fusions)
+    # users are numbered along the chain; block k stores server photons
+    # -(2k-1), -(2k); joint j (closure last) becomes vertex -1000 - j
+    chain, next_user = None, 1
+    for k, kind in enumerate(blocks, start=1):
         users = [next_user] if kind == "three" else [next_user, next_user + 1]
-        left, right = -(2 * slot - 1), -(2 * slot)
-        return _block_graph(kind, users, left, right), left, right
-
-    chain, chain_left, chain_right = weave(blocks[0], 1)
-    next_user += 1 if blocks[0] == "three" else 2
-    next_joint = -1000
-    for k, kind in enumerate(blocks[1:], start=2):
-        incoming, in_left, in_right = weave(kind, k)
-        attempts += 1
-        while fusion_fails():
-            attempts += 1
-            incoming, in_left, in_right = weave(kind, k)
-        next_user += 1 if kind == "three" else 2
-        joint = next_joint
-        next_joint -= 1
-        chain = fuse_merge(chain, chain_right, incoming, in_left, joint)
-        joint_labels.append(joint)
-        chain_right = in_right
-    closure_failed = False
-    if close_cycle:
-        attempts += 1
-        if fusion_fails():
-            closure_failed = True
+        next_user += len(users)
+        block = _block_graph(kind, users, -(2 * k - 1), -(2 * k))
+        if chain is None:
+            chain = block
         else:
-            chain = _merge(chain, chain_right, chain_left, next_joint)
-            joint_labels.append(next_joint)
-    if closure_failed:
-        return ChainResult(None, False, blocks_consumed, bell_pairs, attempts)
-
-    if measurement_plan is not None:
-        for joint, axis in zip(joint_labels, measurement_plan):
-            if axis is None:
-                continue
-            chain = measure_pauli(chain, joint, axis)
+            chain = fuse_merge(chain, 2 - 2 * k, block, 1 - 2 * k, -1000 - (k - 2))
+    right = -2 * len(blocks)
+    if close_cycle:
+        chain = _merge(chain, right, -1, -1000 - (joints - 1))
+    for j, axis in enumerate(plan):
+        if axis is not None:
+            chain = measure_pauli(chain, -1000 - j, axis)
     if not close_cycle and not keep_server_ends:
-        for end in (chain_left, chain_right):
+        for end in (-1, right):
             if end in chain:
                 chain = chain.without_vertex(end)
 
-    exponent = sum(BLOCK_EXPONENTS[b] for b in blocks) + joints
     result = ProtocolResult(
         protocol="chain",
         final_graph=chain,
-        success_exponent=exponent,
+        success_exponent=sum(BLOCK_EXPONENTS[b] for b in blocks) + joints,
         measurement_record=(),
         m_minus=0,
         corrections=(),
-        resources={
-            "blocks": blocks_consumed,
-            "bell_pairs": bell_pairs,
-            "fusions": attempts,
-        },
+        resources={"blocks": consumed, "bell_pairs": pairs, "fusions": fusions},
     )
-    return ChainResult(result, True, blocks_consumed, bell_pairs, attempts)
+    return ChainResult(result, True, consumed, pairs, fusions)
 
 
 # ---------------------------------------------------------------------------
@@ -678,63 +671,50 @@ def monte_carlo(
     """Seeded Monte Carlo over protocol attempts.
 
     For postselected protocols each trial is one attempt, a success with
-    the analytic dyadic probability.  For chains each trial runs the full
-    retry policy and records resource use.
+    the analytic dyadic probability.  For chains each trial runs the
+    retry policy and records resource use; the chain's graph does not
+    depend on the coins, so it is built once and each trial draws only
+    its fusion coins.
     Per-trial generators are derived from (seed, trial) so results do not
     depend on evaluation order.  Pass a list as ``trial_log`` to collect
     (trial, success, resource...) rows for CSV export.
     """
     if trials < 1:
         raise ValueError("trials >= 1")
-    protocol = request["protocol"]
     successes = 0
-    resource_totals: dict[str, float] = {}
-    analytic: float | None = None
-    if protocol == "chain":
+    if request["protocol"] == "chain":
+        run_request(request)  # validates the request and builds the chain once
+        blocks = [b.lower() for b in request["blocks"]]
+        close = request.get("close", False)
+        totals = [0, 0, 0]
         for t in range(trials):
-            rng = _trial_rng(seed, t)
-            chain = run_request(request, rng=rng)
-            if chain.succeeded:
-                successes += 1
-            resource_totals["blocks"] = resource_totals.get("blocks", 0) + chain.blocks_consumed
-            resource_totals["bell_pairs"] = (
-                resource_totals.get("bell_pairs", 0) + chain.bell_pairs_used
-            )
-            resource_totals["fusions"] = (
-                resource_totals.get("fusions", 0) + chain.fusion_attempts
-            )
+            coin = _trial_rng(seed, t).integers
+            succeeded, *counts = _retry_counts(blocks, close, lambda: coin(0, 2))
+            successes += succeeded
+            totals = [a + b for a, b in zip(totals, counts)]
             if trial_log is not None:
-                trial_log.append(
-                    (t, int(chain.succeeded), chain.blocks_consumed,
-                     chain.bell_pairs_used, chain.fusion_attempts)
-                )
-        if request.get("close", False):
-            analytic = 0.5  # the closure fusion is the only unrecoverable coin
-        else:
-            analytic = 1.0
+                trial_log.append((t, int(succeeded), *counts))
+        resource_totals = dict(zip(("blocks", "bell_pairs", "fusions"), totals))
+        # the closure fusion is the only unrecoverable coin
+        analytic = 0.5 if close else 1.0
     else:
         base = run_request(request)
         analytic = float(Fraction(1, 2**base.success_exponent))
         pairs = base.resources.get("bell_pairs", 0)
         for t in range(trials):
-            rng = _trial_rng(seed, t)
-            success = rng.random() < analytic
-            if success:
-                successes += 1
-            resource_totals["bell_pairs"] = resource_totals.get("bell_pairs", 0) + pairs
+            success = _trial_rng(seed, t).random() < analytic
+            successes += success
             if trial_log is not None:
                 trial_log.append((t, int(success), pairs))
+        resource_totals = {"bell_pairs": pairs * trials}
     p_hat = successes / trials
     std_error = math.sqrt(p_hat * (1 - p_hat) / trials)
-    deviation = None
-    flagged = False
-    if analytic is not None:
-        if std_error > 0:
-            deviation = abs(p_hat - analytic) / std_error
-            flagged = deviation > 3.0
-        else:
-            deviation = 0.0 if p_hat == analytic else math.inf
-            flagged = p_hat != analytic
+    if std_error > 0:
+        deviation = abs(p_hat - analytic) / std_error
+        flagged = deviation > 3.0
+    else:
+        deviation = 0.0 if p_hat == analytic else math.inf
+        flagged = p_hat != analytic
     return MonteCarloStats(
         trials=trials,
         successes=successes,

@@ -187,6 +187,36 @@ def test_wrong_length_input_is_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "chain", "--blocks", "path4,path4", "--plan", "Q",
+         "--seed", "1"],
+        ["montecarlo", "--protocol", "chain", "--blocks", "path4,path4", "--close",
+         "--plan", "YQ", "--trials", "10", "--seed", "1"],
+    ],
+)
+def test_wrong_plan_letter_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "usage error: plan entries are 'X', 'Y', 'Z' or None, got 'Q'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "chain", "--blocks", "path4,path4", "--seed", "-1"],
+        ["montecarlo", "--protocol", "chain", "--blocks", "path4,path4", "--trials", "10",
+         "--seed", "-1"],
+        ["verify", "--suite", "monte-carlo", "--seed", "-2"],
+    ],
+)
+def test_negative_seed_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "usage error: --seed must be a non-negative integer\n"
+
+
 def test_usage_error_exit_code_from_argparse(capsys):
     code = main(["simulate", "--protocol", "warp"])
     assert code == 2

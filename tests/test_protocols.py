@@ -1,8 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photonweave import protocols
 
 from photonweave.graphs import (
     Graph,
@@ -13,6 +18,8 @@ from photonweave.graphs import (
     star_graph,
 )
 from photonweave.protocols import (
+    BLOCK_KINDS,
+    MonteCarloStats,
     block_optics,
     build_block,
     caterpillar_optics,
@@ -467,6 +474,18 @@ def test_chain_failure_containment():
         assert retry.edges == base.edges
 
 
+def test_chain_retry_counts_on_mixed_blocks():
+    # a retry costs the Bell pairs of the block woven at that joint
+    chain = fuse_chain(["path4", "three", "path4"],
+                       failure_schedule=[True, False, True, True, False])
+    assert (chain.blocks_consumed, chain.bell_pairs_used, chain.fusion_attempts) == (6, 22, 5)
+    assert chain.result.resources == {"blocks": 6, "bell_pairs": 22, "fusions": 5}
+    closed = fuse_chain(["three", "star4"], close_cycle=True,
+                        failure_schedule=[True, False, True])
+    assert (closed.succeeded, closed.blocks_consumed, closed.bell_pairs_used,
+            closed.fusion_attempts) == (False, 3, 11, 3)
+
+
 def test_chain_closure_failure_aborts():
     chain = fuse_chain(["three", "three"], close_cycle=True,
                        failure_schedule=[False, True])
@@ -523,6 +542,106 @@ def test_chain_retry_expectation_vs_enumeration():
     mean = stats.resource_means["blocks"]
     se = np.sqrt(6.0 / 20000)  # variance of 1 + 3 geometric(1/2) block counts
     assert low - 3 * se <= mean <= high + 3 * se
+
+
+def per_trial_monte_carlo(
+    request: dict, trials: int, seed: int, trial_log: list
+) -> MonteCarloStats:
+    """Chain Monte Carlo the slow way: one full ``fuse_chain`` per trial, tallied.
+
+    The test oracle for ``monte_carlo``, which builds the chain once and
+    draws only the coins: trial t runs on ``default_rng([seed, t])``.
+    """
+    close = request.get("close", False)
+    successes, totals = 0, {"blocks": 0, "bell_pairs": 0, "fusions": 0}
+    for t in range(trials):
+        chain = fuse_chain(request["blocks"], request.get("plan"), close_cycle=close,
+                           keep_server_ends=request.get("keep_server_ends", False),
+                           rng=np.random.default_rng([seed, t]))
+        successes += chain.succeeded
+        totals["blocks"] += chain.blocks_consumed
+        totals["bell_pairs"] += chain.bell_pairs_used
+        totals["fusions"] += chain.fusion_attempts
+        trial_log.append((t, int(chain.succeeded), chain.blocks_consumed,
+                          chain.bell_pairs_used, chain.fusion_attempts))
+    analytic = 0.5 if close else 1.0
+    p_hat = successes / trials
+    std_error = math.sqrt(p_hat * (1 - p_hat) / trials)
+    if std_error > 0:
+        deviation = abs(p_hat - analytic) / std_error
+        flagged = deviation > 3.0
+    else:
+        deviation = 0.0 if p_hat == analytic else math.inf
+        flagged = p_hat != analytic
+    return MonteCarloStats(trials, successes, p_hat, std_error,
+                           {k: v / trials for k, v in totals.items()}, seed,
+                           analytic, deviation, flagged)
+
+
+@st.composite
+def chain_requests(draw) -> dict:
+    kind = st.sampled_from(BLOCK_KINDS).flatmap(
+        lambda k: st.sampled_from([k, k.upper(), k.capitalize()]))
+    blocks = draw(st.lists(kind, min_size=2, max_size=5))
+    close = draw(st.booleans())
+    joints = len(blocks) - 1 + close
+    request = {"protocol": "chain", "blocks": blocks, "close": close,
+               "keep_server_ends": draw(st.booleans())}
+    plan = draw(st.none() | st.lists(st.sampled_from(["X", "Y", "Z", None]),
+                                     min_size=joints, max_size=joints))
+    if plan is not None:
+        request["plan"] = plan
+    return request
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_requests(), st.integers(0, 40), st.integers(1, 40))
+def test_monte_carlo_matches_per_trial_fuse_chain(req, seed, trials):
+    log, oracle_log = [], []
+    stats = monte_carlo(req, trials, seed, trial_log=log)
+    assert repr(stats) == repr(per_trial_monte_carlo(req, trials, seed, oracle_log))
+    assert log == oracle_log
+
+
+# recorded from the per-trial implementation
+@pytest.mark.parametrize("req, stats, rows", [
+    ({"protocol": "chain", "blocks": ["path4"] * 4},
+     {"analytic_probability": 1.0, "deviation_sigmas": 0.0, "estimated_probability": 1.0,
+      "flagged": False, "resource_means": {"bell_pairs": 27.748, "blocks": 6.937,
+                                           "fusions": 5.937},
+      "rng_seed": 3, "std_error": 0.0, "successes": 2000, "trials": 2000},
+     [(0, 1, 5, 20, 4), (1, 1, 7, 28, 6), (2, 1, 8, 32, 7), (3, 1, 4, 16, 3),
+      (4, 1, 6, 24, 5), (5, 1, 4, 16, 3), (6, 1, 6, 24, 5), (7, 1, 10, 40, 9),
+      (8, 1, 4, 16, 3), (9, 1, 5, 20, 4), (10, 1, 5, 20, 4), (11, 1, 5, 20, 4),
+      (12, 1, 4, 16, 3), (13, 1, 6, 24, 5), (14, 1, 6, 24, 5), (15, 1, 5, 20, 4),
+      (16, 1, 12, 48, 11), (17, 1, 4, 16, 3), (18, 1, 5, 20, 4), (19, 1, 8, 32, 7)]),
+    ({"protocol": "chain", "blocks": ["three"] * 5, "close": True},
+     {"analytic_probability": 0.5, "deviation_sigmas": 1.9696473625445412,
+      "estimated_probability": 0.522, "flagged": False,
+      "resource_means": {"bell_pairs": 26.694, "blocks": 8.898, "fusions": 8.898},
+      "rng_seed": 3, "std_error": 0.0111695120752878, "successes": 1044, "trials": 2000},
+     [(0, 0, 6, 18, 6), (1, 1, 8, 24, 8), (2, 0, 9, 27, 9), (3, 0, 5, 15, 5),
+      (4, 0, 7, 21, 7), (5, 0, 8, 24, 8), (6, 0, 7, 21, 7), (7, 1, 13, 39, 13),
+      (8, 1, 7, 21, 7), (9, 0, 6, 18, 6), (10, 0, 6, 18, 6), (11, 1, 7, 21, 7),
+      (12, 0, 7, 21, 7), (13, 0, 8, 24, 8), (14, 0, 9, 27, 9), (15, 1, 6, 18, 6),
+      (16, 1, 19, 57, 19), (17, 1, 6, 18, 6), (18, 0, 8, 24, 8), (19, 1, 10, 30, 10)]),
+])
+def test_monte_carlo_chain_pinned(req, stats, rows):
+    log = []
+    assert monte_carlo(req, 2000, 3, trial_log=log).as_dict() == stats
+    assert log[:20] == rows
+
+
+def test_monte_carlo_builds_the_chain_once(monkeypatch):
+    calls = []
+
+    def counting_fuse_merge(*args):
+        calls.append(args)
+        return fuse_merge(*args)
+
+    monkeypatch.setattr(protocols, "fuse_merge", counting_fuse_merge)
+    monte_carlo({"protocol": "chain", "blocks": ["path4"] * 4}, 200, 1)
+    assert len(calls) == 3
 
 
 def test_run_request_dispatch():
