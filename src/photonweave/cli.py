@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import minors, optics as po, protocols as pr
-from .graphs import Graph, InputShapeError, graph_from_json, graph_to_dot, graph_to_json
+from .graphs import InputShapeError, graph_as_dict, graph_from_json, graph_to_dot, graph_to_json
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = "1"
@@ -40,10 +40,6 @@ def _round_floats(value, digits: int = 12):
 
 def stable_json(payload: dict) -> str:
     return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
-
-
-def graph_as_dict(g: Graph) -> dict:
-    return {"vertices": sorted(g.vertices), "edges": sorted([list(e) for e in g.edges])}
 
 
 def protocol_result_as_dict(res: pr.ProtocolResult) -> dict:
@@ -278,7 +274,8 @@ def _cmd_export(args) -> tuple[dict, bool | None, dict]:
         text = fh.read()
     payload = json.loads(text)
     command = {"in": os.path.basename(args.infile), "format": args.format}
-    if "vertices" in payload and "edges" in payload:
+    keys = payload.keys() if isinstance(payload, dict) else set()
+    if {"vertices", "edges"} <= keys:
         g = graph_from_json(text)
         if args.format == "dot":
             content = graph_to_dot(g)
@@ -286,7 +283,7 @@ def _cmd_export(args) -> tuple[dict, bool | None, dict]:
             content = graph_to_json(g) + "\n"
         else:
             raise UsageError(f"format {args.format!r} unsupported for graphs")
-    elif "terms" in payload:
+    elif "terms" in keys:
         state = po.state_from_json(text)
         if args.format == "json":
             content = po.state_to_json(state) + "\n"

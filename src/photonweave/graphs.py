@@ -388,17 +388,28 @@ def classify_graph(g: Graph) -> ShapeClass:
 # -- serialization ------------------------------------------------------------
 
 
+def graph_as_dict(g: Graph) -> dict:
+    """The graph JSON object: sorted vertex labels and sorted edge pairs."""
+    return {"vertices": sorted(g.vertices), "edges": sorted([list(e) for e in g.edges])}
+
+
 def graph_to_json(g: Graph) -> str:
-    payload = {
-        "vertices": sorted(g.vertices),
-        "edges": sorted([list(e) for e in g.edges]),
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(graph_as_dict(g), sort_keys=True)
 
 
 def graph_from_json(text: str) -> Graph:
+    """Read a graph JSON object; labels that are not integers raise ValueError."""
     payload = json.loads(text)
-    return Graph(payload["vertices"], [tuple(e) for e in payload["edges"]])
+    if not isinstance(payload, dict):
+        raise ValueError("a graph JSON is an object with vertices and edges")
+    vertices, edges = payload.get("vertices"), payload.get("edges")
+    if not isinstance(vertices, list) or any(type(v) is not int for v in vertices):
+        raise ValueError("graph vertices are a list of integer labels")
+    if not isinstance(edges, list) or any(
+        not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e) for e in edges
+    ):
+        raise ValueError("graph edges are a list of integer pairs")
+    return Graph(vertices, [tuple(e) for e in edges])
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -447,13 +448,32 @@ def state_to_json_dict(state: PhotonicState) -> dict:
     return {"total_photons": state.total_photons, "terms": terms}
 
 
+def _is_occupation(item) -> bool:
+    """[port, 'H' or 'V', count] with an integer port and a positive integer count."""
+    return (isinstance(item, list) and len(item) == 3 and type(item[0]) is int
+            and item[1] in ("H", "V") and type(item[2]) is int and item[2] > 0)
+
+
 def state_from_json_dict(payload: dict) -> PhotonicState:
+    """Read a state dump; a malformed term or photon count raises ValueError."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("terms"), list):
+        raise ValueError("a state dump is an object listing its terms")
+    total = payload.get("total_photons")
+    if total is not None and (type(total) is not int or total < 0):
+        raise ValueError("total_photons is a nonnegative integer")
     terms: dict[Pattern, complex] = {}
     for t in payload["terms"]:
-        pat = _pattern({(port, pol): count for port, pol, count in t["occupations"]})
-        re, im = t["amplitude"]
-        terms[pat] = complex(re, im)
-    return PhotonicState(terms, payload.get("total_photons"))
+        t = t if isinstance(t, dict) else {}
+        occupations, amplitude = t.get("occupations"), t.get("amplitude")
+        if not isinstance(occupations, list) or not all(map(_is_occupation, occupations)):
+            raise ValueError("occupations are [port, 'H' or 'V', positive count] lists")
+        # the bound rejects inf, NaN and integers too large for a float
+        if not isinstance(amplitude, list) or len(amplitude) != 2 or not all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max for x in amplitude
+        ):
+            raise ValueError("an amplitude is two finite numbers [re, im]")
+        terms[_pattern({(port, pol): count for port, pol, count in occupations})] = complex(*amplitude)
+    return PhotonicState(terms, total)
 
 
 def state_to_json(state: PhotonicState) -> str:

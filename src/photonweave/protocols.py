@@ -1,11 +1,12 @@
 """Distribution protocols of the weaving server, run through both engines.
 
-Every protocol exists twice: a graph-level runner that returns the
-distributed graph, the exact dyadic success probability, and the
-post-processing corrections, and an optics realization: a PBS/HWP
-circuit description, built from the two weaving primitives and run by
-``optics.run_circuit`` at oracle scale.  Tests assert that the two
-layers agree state-by-state.
+Every protocol is written once, as a private builder that checks its
+inputs and returns two views of one run: the graph-level result (the
+distributed graph, the exact dyadic success probability and the
+post-processing corrections) and the weaving circuit that realizes it,
+built from the two weaving primitives.  ``run_*`` return the first
+view; ``*_optics`` run the second through ``optics.run_circuit`` at
+oracle scale.  Tests assert that the two views agree state-by-state.
 
 Label conventions: users are 1..M in weaving order; server-held
 vertices are 0 or negative.  Corrections are recorded in the frame of
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +35,9 @@ BLOCK_KINDS = ("path4", "star4", "three")
 BLOCK_BELL_PAIRS = {"path4": 4, "star4": 4, "three": 3}
 BLOCK_EXPONENTS = {"path4": 3, "star4": 3, "three": 2}
 
+#: the port of the server's own weaving photon, recorded as ``w``
+SERVER_WEAVER = 50
+
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -41,13 +45,17 @@ class ProtocolResult:
     final_graph: Graph
     success_exponent: int  # success probability is exactly 2**-success_exponent
     measurement_record: tuple[tuple[str, str], ...]  # (photon label, outcome)
-    m_minus: int
     corrections: tuple[tuple[int, str], ...]  # (vertex, Pauli/H) in graph frame
     resources: dict[str, int] = field(default_factory=dict)
 
     @property
     def success_probability(self) -> Fraction:
         return Fraction(1, 2**self.success_exponent)
+
+    @property
+    def m_minus(self) -> int:
+        """The number of '-' outcomes in the measurement record."""
+        return sum(out == "-" for _, out in self.measurement_record)
 
 
 def _canonical_outcomes(outcomes: str | None, length: int) -> str:
@@ -56,6 +64,11 @@ def _canonical_outcomes(outcomes: str | None, length: int) -> str:
     if len(outcomes) != length or any(c not in "+-" for c in outcomes):
         raise InputShapeError(f"need {length} outcomes over '+-', got {outcomes!r}")
     return outcomes
+
+
+def _check_weaver(outcome: str) -> None:
+    if outcome not in ("H", "V"):
+        raise ValueError(f"weaver outcome is 'H' or 'V', got {outcome!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +95,64 @@ def graph_weave(weaver: int, targets: Sequence[int], leaves: Container[int] = ()
     return elements + [{"hwp": [weaver, 22.5]}]
 
 
-def _run_optics(pairs: Sequence[tuple[int, int]], elements: list[dict],
-                measure: Iterable[tuple[int, str, str]], qubits: dict[int, int]):
-    """Run one weaving circuit and read off its qubits ``port -> label``.
+class _Circuit(NamedTuple):
+    """A protocol's weaving circuit; every source port is postselected to one photon."""
 
-    ``pairs`` are the GBell sources, each with its +/- photon first, and
-    every source port is postselected to one photon.  ``measure`` lists
-    (port, basis, outcome) in detection order.
-    """
+    pairs: list[tuple[int, int]]  # GBell sources, each with its +/- photon first
+    elements: list[dict]
+    detections: list[tuple[int, str, str]]  # (port, basis, outcome) in detection order
+    qubits: dict[int, int]  # read-out port -> qubit label
+
+
+#: what each protocol builder returns: the graph-level result and the circuit realizing it
+_Views = tuple[ProtocolResult, _Circuit]
+
+
+def _user_pairs(users: Iterable[int]) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """Each user's GBell pair and read-out: the server weaves port i, user i keeps 100 + i."""
+    users = list(users)
+    return [(100 + i, i) for i in users], {100 + i: i for i in users}
+
+
+def _record(detections: Iterable[tuple[int, str, str]]) -> tuple[tuple[str, str], ...]:
+    """The measurement record of a detection list: ``b{port}``, ``w`` for the server weaver."""
+    return tuple(("w" if port == SERVER_WEAVER else f"b{port}", out) for port, _, out in detections)
+
+
+def _optics(circuit: _Circuit) -> tuple[StateVector, float]:
+    """Run one weaving circuit; returns its read-out qubits and probability."""
     spec = {
-        "sources": [{"gbell": list(pair)} for pair in pairs],
-        "elements": elements,
-        "postselect": [port for pair in pairs for port in pair],
-        "measure": [{"port": p, "basis": b, "outcome": o} for p, b, o in measure],
+        "sources": [{"gbell": list(pair)} for pair in circuit.pairs],
+        "elements": circuit.elements,
+        "postselect": [port for pair in circuit.pairs for port in pair],
+        "measure": [{"port": p, "basis": b, "outcome": o} for p, b, o in circuit.detections],
     }
     state, prob, _ = po.run_circuit(spec)
-    return po.extract_logical(state, qubits), prob
+    return po.extract_logical(state, circuit.qubits), prob
 
 
 # ---------------------------------------------------------------------------
 # GHZ protocol
 # ---------------------------------------------------------------------------
+
+
+def _ghz(m_users: int, server_participates: bool, outcomes: str | None) -> _Views:
+    if not 2 <= m_users <= 8:
+        raise ValueError("ghz supports 2..8 users")
+    outcomes = _canonical_outcomes(outcomes, m_users - (1 if server_participates else 0))
+    users = range(1, m_users + 1)
+    pairs, qubits = _user_pairs(users)
+    if server_participates:
+        final, center, corrections = star_graph(0, users), 0, []
+        qubits[m_users] = 0
+    else:
+        final, center, corrections = star_graph(1, users[1:]), 1, [(1, "H")]
+    if outcomes.count("-") % 2 == 1:
+        corrections.append((center, "Z"))
+    detections = [(j, "PM", out) for j, out in zip(users, outcomes)]
+    result = ProtocolResult("ghz", final, m_users - 1, _record(detections), tuple(corrections),
+                            {"bell_pairs": m_users})
+    return result, _Circuit(pairs, ghz_weave(users), detections, qubits)
 
 
 def run_ghz(
@@ -119,31 +169,7 @@ def run_ghz(
     star state of ``final_graph`` up to one H on user 1, which only the
     run without server participation needs.
     """
-    if not 2 <= m_users <= 8:
-        raise ValueError("ghz supports 2..8 users")
-    detected = m_users - (1 if server_participates else 0)
-    outcomes = _canonical_outcomes(outcomes, detected)
-    m_minus = outcomes.count("-")
-    users = list(range(1, m_users + 1))
-    if server_participates:
-        final = star_graph(0, users)
-        center = 0
-    else:
-        final = star_graph(users[0], users[1:])
-        center = users[0]
-    corrections: list[tuple[int, str]] = [] if server_participates else [(center, "H")]
-    if m_minus % 2 == 1:
-        corrections.append((center, "Z"))
-    record = tuple((f"b{j}", out) for j, out in enumerate(outcomes, start=1))
-    return ProtocolResult(
-        protocol="ghz",
-        final_graph=final,
-        success_exponent=m_users - 1,
-        measurement_record=record,
-        m_minus=m_minus,
-        corrections=tuple(corrections),
-        resources={"bell_pairs": m_users},
-    )
+    return _ghz(m_users, server_participates, outcomes)[0]
 
 
 def ghz_optics(
@@ -152,21 +178,37 @@ def ghz_optics(
     outcomes: str | None = None,
 ) -> tuple[StateVector, float, tuple[tuple[str, str], ...]]:
     """Exact circuit for the GHZ protocol; returns (state, probability, record)."""
-    detected = m_users - (1 if server_participates else 0)
-    outcomes = _canonical_outcomes(outcomes, detected)
-    users = range(1, m_users + 1)
-    qubits = {100 + i: i for i in users}
-    if server_participates:
-        qubits[m_users] = 0
-    measure = [(j, "PM", out) for j, out in zip(users, outcomes)]
-    pairs = [(100 + i, i) for i in users]  # user i keeps port 100 + i
-    sv, prob = _run_optics(pairs, ghz_weave(users), measure, qubits)
-    return sv, prob, tuple((f"b{j}", out) for j, out in zip(users, outcomes))
+    result, circuit = _ghz(m_users, server_participates, outcomes)
+    return *_optics(circuit), result.measurement_record
 
 
 # ---------------------------------------------------------------------------
 # path / caterpillar / cycle protocols (graph-state weaving)
 # ---------------------------------------------------------------------------
+
+
+def _path(
+    m_users: int, server_participates: bool, outcomes: str | None, weaver_outcome: str
+) -> _Views:
+    if not 2 <= m_users <= 7:
+        raise ValueError("path supports 2..7 users")
+    outcomes = _canonical_outcomes(outcomes, m_users - 1)
+    _check_weaver(weaver_outcome)
+    users = list(range(1, m_users + 1))
+    pairs, qubits = _user_pairs(users)
+    final = path_graph(users + [0]) if server_participates else path_graph(users)
+    corrections = [(u, "H") for u in users[1:]]
+    corrections += [(j, "Z") for j, out in zip(users[1:], outcomes) if out == "-"]
+    detections = [(j, "PM", out) for j, out in zip(users[1:], outcomes)]
+    if server_participates:
+        qubits[1] = 0
+    else:
+        detections.append((1, "HV", weaver_outcome))
+        if weaver_outcome == "V":
+            corrections.append((m_users, "Z"))
+    result = ProtocolResult("path", final, m_users - 1, _record(detections), tuple(corrections),
+                            {"bell_pairs": m_users})
+    return result, _Circuit(pairs, graph_weave(1, users[1:]), detections, qubits)
 
 
 def run_path(
@@ -181,32 +223,7 @@ def run_path(
     woven photons in +/- and the weaver in H/V.  With participation the
     weaver is stored instead and the server holds an outer path qubit.
     """
-    if not 2 <= m_users <= 7:
-        raise ValueError("path supports 2..7 users")
-    outcomes = _canonical_outcomes(outcomes, m_users - 1)
-    if weaver_outcome not in ("H", "V"):
-        raise ValueError(f"weaver outcome is 'H' or 'V', got {weaver_outcome!r}")
-    users = list(range(1, m_users + 1))
-    final = path_graph(users + [0]) if server_participates else path_graph(users)
-    corrections = [(u, "H") for u in users[1:]]
-    m_minus = outcomes.count("-")
-    for j, out in zip(range(2, m_users + 1), outcomes):
-        if out == "-":
-            corrections.append((j, "Z"))
-    record = [(f"b{j}", out) for j, out in zip(range(2, m_users + 1), outcomes)]
-    if not server_participates:
-        record.append(("b1", weaver_outcome))
-        if weaver_outcome == "V":
-            corrections.append((m_users, "Z"))
-    return ProtocolResult(
-        protocol="path",
-        final_graph=final,
-        success_exponent=m_users - 1,
-        measurement_record=tuple(record),
-        m_minus=m_minus,
-        corrections=tuple(corrections),
-        resources={"bell_pairs": m_users},
-    )
+    return _path(m_users, server_participates, outcomes, weaver_outcome)[0]
 
 
 def comb_graph(m_users: int) -> Graph:
@@ -236,24 +253,28 @@ def path_optics(
     With ``stop_before_measurement`` the postselected pre-detection state
     is returned instead, with server photons mapped to 200 + j.
     """
-    users = range(1, m_users + 1)
-    pairs = [(100 + i, i) for i in users]
-    elements = graph_weave(1, users[1:])
-    qubits = {100 + i: i for i in users}
+    result, circuit = _path(m_users, server_participates, outcomes, weaver_outcome)
     if stop_before_measurement:
-        qubits |= {j: 200 + j for j in users}
-        sv, prob = _run_optics(pairs, elements, (), qubits)
-        return sv, prob, ()
-    outcomes = _canonical_outcomes(outcomes, m_users - 1)
-    measure = [(j, "PM", out) for j, out in zip(users[1:], outcomes)]
-    record = [(f"b{j}", out) for j, out in zip(users[1:], outcomes)]
-    if server_participates:
-        qubits[1] = 0
-    else:
-        measure.append((1, "HV", weaver_outcome))
-        record.append(("b1", weaver_outcome))
-    sv, prob = _run_optics(pairs, elements, measure, qubits)
-    return sv, prob, tuple(record)
+        qubits = circuit.qubits | {j: 200 + j for j in range(1, m_users + 1)}
+        return *_optics(circuit._replace(detections=[], qubits=qubits)), ()
+    return *_optics(circuit), result.measurement_record
+
+
+def _cycle(m_users: int, outcomes: str | None, weaver_outcome: str) -> _Views:
+    if not 3 <= m_users <= 6:
+        raise ValueError("cycle supports 3..6 users")
+    outcomes = _canonical_outcomes(outcomes, m_users)
+    _check_weaver(weaver_outcome)
+    users = list(range(1, m_users + 1))
+    circuit = _weave_circuit(["spine"] * m_users, True, outcomes, weaver_outcome)
+    corrections = [(u, "H") for u in users]
+    corrections += [(j, "Z") for j, out in zip(users, outcomes) if out == "-"]
+    if weaver_outcome == "V":
+        corrections.append((0, "Z"))
+    result = ProtocolResult("cycle", cycle_graph([0] + users), m_users + 1,
+                            _record(circuit.detections), tuple(corrections),
+                            {"bell_pairs": m_users + 1})
+    return result, circuit
 
 
 def run_cycle(m_users: int, outcomes: str | None = None, weaver_outcome: str = "H") -> ProtocolResult:
@@ -262,31 +283,7 @@ def run_cycle(m_users: int, outcomes: str | None = None, weaver_outcome: str = "
     The weaving photon belongs to a server-internal pair; closing the
     path costs one extra fusion, giving the 2^-(M+1) success exponent.
     """
-    if not 3 <= m_users <= 6:
-        raise ValueError("cycle supports 3..6 users")
-    outcomes = _canonical_outcomes(outcomes, m_users)
-    if weaver_outcome not in ("H", "V"):
-        raise ValueError(f"weaver outcome is 'H' or 'V', got {weaver_outcome!r}")
-    users = list(range(1, m_users + 1))
-    final = cycle_graph([0] + users)
-    corrections = [(u, "H") for u in users]
-    m_minus = outcomes.count("-")
-    for j, out in zip(users, outcomes):
-        if out == "-":
-            corrections.append((j, "Z"))
-    record = [(f"b{j}", out) for j, out in zip(users, outcomes)]
-    record.append(("w", weaver_outcome))
-    if weaver_outcome == "V":
-        corrections.append((0, "Z"))
-    return ProtocolResult(
-        protocol="cycle",
-        final_graph=final,
-        success_exponent=m_users + 1,
-        measurement_record=tuple(record),
-        m_minus=m_minus,
-        corrections=tuple(corrections),
-        resources={"bell_pairs": m_users + 1},
-    )
+    return _cycle(m_users, outcomes, weaver_outcome)[0]
 
 
 def cycle_optics(
@@ -298,10 +295,8 @@ def cycle_optics(
     the weaver interfere at a PBS, the weaver side is rotated, and its
     H/V detection removes it as a leaf on the server qubit.
     """
-    outcomes = _canonical_outcomes(outcomes, m_users)
-    sv, prob = _caterpillar_circuit(["spine"] * m_users, True, outcomes, weaver_outcome)
-    record = [(f"b{j}", out) for j, out in zip(range(1, m_users + 1), outcomes)]
-    return sv, prob, (*record, ("w", weaver_outcome))
+    result, circuit = _cycle(m_users, outcomes, weaver_outcome)
+    return *_optics(circuit), result.measurement_record
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +333,45 @@ def caterpillar_layout_graph(layout: Sequence[str], close_cycle: bool = False) -
     return predict_representative(word[1:], close=False, survivors=range(1, len(word) + 1))
 
 
+def _weave_circuit(
+    layout: Sequence[str], close_cycle: bool, outcomes: str, weaver_outcome: str
+) -> _Circuit:
+    """Weave the layout's users; the woven users are detected with ``outcomes``.
+
+    Closed, the weaver is a server photon that ends on the stored
+    qubit 0.  Open, user 1's shared photon weaves, rotated once before
+    it meets user 2 when that user is on the spine.
+    """
+    m = len(layout)
+    users = range(1, m + 1)
+    leaves = {j for j in users if layout[j - 1] == "leaf"}
+    pairs, qubits = _user_pairs(users)
+    if close_cycle:
+        weaver, woven = SERVER_WEAVER, users
+        pairs = [(weaver, 0), *pairs]
+        elements = graph_weave(weaver, [*users, 0], leaves)
+        qubits[0] = 0
+    else:
+        weaver, woven = 1, users[1:]
+        lead = [{"hwp": [weaver, 22.5]}] if m > 1 and layout[1] == "spine" else []
+        elements = lead + graph_weave(weaver, woven, leaves)
+    detections = [(j, "PM", out) for j, out in zip(woven, outcomes)]
+    detections.append((weaver, "HV", weaver_outcome))
+    return _Circuit(pairs, elements, detections, qubits)
+
+
+def _caterpillar(layout: Sequence[str], close_cycle: bool) -> _Views:
+    m = len(layout)
+    if m > 7:
+        _check_layout(layout)  # a malformed layout reports that before the size cap
+        raise ValueError("caterpillar supports up to 7 users")
+    final = caterpillar_layout_graph(layout, close_cycle)
+    corrections = tuple((i + 1, "H") for i, kind in enumerate(layout) if kind == "spine")
+    result = ProtocolResult("caterpillar", final, m + 1 if close_cycle else m - 1, (), corrections,
+                            {"bell_pairs": m + (1 if close_cycle else 0)})
+    return result, _weave_circuit(layout, close_cycle, "+" * (m if close_cycle else m - 1), "H")
+
+
 def run_caterpillar(layout: Sequence[str], close_cycle: bool = False) -> ProtocolResult:
     """Distribute the caterpillar described by the layout.
 
@@ -346,59 +380,14 @@ def run_caterpillar(layout: Sequence[str], close_cycle: bool = False) -> Protoco
     rotation).  Open runs cost 2^-(M-1); closing through a server pair
     costs 2^-(M+1).
     """
-    m = len(layout)
-    if m > 7:
-        _check_layout(layout)  # a malformed layout reports that before the size cap
-        raise ValueError("caterpillar supports up to 7 users")
-    final = caterpillar_layout_graph(layout, close_cycle)
-    exponent = m + 1 if close_cycle else m - 1
-    corrections = tuple((i + 1, "H") for i, kind in enumerate(layout) if kind == "spine")
-    return ProtocolResult(
-        protocol="caterpillar",
-        final_graph=final,
-        success_exponent=exponent,
-        measurement_record=(),
-        m_minus=0,
-        corrections=corrections,
-        resources={"bell_pairs": m + (1 if close_cycle else 0)},
-    )
+    return _caterpillar(layout, close_cycle)[0]
 
 
 def caterpillar_optics(
     layout: Sequence[str], close_cycle: bool = False
 ) -> tuple[StateVector, float]:
     """Exact circuit for the caterpillar protocol, canonical outcomes."""
-    _check_layout(layout)
-    n_woven = len(layout) if close_cycle else len(layout) - 1
-    return _caterpillar_circuit(layout, close_cycle, "+" * n_woven, "H")
-
-
-def _caterpillar_circuit(
-    layout: Sequence[str], close_cycle: bool, outcomes: str, weaver_outcome: str
-) -> tuple[StateVector, float]:
-    """Weave the layout's users; the woven users are detected with ``outcomes``.
-
-    Closed, the weaver is a server photon (port 50) that ends on the
-    stored qubit 0.  Open, user 1's shared photon weaves, rotated once
-    before it meets user 2 when that user is on the spine.
-    """
-    m = len(layout)
-    users = range(1, m + 1)
-    leaves = {j for j in users if layout[j - 1] == "leaf"}
-    pairs = [(100 + i, i) for i in users]
-    qubits = {100 + i: i for i in users}
-    if close_cycle:
-        weaver, woven = 50, users
-        pairs = [(50, 0), *pairs]
-        elements = graph_weave(weaver, [*users, 0], leaves)
-        qubits[0] = 0
-    else:
-        weaver, woven = 1, users[1:]
-        lead = [{"hwp": [weaver, 22.5]}] if m > 1 and layout[1] == "spine" else []
-        elements = lead + graph_weave(weaver, woven, leaves)
-    measure = [(j, "PM", out) for j, out in zip(woven, outcomes)]
-    measure.append((weaver, "HV", weaver_outcome))
-    return _run_optics(pairs, elements, measure, qubits)
+    return _optics(_caterpillar(layout, close_cycle)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -473,35 +462,36 @@ def _block_graph(kind: str, users: list[int], left: int, right: int) -> Graph:
     return star_graph(users[0], [left, users[1], right])
 
 
-def build_block(kind: str, index: int = 1) -> tuple[Graph, Fraction]:
+def _block(kind: str) -> tuple[tuple[Graph, Fraction], _Circuit]:
+    if kind not in BLOCK_KINDS:
+        raise ValueError(f"unknown block kind {kind!r}")
+    users = [1] if kind == "three" else [1, 2]
+    pairs, qubits = _user_pairs(users)
+    # the stored photons pL, pR keep ports 60, 61; the server weaves 50 and 51
+    pairs = [(60, SERVER_WEAVER), *pairs, (61, 51)]
+    qubits = {60: -1, **qubits, 61: -2}
+    graph = _block_graph(kind, users, -1, -2), Fraction(1, 2 ** BLOCK_EXPONENTS[kind])
+    if kind == "star4":
+        ports = [SERVER_WEAVER, *users, 51]
+        return graph, _Circuit(pairs, ghz_weave(ports), [(p, "PM", "+") for p in ports], qubits)
+    detections = [(p, "PM", "+") for p in (*users, 51)] + [(SERVER_WEAVER, "HV", "H")]
+    return graph, _Circuit(pairs, graph_weave(SERVER_WEAVER, [*users, 51]), detections, qubits)
+
+
+def build_block(kind: str) -> tuple[Graph, Fraction]:
     """One stored building block and its weaving success probability.
 
     path4: pL - u1 - u2 - pR with the server storing the outer photons;
     star4: a GHZ of both users and two stored photons; three: pL - u - pR
-    around a single user.  Labels: users are 2k-1, 2k (or k for three),
-    server photons are negative.
+    around a single user.  Labels: users are 1 and 2 (1 alone for three),
+    the stored photons pL and pR are -1 and -2.
     """
-    if kind not in BLOCK_KINDS:
-        raise ValueError(f"unknown block kind {kind!r}")
-    k = index
-    left, right = -(2 * k - 1), -(2 * k)
-    users = [k] if kind == "three" else [2 * k - 1, 2 * k]
-    prob = Fraction(1, 2 ** BLOCK_EXPONENTS[kind])
-    return _block_graph(kind, users, left, right), prob
+    return _block(kind)[0]
 
 
 def block_optics(kind: str) -> tuple[StateVector, float]:
-    """Exact circuit for one building block (index 1 labels)."""
-    if kind not in BLOCK_KINDS:
-        raise ValueError(f"unknown block kind {kind!r}")
-    users = [1] if kind == "three" else [1, 2]
-    pairs = [(60, 50), *[(100 + u, u) for u in users], (61, 51)]
-    qubits = {60: -1, **{100 + u: u for u in users}, 61: -2}
-    if kind == "star4":
-        measure = [(p, "PM", "+") for p in (50, *users, 51)]
-        return _run_optics(pairs, ghz_weave([50, *users, 51]), measure, qubits)
-    measure = [(p, "PM", "+") for p in (*users, 51)] + [(50, "HV", "H")]
-    return _run_optics(pairs, graph_weave(50, [*users, 51]), measure, qubits)
+    """Exact circuit for one building block, labelled as in ``build_block``."""
+    return _optics(_block(kind)[1])
 
 
 @dataclass(frozen=True)
@@ -610,7 +600,6 @@ def fuse_chain(
         final_graph=chain,
         success_exponent=sum(BLOCK_EXPONENTS[b] for b in blocks) + joints,
         measurement_record=(),
-        m_minus=0,
         corrections=(),
         resources={"blocks": consumed, "bell_pairs": pairs, "fusions": fusions},
     )

@@ -155,49 +155,25 @@ def check_protocol_exponents() -> CriterionResult:
     return _result("protocol-exponents", True, f"{len(checks)} exponents exact", t0)
 
 
-def check_dual_path() -> CriterionResult:
-    """Optics layer and graph layer agree over every protocol's full range.
+def _dual_path_cases():
+    """(label, optics (state, probability), graph, exact probability), in report order."""
 
-    The comb intermediate (2M qubits) stops at M = 5, the equivalence limit.
-    """
-    t0 = time.time()
+    def case(label, run, optics, *args):
+        res = run(*args)
+        return label, optics(*args)[:2], res.final_graph, res.success_probability
+
     for m in range(2, 9):
-        sv, prob, _ = pr.ghz_optics(m)
-        res = pr.run_ghz(m)
-        if abs(prob - float(res.success_probability)) > PROB_TOL:
-            return _result("dual-path", False, f"ghz M={m} prob", t0)
-        if not state_locally_equivalent(sv, res.final_graph):
-            return _result("dual-path", False, f"ghz M={m} state", t0)
-        sv, prob, _ = pr.ghz_optics(m, server_participates=True)
-        res = pr.run_ghz(m, True)
-        if abs(prob - float(res.success_probability)) > PROB_TOL:
-            return _result("dual-path", False, f"ghz+server M={m} prob", t0)
-        if not state_locally_equivalent(sv, res.final_graph):
-            return _result("dual-path", False, f"ghz+server M={m} state", t0)
+        yield case(f"ghz M={m}", pr.run_ghz, pr.ghz_optics, m)
+        yield case(f"ghz+server M={m}", pr.run_ghz, pr.ghz_optics, m, True)
     for m in range(2, 8):
         if 2 * m <= EQUIVALENCE_LIMIT:
-            comb_sv, prob, _ = pr.path_optics(m, stop_before_measurement=True)
-            if not state_locally_equivalent(comb_sv, pr.comb_graph(m)):
-                return _result("dual-path", False, f"path M={m} comb intermediate", t0)
-        sv, prob, _ = pr.path_optics(m)
-        res = pr.run_path(m)
-        if abs(prob - float(res.success_probability)) > PROB_TOL:
-            return _result("dual-path", False, f"path M={m} prob", t0)
-        if not state_locally_equivalent(sv, res.final_graph):
-            return _result("dual-path", False, f"path M={m} state", t0)
-        sv, prob, _ = pr.path_optics(m, server_participates=True)
-        res = pr.run_path(m, True)
-        if abs(prob - float(res.success_probability)) > PROB_TOL:
-            return _result("dual-path", False, f"path+server M={m} prob", t0)
-        if not state_locally_equivalent(sv, res.final_graph):
-            return _result("dual-path", False, f"path+server M={m} state", t0)
+            comb = pr.path_optics(m, stop_before_measurement=True)[:2]
+            yield (f"path M={m} comb intermediate", comb, pr.comb_graph(m),
+                   pr.run_path(m).success_probability)
+        yield case(f"path M={m}", pr.run_path, pr.path_optics, m)
+        yield case(f"path+server M={m}", pr.run_path, pr.path_optics, m, True)
     for m in range(3, 7):
-        sv, prob, _ = pr.cycle_optics(m)
-        res = pr.run_cycle(m)
-        if abs(prob - float(res.success_probability)) > PROB_TOL:
-            return _result("dual-path", False, f"cycle M={m} prob", t0)
-        if not state_locally_equivalent(sv, res.final_graph):
-            return _result("dual-path", False, f"cycle M={m} state", t0)
+        yield case(f"cycle M={m}", pr.run_cycle, pr.cycle_optics, m)
     layouts = [
         (["spine", "spine", "leaf"], False),
         (["spine", "leaf", "spine"], False),
@@ -208,17 +184,23 @@ def check_dual_path() -> CriterionResult:
         (["spine", "spine", "leaf", "spine", "leaf", "spine", "leaf"], True),
     ]
     for layout, close in layouts:
-        sv, prob = pr.caterpillar_optics(layout, close)
-        res = pr.run_caterpillar(layout, close)
-        if abs(prob - float(res.success_probability)) > PROB_TOL:
-            return _result("dual-path", False, f"caterpillar {layout} close={close} prob", t0)
-        if not state_locally_equivalent(sv, res.final_graph):
-            return _result("dual-path", False, f"caterpillar {layout} close={close} state", t0)
+        yield case(f"caterpillar {layout} close={close}", pr.run_caterpillar,
+                   pr.caterpillar_optics, layout, close)
     for kind in pr.BLOCK_KINDS:
-        sv, prob = pr.block_optics(kind)
-        g, p = pr.build_block(kind)
-        if abs(prob - float(p)) > PROB_TOL or not state_locally_equivalent(sv, g):
-            return _result("dual-path", False, f"block {kind}", t0)
+        yield f"block {kind}", pr.block_optics(kind), *pr.build_block(kind)
+
+
+def check_dual_path() -> CriterionResult:
+    """Optics layer and graph layer agree over every protocol's full range.
+
+    The comb intermediate (2M qubits) stops at M = 5, the equivalence limit.
+    """
+    t0 = time.time()
+    for label, (sv, prob), graph, exact in _dual_path_cases():
+        if abs(prob - float(exact)) > PROB_TOL:
+            return _result("dual-path", False, f"{label} prob", t0)
+        if not state_locally_equivalent(sv, graph):
+            return _result("dual-path", False, f"{label} state", t0)
     return _result("dual-path", True, "ghz M<=8, path M<=7 (comb M<=5), cycle M<=6, "
                    "caterpillar M<=7 and blocks agree", t0)
 

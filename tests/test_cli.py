@@ -263,6 +263,40 @@ def test_export_bad_combination(tmp_path, capsys):
     assert code == 2
 
 
+MALFORMED_EXPORTS = [
+    # not a JSON object: the usage error for input of neither kind
+    ("5", 2), ('"vertices edges"', 2), ("null", 2),
+    # graphs: labels and edge ends are integers, edges are pairs
+    ('{"vertices": [1, "a"], "edges": []}', 1),
+    ('{"vertices": [1], "edges": null}', 1),
+    ('{"vertices": [1, 1.5], "edges": []}', 1),
+    ('{"vertices": [1, true], "edges": []}', 1),
+    ('{"vertices": [1, 2], "edges": [[1, 2.0]]}', 1),
+    ('{"vertices": [1, 2], "edges": [[1, 2, 1]]}', 1),
+    # state dumps: H/V polarizations, positive integer counts, two finite numbers
+    ('{"terms": [{"occupations": [[0, "X", 1]], "amplitude": [1, 0]}]}', 1),
+    ('{"terms": [{"occupations": [[0, "H", -1]], "amplitude": [1, 0]}]}', 1),
+    ('{"terms": [{"occupations": [[0, "H", true]], "amplitude": [1, 0]}]}', 1),
+    ('{"terms": [{"occupations": [["a", "H", 1]], "amplitude": [1, 0]}]}', 1),
+    ('{"terms": [{"occupations": [[0, "H", 1]], "amplitude": ["a", 0]}]}', 1),
+    ('{"terms": [{"occupations": [[0, "H", 1]], "amplitude": [NaN, 0]}]}', 1),
+    ('{"terms": [{"occupations": [[0, "H", 1]], "amplitude": [1]}]}', 1),
+    ('{"terms": [5]}', 1),
+    ('{"total_photons": "1", "terms": []}', 1),
+]
+
+
+@pytest.mark.parametrize("text,code", MALFORMED_EXPORTS)
+def test_export_rejects_malformed_input(text, code, tmp_path, capsys):
+    infile = tmp_path / "in.json"
+    infile.write_text(text)
+    assert main(["export", "--in", str(infile), "--format", "json"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 2 else "error: ")
+    if code == 2:
+        assert "neither a graph JSON nor a state dump JSON" in err
+
+
 def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PHOTONWEAVE_OUT_DIR", str(tmp_path))
     code = main(["simulate", "--protocol", "ghz", "--users", "2", "--out", "report.json"])

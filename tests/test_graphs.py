@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from photonweave.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph_as_dict,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -251,6 +253,7 @@ def test_json_round_trip():
     g = cycle_graph(5).add_vertex(9).add_edge(1, 9)
     assert graph_from_json(graph_to_json(g)).edges == g.edges
     assert set(graph_from_json(graph_to_json(g)).vertices) == set(g.vertices)
+    assert json.loads(graph_to_json(g)) == graph_as_dict(g)
 
 
 def test_dot_round_trip():

@@ -1,6 +1,9 @@
+import ast
 import itertools
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,8 +306,32 @@ def _outcome_branches():
 def test_corrections_give_final_graph_state_on_every_branch(protocol, kwargs):
     run, optics_run = BRANCH_RUNNERS[protocol]
     res = run(**kwargs)
-    sv = optics_run(**kwargs)[0]
+    sv, _, record = optics_run(**kwargs)
+    assert record == res.measurement_record
     assert_is_final_graph_state(corrected(sv, res.corrections), res)
+
+
+@pytest.mark.parametrize("run,optics_run,args", [
+    (run_ghz, ghz_optics, (1,)),
+    (run_path, path_optics, (8,)),
+    (run_cycle, cycle_optics, (2,)),
+    (run_caterpillar, caterpillar_optics, (["spine"] * 8,)),
+    (run_caterpillar, caterpillar_optics, (["spine", "leaf"], True)),
+    (run_path, path_optics, (2, True, None, "X")),
+], ids=["ghz-1", "path-8", "cycle-2", "caterpillar-8", "caterpillar-closed-one-spine",
+        "path-server-weaver-X"])
+def test_optics_rejects_what_its_runner_rejects(run, optics_run, args):
+    with pytest.raises(ValueError) as rejected:
+        run(*args)
+    with pytest.raises(type(rejected.value), match=f"^{re.escape(str(rejected.value))}$"):
+        optics_run(*args)
+
+
+def test_protocols_run_circuits_from_one_site():
+    tree = ast.parse(Path(protocols.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "run_circuit"]
+    assert len(calls) == 1
 
 
 def test_caterpillar_layout_validation():
