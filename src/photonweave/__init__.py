@@ -42,7 +42,6 @@ from .protocols import (
     run_cycle,
     run_ghz,
     run_path,
-    weave_graphs,
 )
 from .states import StateVector, state_locally_equivalent, to_state_vector
 
@@ -79,5 +78,4 @@ __all__ = [
     "star_graph",
     "state_locally_equivalent",
     "to_state_vector",
-    "weave_graphs",
 ]

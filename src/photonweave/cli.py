@@ -95,18 +95,21 @@ def _report(verb: str, command: dict, results: dict, passed: bool | None, t0: fl
     }
 
 
-#: the flags each protocol reads; ``montecarlo`` also reads --trials, --seed and --csv
-_PROTOCOL_FLAGS = {
-    "ghz": ("users", "server", "outcomes"),
-    "path": ("users", "server", "outcomes"),
-    "cycle": ("users", "outcomes"),
-    "caterpillar": ("layout", "close"),
-    "chain": ("blocks", "plan", "close", "keep_ends", "seed"),
-}
+#: the flag of each request key whose name differs; the other keys are their own flags
+_FLAG_OF = {"M": "users", "keep_server_ends": "keep_ends"}
+#: how a flag's text becomes its request value; the other values pass as parsed
+_PARSE = {"layout": lambda text: text.split(","), "blocks": lambda text: text.split(","),
+          "plan": list}
 #: the flags each ``verify`` suite reads; the other suites, and ``all``, read none
 _SUITE_FLAGS = {"appendix-b": ("n",), "monte-carlo": ("trials", "seed")}
 #: ``simulate`` echoes these protocol flags only when they are set
 _ECHO_WHEN_SET = ("outcomes", "keep_ends")
+#: request keys named even when their switch is unset (``montecarlo`` reports echo ``close``)
+_NAMED_WHEN_UNSET = ("close",)
+
+
+def _is_set(value) -> bool:
+    return value is not None and value is not False
 
 
 def _reject_unread(args, reads: tuple[str, ...], what: str) -> None:
@@ -114,40 +117,25 @@ def _reject_unread(args, reads: tuple[str, ...], what: str) -> None:
     for flag, value in vars(args).items():
         if flag in ("verb", "protocol", "suite", "out") or flag in reads:
             continue
-        if value is not None and value is not False:
+        if _is_set(value):
             raise UsageError(f"{what} does not read --{flag.replace('_', '-')}")
 
 
-def _request(args, also_reads: tuple[str, ...] = ()) -> dict:
-    """The protocol request (README schema) named by ``simulate``/``montecarlo`` flags."""
-    protocol = args.protocol
-    request: dict = {"protocol": protocol}
-    if protocol in ("ghz", "path", "cycle"):
-        if args.users is None:
-            raise UsageError("--users is required for this protocol")
-        request["M"] = args.users
-        if args.server:
-            request["server"] = True
-    elif protocol == "caterpillar":
-        if not args.layout:
-            raise UsageError("--layout is required for the caterpillar protocol")
-        request["layout"] = args.layout.split(",")
-        bad = set(request["layout"]) - {"spine", "leaf"}
-        if bad:
-            raise UsageError(f"layout entries must be spine/leaf, got {sorted(bad)}")
-        request["close"] = args.close
-    else:
-        if not args.blocks:
-            raise UsageError("--blocks is required for the chain protocol")
-        request["blocks"] = args.blocks.split(",")
-        bad = {b.lower() for b in request["blocks"]} - set(pr.BLOCK_KINDS)
-        if bad:
-            raise UsageError(f"unknown block kinds {sorted(bad)}")
-        if args.plan:
-            request["plan"] = list(args.plan)
-        request["close"] = args.close
-    _reject_unread(args, _PROTOCOL_FLAGS[protocol] + also_reads, f"the {protocol} protocol")
-    return request
+def _request(args, also_reads: tuple[str, ...]) -> tuple[dict, tuple[str, ...]]:
+    """The protocol request named by ``simulate``/``montecarlo`` flags, and the flags it reads.
+
+    Each request key the protocol reads (``protocols.REQUESTS``) comes from
+    its flag; ``run_request`` checks the request.
+    """
+    _, required, optional = pr.REQUESTS[args.protocol]
+    flags = {key: _FLAG_OF.get(key, key) for key in required + optional}
+    _reject_unread(args, (*flags.values(), *also_reads), f"the {args.protocol} protocol")
+    request = {"protocol": args.protocol}
+    for key, flag in flags.items():
+        value = getattr(args, flag, None)  # montecarlo has no --outcomes or --keep-ends
+        if _is_set(value) or key in _NAMED_WHEN_UNSET:
+            request[key] = _PARSE[key](value) if key in _PARSE else value
+    return request, tuple(flags.values())
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -164,16 +152,13 @@ _FAILED_CHAIN_RESULT = {
 
 
 def _cmd_simulate(args) -> tuple[dict, bool | None, dict]:
-    request = _request(args)
-    if args.protocol == "chain" and args.seed is None:
+    seed = ("seed",) if args.protocol == "chain" else ()
+    request, flags = _request(args, also_reads=seed)
+    if seed and args.seed is None:
         raise UsageError("--seed is required when fusions are sampled")
     command = {"protocol": args.protocol}
-    command.update((flag, getattr(args, flag)) for flag in _PROTOCOL_FLAGS[args.protocol]
-                   if flag not in _ECHO_WHEN_SET or getattr(args, flag))
-    if args.outcomes:
-        request["outcomes"] = args.outcomes
-    if args.keep_ends:
-        request["keep_server_ends"] = True
+    command.update((flag, getattr(args, flag)) for flag in (*flags, *seed)
+                   if flag not in _ECHO_WHEN_SET or _is_set(getattr(args, flag)))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     res = pr.run_request(request, rng=rng)
     if args.protocol != "chain":
@@ -244,18 +229,13 @@ def _cmd_montecarlo(args) -> tuple[dict, bool | None, dict]:
         raise UsageError("--seed is required for montecarlo")
     if args.trials is None or args.trials < 1:
         raise UsageError("--trials must be a positive integer")
-    request = _request(args, also_reads=("trials", "seed", "csv"))
+    request, _ = _request(args, also_reads=("trials", "seed", "csv"))
     trial_log: list | None = [] if args.csv else None
     stats = pr.monte_carlo(request, args.trials, args.seed, trial_log=trial_log)
     if args.csv:
         target = _resolve_out(args.csv)
-        header = (
-            "trial,success,blocks,bell_pairs,fusions"
-            if args.protocol == "chain"
-            else "trial,success,bell_pairs"
-        )
         with open(target, "w") as fh:
-            fh.write(header + "\n")
+            fh.write(",".join(("trial", "success", *stats.resource_means)) + "\n")
             for row in trial_log:
                 fh.write(",".join(str(x) for x in row) + "\n")
     command = {
@@ -308,19 +288,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    sim = sub.add_parser("simulate", help="run one protocol and report the distributed state")
-    sim.add_argument("--protocol", required=True,
-                     choices=["ghz", "path", "cycle", "caterpillar", "chain"])
-    sim.add_argument("--users", type=int)
-    sim.add_argument("--server", action="store_true", help="server keeps a qubit")
+    # the protocol flags simulate and montecarlo share (see _request);
+    # simulate alone reads --outcomes and --keep-ends
+    protocol = argparse.ArgumentParser(add_help=False)
+    protocol.add_argument("--protocol", required=True, choices=list(pr.REQUESTS))
+    protocol.add_argument("--users", type=int)
+    protocol.add_argument("--server", action="store_true", help="server keeps a qubit")
+    protocol.add_argument("--layout", help="comma list of spine/leaf per user")
+    protocol.add_argument("--close", action="store_true", help="close into a cycle")
+    protocol.add_argument("--blocks", help="comma list of path4/star4/three")
+    protocol.add_argument("--plan", help="per-joint measurement letters, e.g. 'YY'")
+    protocol.add_argument("--seed", type=int)
+    protocol.add_argument("--out")
+
+    sim = sub.add_parser("simulate", parents=[protocol],
+                         help="run one protocol and report the distributed state")
     sim.add_argument("--outcomes", help="detector outcomes, e.g. '+-+'")
-    sim.add_argument("--layout", help="comma list of spine/leaf per user")
-    sim.add_argument("--close", action="store_true", help="close into a cycle")
-    sim.add_argument("--blocks", help="comma list of path4/star4/three")
-    sim.add_argument("--plan", help="per-joint measurement letters, e.g. 'YY'")
     sim.add_argument("--keep-ends", action="store_true", help="keep outer server photons")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--out")
 
     cls = sub.add_parser("classify", help="classify a measurement word")
     cls.add_argument("--word", required=True)
@@ -336,19 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int)
     ver.add_argument("--out")
 
-    mc = sub.add_parser("montecarlo", help="seeded Monte Carlo estimation")
-    mc.add_argument("--protocol", required=True,
-                    choices=["ghz", "path", "cycle", "caterpillar", "chain"])
-    mc.add_argument("--users", type=int)
-    mc.add_argument("--server", action="store_true")
-    mc.add_argument("--layout")
-    mc.add_argument("--close", action="store_true")
-    mc.add_argument("--blocks")
-    mc.add_argument("--plan")
+    mc = sub.add_parser("montecarlo", parents=[protocol], help="seeded Monte Carlo estimation")
     mc.add_argument("--trials", type=int)
-    mc.add_argument("--seed", type=int)
     mc.add_argument("--csv", help="write a per-trial CSV log here")
-    mc.add_argument("--out")
 
     exp = sub.add_parser("export", help="re-emit a graph or state artifact")
     exp.add_argument("--in", dest="infile", required=True)

@@ -409,6 +409,9 @@ def graph_from_json(text: str) -> Graph:
         not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e) for e in edges
     ):
         raise ValueError("graph edges are a list of integer pairs")
+    # Graph() drops repeats, which would re-emit a different graph than the file holds
+    if len(set(vertices)) < len(vertices) or len({frozenset(e) for e in edges}) < len(edges):
+        raise ValueError("a graph lists each vertex and each edge once")
     return Graph(vertices, [tuple(e) for e in edges])
 
 

@@ -472,7 +472,13 @@ def state_from_json_dict(payload: dict) -> PhotonicState:
             type(x) in (int, float) and abs(x) <= sys.float_info.max for x in amplitude
         ):
             raise ValueError("an amplitude is two finite numbers [re, im]")
-        terms[_pattern({(port, pol): count for port, pol, count in occupations})] = complex(*amplitude)
+        counts = {(port, pol): count for port, pol, count in occupations}
+        if len(counts) < len(occupations):
+            raise ValueError("a term lists each (port, polarization) mode once")
+        pattern = _pattern(counts)
+        if pattern in terms:
+            raise ValueError("a state dump lists each occupation pattern once")
+        terms[pattern] = complex(*amplitude)
     return PhotonicState(terms, total)
 
 

@@ -308,7 +308,7 @@ def _check_layout(layout: Sequence[str]) -> None:
     if not layout:
         raise ValueError("layout is empty")
     if any(kind not in ("spine", "leaf") for kind in layout):
-        raise ValueError("layout entries are 'spine' or 'leaf'")
+        raise InputShapeError("layout entries are 'spine' or 'leaf'")
     if layout[0] != "spine":
         raise ValueError("a leaf needs a spine vertex before it")
 
@@ -395,23 +395,6 @@ def caterpillar_optics(
 # ---------------------------------------------------------------------------
 
 
-def weave_graphs(g1: Graph, m: int, g2: Graph, n: int, aux: int | None = None) -> Graph:
-    """Connect two disjoint graphs by weaving qubits m and n.
-
-    The result is the union plus the edge {m, n}, with the fresh weaving
-    photon left attached to n only.  The optical gate succeeds with
-    probability 1/4 (two postselected interferences).
-    """
-    if set(g1.vertices) & set(g2.vertices):
-        raise ValueError("graphs must carry disjoint labels")
-    g1._require(m)
-    g2._require(n)
-    if aux is None:
-        aux = max(list(g1.vertices) + list(g2.vertices)) + 1
-    out = g1.disjoint_union(g2).add_vertex(aux)
-    return out.add_edge(m, n).add_edge(n, aux)
-
-
 def fuse_within(g: Graph, f: int, l: int) -> Graph:
     """Fuse two non-adjacent qubits of one graph state (PBS + rotation).
 
@@ -464,7 +447,7 @@ def _block_graph(kind: str, users: list[int], left: int, right: int) -> Graph:
 
 def _block(kind: str) -> tuple[tuple[Graph, Fraction], _Circuit]:
     if kind not in BLOCK_KINDS:
-        raise ValueError(f"unknown block kind {kind!r}")
+        raise InputShapeError(f"unknown block kind {kind!r}")
     users = [1] if kind == "three" else [1, 2]
     pairs, qubits = _user_pairs(users)
     # the stored photons pL, pR keep ports 60, 61; the server weaves 50 and 51
@@ -503,6 +486,8 @@ class ChainResult:
     blocks_consumed: int
     bell_pairs_used: int
     fusion_attempts: int
+    blocks: tuple[str, ...]  # the block kinds as fused, lowercased
+    close_cycle: bool
 
 
 def _retry_counts(
@@ -551,7 +536,7 @@ def fuse_chain(
     blocks = [b.lower() for b in blocks]
     for b in blocks:
         if b not in BLOCK_KINDS:
-            raise ValueError(f"unknown block kind {b!r}")
+            raise InputShapeError(f"unknown block kind {b!r}")
     if len(blocks) < 2:
         raise ValueError("a chain needs at least two blocks")
     joints = len(blocks) - 1 + (1 if close_cycle else 0)
@@ -572,7 +557,7 @@ def fuse_chain(
 
     succeeded, consumed, pairs, fusions = _retry_counts(blocks, close_cycle, fusion_fails)
     if not succeeded:
-        return ChainResult(None, False, consumed, pairs, fusions)
+        return ChainResult(None, False, consumed, pairs, fusions, tuple(blocks), close_cycle)
     # users are numbered along the chain; block k stores server photons
     # -(2k-1), -(2k); joint j (closure last) becomes vertex -1000 - j
     chain, next_user = None, 1
@@ -603,7 +588,7 @@ def fuse_chain(
         corrections=(),
         resources={"blocks": consumed, "bell_pairs": pairs, "fusions": fusions},
     )
-    return ChainResult(result, True, consumed, pairs, fusions)
+    return ChainResult(result, True, consumed, pairs, fusions, tuple(blocks), close_cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -631,27 +616,41 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
+#: the request schema, as the README tables it: protocol -> (runner, required keys, optional keys);
+#: required keys pass as the runner's leading arguments, in order, and optional keys by name;
+#: runners are named, not held, so ``run_request`` finds them in this module when it runs
+REQUESTS = {
+    "ghz": ("run_ghz", ("M",), ("server", "outcomes")),
+    "path": ("run_path", ("M",), ("server", "outcomes")),
+    "cycle": ("run_cycle", ("M",), ("outcomes",)),
+    "caterpillar": ("run_caterpillar", ("layout",), ("close",)),
+    # only the chain runner also takes ``rng``, which draws its fusion coins
+    "chain": ("fuse_chain", ("blocks",), ("plan", "close", "keep_server_ends")),
+}
+#: the runner parameter behind each optional key whose name differs
+_PARAMETERS = {"server": "server_participates", "close": "close_cycle", "plan": "measurement_plan"}
+
+
 def run_request(request: dict, rng: np.random.Generator | None = None):
-    """Run one protocol described by a request dict (see README schema)."""
-    protocol = request["protocol"]
-    if protocol == "ghz":
-        return run_ghz(request["M"], request.get("server", False), request.get("outcomes"))
-    if protocol == "path":
-        return run_path(request["M"], request.get("server", False), request.get("outcomes"))
-    if protocol == "cycle":
-        return run_cycle(request["M"], request.get("outcomes"))
-    if protocol == "caterpillar":
-        return run_caterpillar(request["layout"], request.get("close", False))
-    if protocol == "chain":
-        chain = fuse_chain(
-            request["blocks"],
-            request.get("plan"),
-            close_cycle=request.get("close", False),
-            keep_server_ends=request.get("keep_server_ends", False),
-            rng=rng,
-        )
-        return chain
-    raise ValueError(f"unknown protocol {protocol!r}")
+    """Run the protocol a request names (see ``REQUESTS``); ``rng`` draws a chain's fusion coins.
+
+    A request that lacks a required key, or holds a key its protocol does
+    not read, raises ``InputShapeError``; an unknown protocol, ``ValueError``.
+    """
+    protocol = request.get("protocol")
+    if protocol not in REQUESTS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    runner, required, optional = REQUESTS[protocol]
+    for key in required:
+        if key not in request:
+            raise InputShapeError(f"a {protocol} request needs {key!r}")
+    kwargs = {"rng": rng} if protocol == "chain" else {}
+    for key, value in request.items():
+        if key not in (*required, *optional, "protocol"):
+            raise InputShapeError(f"a {protocol} request does not read {key!r}")
+        if key in optional:
+            kwargs[_PARAMETERS.get(key, key)] = value
+    return globals()[runner](*(request[key] for key in required), **kwargs)
 
 
 def monte_carlo(
@@ -671,23 +670,20 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("trials >= 1")
     successes = 0
+    base = run_request(request)  # checks the request; a chain's graph is built once here
     if request["protocol"] == "chain":
-        run_request(request)  # validates the request and builds the chain once
-        blocks = [b.lower() for b in request["blocks"]]
-        close = request.get("close", False)
         totals = [0, 0, 0]
         for t in range(trials):
             coin = _trial_rng(seed, t).integers
-            succeeded, *counts = _retry_counts(blocks, close, lambda: coin(0, 2))
+            succeeded, *counts = _retry_counts(base.blocks, base.close_cycle, lambda: coin(0, 2))
             successes += succeeded
             totals = [a + b for a, b in zip(totals, counts)]
             if trial_log is not None:
                 trial_log.append((t, int(succeeded), *counts))
         resource_totals = dict(zip(("blocks", "bell_pairs", "fusions"), totals))
         # the closure fusion is the only unrecoverable coin
-        analytic = 0.5 if close else 1.0
+        analytic = 0.5 if base.close_cycle else 1.0
     else:
-        base = run_request(request)
         analytic = float(Fraction(1, 2**base.success_exponent))
         pairs = base.resources.get("bell_pairs", 0)
         for t in range(trials):

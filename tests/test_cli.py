@@ -179,6 +179,11 @@ def test_runtime_error_exit_code(capsys):
         ["simulate", "--protocol", "chain", "--blocks", "path4,path4", "--plan", "YY",
          "--seed", "1"],
         ["classify", "--word", "XXYYZZ", "--resource", "zigzag", "--n", "8"],
+        # an empty value is set, so it reaches the same shape checks
+        ["simulate", "--protocol", "ghz", "--users", "3", "--outcomes="],
+        ["simulate", "--protocol", "chain", "--blocks", "path4,path4", "--plan=", "--seed", "1"],
+        ["montecarlo", "--protocol", "chain", "--blocks", "path4,path4", "--plan=",
+         "--trials", "10", "--seed", "1"],
     ],
 )
 def test_wrong_length_input_is_usage_error(argv, capsys):
@@ -283,6 +288,12 @@ MALFORMED_EXPORTS = [
     ('{"terms": [{"occupations": [[0, "H", 1]], "amplitude": [1]}]}', 1),
     ('{"terms": [5]}', 1),
     ('{"total_photons": "1", "terms": []}', 1),
+    # each vertex, edge, term and mode of a term once: a repeat would be dropped on reading
+    ('{"vertices": [1, 1, 2], "edges": [[1, 2], [2, 1]]}', 1),
+    ('{"vertices": [1, 2], "edges": [[1, 2], [2, 1]]}', 1),
+    ('{"terms": [{"occupations": [[0, "H", 1]], "amplitude": [0.6, 0]},'
+     ' {"occupations": [[0, "H", 1]], "amplitude": [0.8, 0]}]}', 1),
+    ('{"terms": [{"occupations": [[0, "H", 1], [0, "H", 1]], "amplitude": [1, 0]}]}', 1),
 ]
 
 
@@ -386,6 +397,20 @@ def test_bad_blocks_or_layout_is_usage_error(verb, flags, capsys):
 ])
 def test_flag_the_protocol_ignores_is_usage_error(argv, capsys):
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("flags, request_", [
+    (["--protocol", "ghz", "--users", "3"], {"protocol": "ghz", "M": 3}),
+    (["--protocol", "path", "--users", "3", "--server"],
+     {"protocol": "path", "M": 3, "server": True}),
+    (["--protocol", "caterpillar", "--layout", "spine,leaf"],
+     {"protocol": "caterpillar", "layout": ["spine", "leaf"], "close": False}),
+    (["--protocol", "chain", "--blocks", "three,three", "--plan", "X"],
+     {"protocol": "chain", "blocks": ["three", "three"], "plan": ["X"], "close": False}),
+])
+def test_montecarlo_echoes_the_request(flags, request_, capsys):
+    code, report = run_cli(capsys, "montecarlo", *flags, "--trials", "10", "--seed", "1")
+    assert code == 0 and report["command"]["request"] == request_
 
 
 def test_simulate_echoes_keep_ends_only_when_set(capsys):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import math
 import re
@@ -14,6 +15,7 @@ from photonweave import protocols
 
 from photonweave.graphs import (
     Graph,
+    InputShapeError,
     classify_graph,
     cycle_graph,
     locally_equivalent,
@@ -23,6 +25,7 @@ from photonweave.graphs import (
 from photonweave.protocols import (
     BLOCK_KINDS,
     MonteCarloStats,
+    REQUESTS,
     block_optics,
     build_block,
     caterpillar_optics,
@@ -39,7 +42,6 @@ from photonweave.protocols import (
     run_ghz,
     run_path,
     run_request,
-    weave_graphs,
 )
 from photonweave.states import (
     NORM_TOL,
@@ -344,6 +346,24 @@ def test_caterpillar_layout_validation():
 
 
 # -- weaving and fusion ops ---------------------------------------------------------------
+
+
+def weave_graphs(g1: Graph, m: int, g2: Graph, n: int, aux: int | None = None) -> Graph:
+    """Connect two disjoint graphs by weaving qubits m and n.
+
+    The result is the union plus the edge {m, n}, with the fresh weaving
+    photon left attached to n only.  The optical gate succeeds with
+    probability 1/4 (two postselected interferences); no protocol builds
+    on it, so it lives here, tied to optics by ``test_weave_optics_realization``.
+    """
+    if set(g1.vertices) & set(g2.vertices):
+        raise ValueError("graphs must carry disjoint labels")
+    g1._require(m)
+    g2._require(n)
+    if aux is None:
+        aux = max(list(g1.vertices) + list(g2.vertices)) + 1
+    out = g1.disjoint_union(g2).add_vertex(aux)
+    return out.add_edge(m, n).add_edge(n, aux)
 
 
 def test_weave_two_single_vertices():
@@ -676,6 +696,57 @@ def test_run_request_dispatch():
     assert res.success_exponent == 4
     with pytest.raises(ValueError):
         run_request({"protocol": "teleport"})
+
+
+@pytest.mark.parametrize("run", [run_request, lambda request: monte_carlo(request, 10, 1)],
+                         ids=["run_request", "monte_carlo"])
+@pytest.mark.parametrize("request_, message", [
+    ({"protocol": "cycle", "M": 3, "server": True}, "a cycle request does not read 'server'"),
+    ({"protocol": "ghz", "M": 3, "close": True}, "a ghz request does not read 'close'"),
+    ({"protocol": "path", "M": 3, "weaver_outcome": "V"},
+     "a path request does not read 'weaver_outcome'"),
+    ({"protocol": "chain", "blocks": ["three", "three"], "clsoe": True},
+     "a chain request does not read 'clsoe'"),
+    ({"protocol": "ghz", "server": True}, "a ghz request needs 'M'"),
+    ({"protocol": "chain", "plan": ["Y"]}, "a chain request needs 'blocks'"),
+])
+def test_run_request_rejects_unread_and_missing_keys(run, request_, message):
+    with pytest.raises(InputShapeError) as excinfo:
+        run(request_)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("protocol", list(REQUESTS))
+def test_run_request_calls_the_runner_the_module_holds(monkeypatch, protocol):
+    # a wrapper set on the module (as a call tracer sets it) sees each call,
+    # with the required keys first and positional, and the optional ones by name
+    runner, required, optional = REQUESTS[protocol]
+    signature = inspect.signature(getattr(protocols, runner))
+    calls = []
+
+    def spy(*args, **kwargs):
+        signature.bind(*args, **kwargs)
+        calls.append(args)
+
+    monkeypatch.setattr(protocols, runner, spy)
+    run_request({"protocol": protocol, **{key: key for key in required + optional}})
+    assert calls == [required]
+
+
+def test_readme_request_table_matches_requests():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if not line.startswith("| `") or len(cells) != 3:
+            continue
+        # a cell's keys are its backticked names outside parentheses
+        required, optional = (tuple(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
+                              for cell in cells[1:])
+        for protocol in re.findall(r"`(\w+)`", cells[0]):
+            table[protocol] = (required, optional)
+    assert table == {protocol: (required, optional)
+                     for protocol, (_, required, optional) in REQUESTS.items()}
 
 
 def test_weave_optics_realization():

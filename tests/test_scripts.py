@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,14 @@ def test_protocol_table_script_zero_successes():
     cycle5 = next(row for row in lines if row.startswith("cycle M=5"))
     assert float(cycle5.split()[-2]) == 0.0
     assert float(lines[-1].split()[2]) <= 5
+
+
+def test_cli_matrix_script():
+    lines = run_script("scripts/cli_matrix.py").splitlines()
+    assert len(lines) == len(set(lines)) >= 40
+    fields = [line.split()[:4] for line in lines]
+    assert {f[0] for f in fields} == {"exit=0", "exit=1", "exit=2"}
+    assert all(re.fullmatch(r"(report|stderr|csv)=([0-9a-f]{16}|-)", field)
+               for f in fields for field in f[1:])
+    assert {line.split("  ", 1)[1].split()[0] for line in lines} == {
+        "simulate", "classify", "verify", "montecarlo", "export"}
