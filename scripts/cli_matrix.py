@@ -87,6 +87,9 @@ COMMANDS = [
     "montecarlo --protocol chain --blocks path4,bar --trials 10 --seed 1",
     "montecarlo --protocol ghz --users 3 --trials 10",
     "montecarlo --protocol ghz --users 3 --trials 0 --seed 1",
+    # a flagged run with zero standard error, and a CSV log into a new directory
+    "montecarlo --protocol ghz --users 3 --trials 1 --seed 0",
+    "montecarlo --protocol chain --blocks three,three --trials 20 --seed 1 --csv logs/new/t.csv",
     # export
     "export --in graph.json --format dot --out graph.dot",
     "export --in graph.json --format json",

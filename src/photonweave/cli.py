@@ -12,9 +12,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,18 +26,19 @@ class UsageError(Exception):
     pass
 
 
-def _round_floats(value, digits: int = 12):
+def _round_floats(value):
     if isinstance(value, float):
-        return float(format(value, f".{digits}g"))
+        return float(format(value, ".12g"))
     if isinstance(value, dict):
-        return {k: _round_floats(v, digits) for k, v in value.items()}
+        return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_floats(v, digits) for v in value]
+        return [_round_floats(v) for v in value]
     return value
 
 
 def stable_json(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    """Strict JSON (RFC 8259): a NaN or an infinity raises ValueError rather than print."""
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def protocol_result_as_dict(res: pr.ProtocolResult) -> dict:
@@ -48,7 +47,7 @@ def protocol_result_as_dict(res: pr.ProtocolResult) -> dict:
         "final_graph": graph_as_dict(res.final_graph),
         "probability": {
             "exponent": res.success_exponent,
-            "value": float(Fraction(1, 2**res.success_exponent)),
+            "value": float(res.success_probability),
         },
         "measurement_record": [list(item) for item in res.measurement_record],
         "m_minus": res.m_minus,
@@ -57,28 +56,22 @@ def protocol_result_as_dict(res: pr.ProtocolResult) -> dict:
     }
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    if os.path.dirname(path):
-        return path
-    base = os.environ.get("PHOTONWEAVE_OUT_DIR", "")
-    return os.path.join(base, path) if base else path
+def _write(text: str, path: str) -> None:
+    """Write an output file: the report, a CSV log or an exported artifact.
 
-
-def _emit(report: dict, out: str | None) -> None:
-    text = stable_json(report)
-    out = _resolve_out(out)
-    if out is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out))
+    A bare filename goes under ``$PHOTONWEAVE_OUT_DIR`` when that is set.
+    Missing directories are created, and the file appears whole, with the
+    umask's default mode, or not at all.
+    """
+    if not os.path.dirname(path):
+        path = os.path.join(os.environ.get("PHOTONWEAVE_OUT_DIR", ""), path)
+    directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "w") as fh:
             fh.write(text)
-        os.replace(tmp, out)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -233,11 +226,8 @@ def _cmd_montecarlo(args) -> tuple[dict, bool | None, dict]:
     trial_log: list | None = [] if args.csv else None
     stats = pr.monte_carlo(request, args.trials, args.seed, trial_log=trial_log)
     if args.csv:
-        target = _resolve_out(args.csv)
-        with open(target, "w") as fh:
-            fh.write(",".join(("trial", "success", *stats.resource_means)) + "\n")
-            for row in trial_log:
-                fh.write(",".join(str(x) for x in row) + "\n")
+        rows = [("trial", "success", *stats.resource_means), *trial_log]
+        _write("".join(",".join(str(x) for x in row) + "\n" for row in rows), args.csv)
     command = {
         "protocol": args.protocol,
         "request": request,
@@ -278,6 +268,8 @@ def _cmd_export(args) -> tuple[dict, bool | None, dict]:
             raise UsageError(f"format {args.format!r} unsupported for states")
     else:
         raise UsageError("input is neither a graph JSON nor a state dump JSON")
+    if args.out is not None:  # the artifact goes to --out; the report to stdout either way
+        _write(content, args.out)
     return command, None, {"format": args.format, "content": content}
 
 
@@ -352,24 +344,17 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
         command, passed, results = HANDLERS[args.verb](args)
+        text = stable_json(_report(args.verb, command, results, passed, t0))
+        if args.verb == "export" or args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write(text, args.out)
     except (UsageError, InputShapeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = _report(args.verb, command, results, passed, t0)
-    out = getattr(args, "out", None)
-    if args.verb == "export":
-        # write the raw artifact to --out (report goes to stdout either way)
-        if out is not None:
-            target = _resolve_out(out)
-            os.makedirs(os.path.dirname(os.path.abspath(target)), exist_ok=True)
-            with open(target, "w") as fh:
-                fh.write(results["content"])
-        _emit(report, None)
-    else:
-        _emit(report, out)
     return 0 if passed in (True, None) else 1
 
 

@@ -415,8 +415,8 @@ def graph_from_json(text: str) -> Graph:
     return Graph(vertices, [tuple(e) for e in edges])
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in sorted(g.vertices):
         lines.append(f"  {v};")
     for u, v in sorted(g.edges):

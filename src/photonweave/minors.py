@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import (
+    AXES,
     Graph,
     InputShapeError,
     ShapeClass,
@@ -44,7 +45,7 @@ FRAGMENT_PAIRINGS = {
 def check_word(word: str) -> str:
     if not word:
         raise InputShapeError("word is empty")
-    bad = set(word) - set("XYZ")
+    bad = set(word) - set(AXES)
     if bad:
         raise InputShapeError(f"word letters must be X/Y/Z, got {sorted(bad)}")
     return word

@@ -13,48 +13,27 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .states import StateVector
 
-MAX_PORTS = 16
 MAX_PHOTONS = 16
 
 Mode = tuple[int, str]  # (spatial port, "H" | "V")
 Pattern = tuple[tuple[Mode, int], ...]  # sorted ((mode, count), ...)
+Source = tuple[str, tuple[int, ...]]  # (kind, ports), read from a README source entry
 
 AMP_TOL = 1e-12
+_S2 = 1 / math.sqrt(2)
 
-
-@dataclass(frozen=True)
-class Plus:
-    """Single photon in (|H> + |V>)/sqrt(2) at one port."""
-
-    port: int
-
-
-@dataclass(frozen=True)
-class BellPsi:
-    """Photon pair in (|HH> + |VV>)/sqrt(2) across two ports."""
-
-    port_a: int
-    port_b: int
-
-
-@dataclass(frozen=True)
-class GBell:
-    """Photon pair in (|+H> + |-V>)/sqrt(2); the +/- photon sits on port_a.
-
-    This is exactly the two-vertex graph state in polarization encoding.
-    """
-
-    port_a: int
-    port_b: int
-
-
-Source = Plus | BellPsi | GBell
+#: each source kind's terms: the polarization of the photon on each of its ports, and the amplitude
+SOURCES = {
+    "plus": ((("H",), _S2), (("V",), _S2)),
+    "bell_psi": ((("H", "H"), _S2), (("V", "V"), _S2)),
+    # the two-vertex graph state (|+H> + |-V>)/sqrt(2), the +/- photon on the first port
+    "gbell": ((("H", "H"), 0.5), (("V", "H"), 0.5), (("H", "V"), 0.5), (("V", "V"), -0.5)),
+}
 
 
 def _pattern(counts: dict[Mode, int]) -> Pattern:
@@ -100,16 +79,11 @@ class PhotonicState:
         return float(sum(abs(a) ** 2 for a in self.terms.values()))
 
 
-def _source_ports(s: Source) -> tuple[int, ...]:
-    return (s.port,) if isinstance(s, Plus) else (s.port_a, s.port_b)
-
-
 def _check_sources(sources: list[Source]) -> frozenset[int]:
-    """Distinct nonnegative ports within the capacity limits; returns the ports."""
+    """Distinct nonnegative ports, one photon each, within the photon limit; returns the ports."""
     used: set[int] = set()
-    for s in sources:
-        ports = _source_ports(s)
-        if isinstance(s, (BellPsi, GBell)) and s.port_a == s.port_b:
+    for _, ports in sources:
+        if len(set(ports)) < len(ports):
             raise ValueError("source ports must be distinct")
         for p in ports:
             if p in used:
@@ -117,8 +91,6 @@ def _check_sources(sources: list[Source]) -> frozenset[int]:
             if p < 0:
                 raise ValueError("spatial ports are nonnegative")
             used.add(p)
-    if len(used) > MAX_PORTS:
-        raise ValueError(f"at most {MAX_PORTS} ports supported")
     if len(used) > MAX_PHOTONS:  # one photon per source port
         raise ValueError(f"at most {MAX_PHOTONS} photons supported")
     return frozenset(used)
@@ -126,31 +98,15 @@ def _check_sources(sources: list[Source]) -> frozenset[int]:
 
 def _expand(terms: dict[Pattern, complex], sources: list[Source]) -> dict[Pattern, complex]:
     """Multiply a term map by more sources, on ports its terms leave empty."""
-    for s in sources:
-        if isinstance(s, Plus):
-            pieces = [(((s.port, "H"), 1),), (((s.port, "V"), 1),)]
-            amps = [1 / math.sqrt(2)] * 2
-        elif isinstance(s, BellPsi):
-            pieces = [
-                (((s.port_a, "H"), 1), ((s.port_b, "H"), 1)),
-                (((s.port_a, "V"), 1), ((s.port_b, "V"), 1)),
-            ]
-            amps = [1 / math.sqrt(2)] * 2
-        else:  # GBell: expand |+H> + |-V> in the H/V basis, amplitudes +-1/2
-            pieces = [
-                (((s.port_a, "H"), 1), ((s.port_b, "H"), 1)),
-                (((s.port_a, "V"), 1), ((s.port_b, "H"), 1)),
-                (((s.port_a, "H"), 1), ((s.port_b, "V"), 1)),
-                (((s.port_a, "V"), 1), ((s.port_b, "V"), 1)),
-            ]
-            amps = [0.5, 0.5, 0.5, -0.5]
+    for kind, ports in sources:
+        pieces = [(tuple(((p, pol), 1) for p, pol in zip(ports, pols)), pa)
+                  for pols, pa in SOURCES[kind]]
         new: dict[Pattern, complex] = {}
         for pat, amp in terms.items():
             base = dict(pat)
-            for piece, pa in zip(pieces, amps):
+            for piece, pa in pieces:
                 counts = dict(base)
-                for mode, c in piece:
-                    counts[mode] = counts.get(mode, 0) + c
+                counts.update(piece)
                 new_pat = _pattern(counts)
                 new[new_pat] = new.get(new_pat, 0) + amp * pa
         terms = new
@@ -268,7 +224,6 @@ def postselect_coincidence(
     return PhotonicState(kept, state.total_photons, state.ports), prob
 
 
-_S2 = 1 / math.sqrt(2)
 #: each basis's outcomes as weights on the H and V amplitudes of the detected photon
 _OUTCOMES = {
     "HV": {"H": {"H": 1.0}, "V": {"V": 1.0}},
@@ -276,14 +231,12 @@ _OUTCOMES = {
 }
 
 
-def _detect(state: PhotonicState, port: int, basis: str, outcome: str) -> tuple[float, PhotonicState]:
-    """Detect the photon at one port in the HV or PM basis; keep the named branch.
+def _detect(state: PhotonicState, port: int, weights: dict[str, float]) -> tuple[float, PhotonicState]:
+    """Detect the photon at one port; keep the branch of the outcome with these weights.
 
     Returns the branch probability and the post-state without the photon,
     renormalised unless the probability is 0.
     """
-    if basis not in ("HV", "PM"):
-        raise ValueError("basis must be 'HV' or 'PM'")
     # amplitude organized by the polarization present at `port`
     by_rest: dict[Pattern, dict[str, complex]] = {}
     for pat, amp in state.terms.items():
@@ -293,9 +246,6 @@ def _detect(state: PhotonicState, port: int, basis: str, outcome: str) -> tuple[
         rest = tuple(item for item in pat if item[0][0] != port)
         bucket = by_rest.setdefault(rest, {})
         bucket[here[0][0]] = bucket.get(here[0][0], 0) + amp
-    weights = next((w for o, w in _OUTCOMES[basis].items() if o == outcome), None)
-    if weights is None:
-        raise ValueError(f"{outcome!r} is not an outcome of the {basis} basis")
     terms = {}
     for rest, pols in by_rest.items():
         amp = sum(np.conj(w) * pols.get(pol, 0) for pol, w in weights.items())
@@ -342,38 +292,57 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
 # -- circuit description JSON ---------------------------------------------------
 
 
-def _source_from_json(obj: dict) -> Source:
-    if "plus" in obj:
-        return Plus(obj["plus"][0] if isinstance(obj["plus"], list) else obj["plus"])
-    if "bell_psi" in obj:
-        a, b = obj["bell_psi"]
-        return BellPsi(a, b)
-    if "gbell" in obj:
-        a, b = obj["gbell"]
-        return GBell(a, b)
-    raise ValueError(f"unknown source spec {obj}")
+def _only_item(entry) -> tuple:
+    """The key and value of a one-key dict; (None, None) for anything else."""
+    is_one = isinstance(entry, dict) and len(entry) == 1
+    return next(iter(entry.items())) if is_one else (None, None)
+
+
+def _source_from_json(entry: dict) -> Source:
+    """A README source entry, ``{kind: ports}``: a kind of ``SOURCES`` with its number of
+    integer ports, where a bare port is a one-port list."""
+    kind, ports = _only_item(entry)
+    ports = [ports] if type(ports) is int else ports
+    if kind not in SOURCES or not isinstance(ports, list) \
+            or not all(type(p) is int for p in ports) or len(ports) != len(SOURCES[kind][0][0]):
+        raise ValueError(f"a source is one of {sorted(SOURCES)} with its number of integer "
+                         f"ports, got {entry!r}")
+    return kind, tuple(ports)
 
 
 def _element_from_json(element: dict, known: frozenset[int]) -> tuple[tuple[int, ...], float | None]:
     """An element's ports and HWP angle (None for a PBS), checked against the sources."""
-    if "pbs" in element:
-        a, b = element["pbs"]
-        ports, angle = (a, b), None
-    elif "hwp" in element:
-        port, angle = element["hwp"]
-        ports = (port,)
-    else:
-        raise ValueError(f"unknown element {element}")
+    kind, values = _only_item(element)
+    if kind not in ("pbs", "hwp") or not isinstance(values, list) or len(values) != 2 \
+            or not all(type(p) is int for p in values[:2 if kind == "pbs" else 1]):
+        raise ValueError(f"unknown element {element!r}: "
+                         "use {'pbs': [a, b]} or {'hwp': [port, angle]}")
+    ports, angle = (tuple(values), None) if kind == "pbs" else ((values[0],), values[1])
     _require_ports(known, *ports)
     if angle is not None:
         _hwp_matrix(angle)
     return ports, angle
 
 
+def _measure_from_json(entry: dict, known: frozenset[int]) -> tuple[int, str, str, dict]:
+    """A measure entry's port, basis, outcome (H or + when absent) and that outcome's weights."""
+    if not isinstance(entry, dict) or not set(entry) <= {"port", "basis", "outcome"} \
+            or type(entry.get("port")) is not int or entry.get("basis") not in ("HV", "PM"):
+        raise ValueError("a measure entry is {port: an integer, basis: 'HV' or 'PM', outcome}, "
+                         f"got {entry!r}")
+    port, basis = entry["port"], entry["basis"]
+    outcome = entry.get("outcome", "H" if basis == "HV" else "+")
+    weights = next((w for o, w in _OUTCOMES[basis].items() if o == outcome), None)
+    if weights is None:
+        raise ValueError(f"{outcome!r} is not an outcome of the {basis} basis")
+    _require_ports(known, port)
+    return port, basis, outcome, weights
+
+
 def _join(state: PhotonicState, sources: list[Source]) -> PhotonicState:
     if not sources:
         return state
-    ports = [p for s in sources for p in _source_ports(s)]
+    ports = [p for _, source_ports in sources for p in source_ports]
     return PhotonicState(_expand(state.terms, sources), state.total_photons + len(ports),
                          state.ports.union(ports))
 
@@ -381,23 +350,36 @@ def _join(state: PhotonicState, sources: list[Source]) -> PhotonicState:
 def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     """Run a circuit description dict; see the package README for the schema.
 
-    Keys: sources (list), elements (list of {"pbs": [a, b]} or
-    {"hwp": [port, angle]}), postselect (port list), measure (list of
-    {"port": p, "basis": "HV"|"PM", "outcome": o}, where the outcome
-    defaults to H or +).  Returns the final state, the postselection
-    probability (1.0 without a postselect key) and one
+    Keys: sources (list of ``SOURCES`` entries), elements (list of
+    {"pbs": [a, b]} or {"hwp": [port, angle]}), postselect (port list),
+    measure (list of {"port": p, "basis": "HV"|"PM", "outcome": o}, where
+    the outcome defaults to H or +).  Returns the final state, the
+    postselection probability (1.0 without a postselect key) and one
     {port, basis, outcome, probability} entry per measurement.
 
-    Every source and element is checked before any term is built.  Each
-    source joins the state just before the first element on its ports,
-    and each postselected port retires after the last element on it: the
-    terms without exactly one photon there are dropped, unrenormalised.
-    No later element touches a retired port, so the result and the
+    The whole description is checked before any term is built: another
+    key, a malformed entry, an element or a measurement on a port no
+    source has, a repeated postselect port or a port measured twice
+    raises ValueError.  Each source joins the state just before the first
+    element on its ports, and each postselected port retires after the
+    last element on it: the terms without exactly one photon there are
+    dropped, unrenormalised.  No later element touches a retired port, so the result and the
     probability are those of postselecting at the end.
     """
+    for key, value in spec.items():
+        if key not in ("sources", "elements", "postselect", "measure"):
+            raise ValueError(f"a circuit description does not read {key!r}")
+        if not isinstance(value, list):
+            raise ValueError(f"a circuit description's {key} is a list")
     sources = [_source_from_json(s) for s in spec.get("sources", [])]
     known = _check_sources(sources)
     elements = [_element_from_json(e, known) for e in spec.get("elements", [])]
+    postselect = spec.get("postselect", [])
+    if not all(type(p) is int for p in postselect) or len(set(postselect)) < len(postselect):
+        raise ValueError("postselect lists integer ports, none more than once")
+    measures = [_measure_from_json(m, known) for m in spec.get("measure", [])]
+    if len({port for port, *_ in measures}) < len(measures):
+        raise ValueError("a port is measured more than once")
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for i, (ports, _) in enumerate(elements):
@@ -405,10 +387,10 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
             first.setdefault(p, i)
             last[p] = i
     joins: list[list[Source]] = [[] for _ in range(len(elements) + 1)]
-    for s in sources:
-        joins[min(first.get(p, len(elements)) for p in _source_ports(s))].append(s)
+    for source in sources:
+        joins[min(first.get(p, len(elements)) for p in source[1])].append(source)
     retires: list[list[int]] = [[] for _ in elements]
-    for p in dict.fromkeys(spec.get("postselect", ())):
+    for p in postselect:
         if p in last:
             retires[last[p]].append(p)
 
@@ -426,13 +408,11 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
 
     prob = 1.0
     if "postselect" in spec:
-        state, prob = postselect_coincidence(state, spec["postselect"])
+        state, prob = postselect_coincidence(state, postselect)
     log = []
-    for m in spec.get("measure", []):
-        picked = m.get("outcome", "H" if m["basis"] == "HV" else "+")
-        branch_prob, state = _detect(state, m["port"], m["basis"], picked)
-        log.append({"port": m["port"], "basis": m["basis"], "outcome": picked,
-                    "probability": branch_prob})
+    for port, basis, outcome, weights in measures:
+        branch_prob, state = _detect(state, port, weights)
+        log.append({"port": port, "basis": basis, "outcome": outcome, "probability": branch_prob})
     return state, prob, log
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Container, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import optics as po
-from .graphs import Graph, InputShapeError, cycle_graph, measure_pauli, path_graph, star_graph
+from .graphs import AXES, Graph, InputShapeError, cycle_graph, measure_pauli, path_graph, star_graph
 from .minors import predict_representative
 from .states import StateVector
 
@@ -98,7 +98,7 @@ def graph_weave(weaver: int, targets: Sequence[int], leaves: Container[int] = ()
 class _Circuit(NamedTuple):
     """A protocol's weaving circuit; every source port is postselected to one photon."""
 
-    pairs: list[tuple[int, int]]  # GBell sources, each with its +/- photon first
+    pairs: list[tuple[int, int]]  # `gbell` sources, each with its +/- photon first
     elements: list[dict]
     detections: list[tuple[int, str, str]]  # (port, basis, outcome) in detection order
     qubits: dict[int, int]  # read-out port -> qubit label
@@ -109,7 +109,7 @@ _Views = tuple[ProtocolResult, _Circuit]
 
 
 def _user_pairs(users: Iterable[int]) -> tuple[list[tuple[int, int]], dict[int, int]]:
-    """Each user's GBell pair and read-out: the server weaves port i, user i keeps 100 + i."""
+    """Each user's `gbell` pair and read-out: the server weaves port i, user i keeps 100 + i."""
     users = list(users)
     return [(100 + i, i) for i in users], {100 + i: i for i in users}
 
@@ -544,7 +544,7 @@ def fuse_chain(
     if len(plan) != joints:
         raise InputShapeError(f"plan length {len(plan)} != joints {joints}")
     for axis in plan:
-        if axis not in ("X", "Y", "Z", None):
+        if axis not in (*AXES, None):
             raise InputShapeError(f"plan entries are 'X', 'Y', 'Z' or None, got {axis!r}")
     schedule = iter(failure_schedule) if failure_schedule is not None else None
 
@@ -684,7 +684,7 @@ def monte_carlo(
         # the closure fusion is the only unrecoverable coin
         analytic = 0.5 if base.close_cycle else 1.0
     else:
-        analytic = float(Fraction(1, 2**base.success_exponent))
+        analytic = float(base.success_probability)
         pairs = base.resources.get("bell_pairs", 0)
         for t in range(trials):
             success = _trial_rng(seed, t).random() < analytic
@@ -697,8 +697,8 @@ def monte_carlo(
     if std_error > 0:
         deviation = abs(p_hat - analytic) / std_error
         flagged = deviation > 3.0
-    else:
-        deviation = 0.0 if p_hat == analytic else math.inf
+    else:  # no spread: a miss is flagged, at no finite number of sigmas
+        deviation = 0.0 if p_hat == analytic else None
         flagged = p_hat != analytic
     return MonteCarloStats(
         trials=trials,

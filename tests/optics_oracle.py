@@ -12,26 +12,22 @@ import numpy as np
 
 from photonweave.optics import (
     AMP_TOL,
-    BellPsi,
-    GBell,
     Pattern,
     PhotonicState,
-    Plus,
-    Source,
     _check_sources,
     _expand,
     _pattern,
     _pattern_ports,
+    _source_from_json,
     apply_hwp,
     apply_pbs,
     postselect_coincidence,
 )
 
-SOURCE_KINDS = {"plus": Plus, "bell_psi": BellPsi, "gbell": GBell}
 
-
-def prepare(sources: list[Source]) -> PhotonicState:
-    """Tensor product of the sources; errors on port collisions."""
+def prepare(entries: list[dict]) -> PhotonicState:
+    """Tensor product of the sources, given as README entries; errors on port collisions."""
+    sources = [_source_from_json(entry) for entry in entries]
     _check_sources(sources)
     return PhotonicState(_expand({(): 1.0 + 0j}, sources))
 
@@ -86,11 +82,7 @@ def measure_polarization(
 def composed(spec):
     """The slow path run_circuit must match: prepare every source, run every
     element on the whole state, then postselect and measure."""
-    sources = []
-    for src in spec["sources"]:
-        (kind, ports), = src.items()
-        sources.append(SOURCE_KINDS[kind](*(ports if isinstance(ports, list) else [ports])))
-    state = prepare(sources)
+    state = prepare(spec["sources"])
     for element in spec["elements"]:
         if "pbs" in element:
             state = apply_pbs(state, *element["pbs"])

@@ -59,7 +59,7 @@ def test_criterion_6_appendix_a_fusion():
 
 
 def test_criterion_7_appendix_b_sweep():
-    _report(check_appendix_b(zigzag_sizes=(6, 8, 10), honeycomb_words=100))
+    _report(check_appendix_b(zigzag_sizes=(6, 8, 10)))
 
 
 def test_criterion_8_monte_carlo():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 import photonweave
-from photonweave.cli import main
+from photonweave.cli import main, stable_json
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -251,10 +252,10 @@ def test_export_dot(tmp_path, capsys):
 
 def test_export_state_csv(tmp_path, capsys):
     from optics_oracle import prepare
-    from photonweave.optics import GBell, state_to_json
+    from photonweave.optics import state_to_json
 
     state_file = tmp_path / "state.json"
-    state_file.write_text(state_to_json(prepare([GBell(0, 1)])))
+    state_file.write_text(state_to_json(prepare([{"gbell": [0, 1]}])))
     code, report = run_cli(capsys, "export", "--in", str(state_file), "--format", "csv")
     assert code == 0
     assert report["results"]["content"].startswith("occupations,re,im")
@@ -322,14 +323,41 @@ def test_verify_appendix_b_cli(capsys):
 
 
 def test_montecarlo_csv_log(tmp_path, capsys):
-    csv_file = tmp_path / "trials.csv"
-    code, report = run_cli(capsys, "montecarlo", "--protocol", "chain",
-                           "--blocks", "three,three", "--trials", "50",
-                           "--seed", "2", "--csv", str(csv_file))
-    assert code == 0
-    lines = csv_file.read_text().strip().splitlines()
-    assert lines[0] == "trial,success,blocks,bell_pairs,fusions"
-    assert len(lines) == 51
+    # a missing directory is created, and the report and the log get the same file mode
+    for csv_file in (tmp_path / "trials.csv", tmp_path / "new" / "trials.csv"):
+        report_file = csv_file.with_suffix(".json")
+        code = main(["montecarlo", "--protocol", "chain", "--blocks", "three,three",
+                     "--trials", "50", "--seed", "2", "--csv", str(csv_file),
+                     "--out", str(report_file)])
+        assert code == 0
+        lines = csv_file.read_text().strip().splitlines()
+        assert lines[0] == "trial,success,blocks,bell_pairs,fusions"
+        assert len(lines) == 51
+        assert report_file.stat().st_mode == csv_file.stat().st_mode
+
+
+def test_failed_write_is_a_runtime_error(tmp_path, capsys):
+    # the report, the CSV log and the export artifact share one writer and its errors
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for argv in (["simulate", "--protocol", "ghz", "--users", "2"],
+                 ["montecarlo", "--protocol", "ghz", "--users", "2", "--trials", "2", "--seed", "1",
+                  "--csv", str(blocker / "t.csv")],
+                 ["export", "--in", _graph_file(tmp_path), "--format", "json"]):
+        assert main([*argv, "--out", str(blocker / "out.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reports_are_strict_json(capsys):
+    # one trial misses the analytic 1/4 with a zero standard error: no finite sigma count
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    code = main(["montecarlo", "--protocol", "ghz", "--users", "3", "--trials", "1", "--seed", "0"])
+    stats = json.loads(capsys.readouterr().out, parse_constant=reject)["results"]["stats"]
+    assert code == 1 and stats["flagged"] is True and stats["deviation_sigmas"] is None
+    with pytest.raises(ValueError):
+        stable_json({"value": math.nan})
 
 
 # -- report schemas, one report per verb -------------------------------------

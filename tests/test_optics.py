@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,7 @@ import photonweave
 from photonweave import optics
 from photonweave.graphs import path_graph, star_graph
 from photonweave.optics import (
-    BellPsi,
-    GBell,
     PhotonicState,
-    Plus,
     apply_hwp,
     apply_pbs,
     extract_logical,
@@ -27,7 +25,7 @@ from photonweave.optics import (
 )
 from photonweave.protocols import ghz_weave
 from photonweave.states import state_locally_equivalent
-from optics_oracle import SOURCE_KINDS, composed, prepare
+from optics_oracle import composed, prepare
 
 S2 = 1 / math.sqrt(2)
 
@@ -40,18 +38,18 @@ def one(port, pol):
 
 
 def test_plus_source():
-    s = prepare([Plus(0)])
+    s = prepare([{"plus": 0}])
     assert s.terms == pytest.approx({one(0, "H"): S2, one(0, "V"): S2})
 
 
 def test_three_plus_photons():
-    s = prepare([Plus(0), Plus(1), Plus(2)])
+    s = prepare([{"plus": 0}, {"plus": 1}, {"plus": 2}])
     assert len(s.terms) == 8
     assert all(abs(a - 2**-1.5) < 1e-12 for a in s.terms.values())
 
 
 def test_gbell_expansion():
-    s = prepare([GBell(0, 1)])
+    s = prepare([{"gbell": [0, 1]}])
     assert len(s.terms) == 4
     expected = {
         (((0, "H"), 1), ((1, "H"), 1)): 0.5,
@@ -63,16 +61,27 @@ def test_gbell_expansion():
         assert s.terms[tuple(sorted(pat))] == pytest.approx(amp)
 
 
+def test_bell_psi_expansion():
+    s = prepare([{"bell_psi": [0, 1]}])
+    assert s.terms == pytest.approx({(((0, "H"), 1), ((1, "H"), 1)): S2,
+                                     (((0, "V"), 1), ((1, "V"), 1)): S2})
+
+
+def test_readme_source_kinds_match_sources():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert sorted(re.findall(r'^\* `\{"(\w+)":', readme, re.M)) == sorted(optics.SOURCES)
+
+
 def test_port_collision_rejected():
     with pytest.raises(ValueError):
-        prepare([Plus(0), BellPsi(0, 1)])
+        prepare([{"plus": 0}, {"bell_psi": [0, 1]}])
     with pytest.raises(ValueError):
-        prepare([GBell(2, 2)])
+        prepare([{"gbell": [2, 2]}])
 
 
 def test_capacity_limits():
     with pytest.raises(ValueError):
-        prepare([Plus(i) for i in range(17)])
+        prepare([{"plus": i} for i in range(17)])
 
 
 # -- elements --------------------------------------------------------------------
@@ -95,7 +104,7 @@ def test_pbs_unknown_port():
 
 
 def test_pbs_is_involution():
-    s = prepare([GBell(0, 1), Plus(2)])
+    s = prepare([{"gbell": [0, 1]}, {"plus": 2}])
     twice = apply_pbs(apply_pbs(s, 1, 2), 1, 2)
     assert set(twice.terms) == set(s.terms)
     for pat, amp in s.terms.items():
@@ -136,7 +145,7 @@ def test_hwp_bosonic_factors():
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3)),
                 min_size=1, max_size=8))
 def test_unitarity_and_photon_number(ops):
-    s = prepare([GBell(0, 1), Plus(2), BellPsi(3, 4)])
+    s = prepare([{"gbell": [0, 1]}, {"plus": 2}, {"bell_psi": [3, 4]}])
     n0 = s.total_photons
     for is_pbs, a, b in ops:
         if is_pbs and a != b:
@@ -152,14 +161,14 @@ def test_unitarity_and_photon_number(ops):
 
 
 def test_trivial_postselect():
-    s = prepare([Plus(0)])
+    s = prepare([{"plus": 0}])
     out, prob = postselect_coincidence(s, [0])
     assert prob == pytest.approx(1.0)
     assert set(out.terms) == set(s.terms)
 
 
 def test_zero_probability_is_a_value():
-    s = prepare([Plus(0), Plus(1)])
+    s = prepare([{"plus": 0}, {"plus": 1}])
     s = apply_pbs(s, 0, 1)
     # demanding two photons at port 0 and none at 1 == impossible coincidence set
     out, prob = postselect_coincidence(s, [0])
@@ -205,12 +214,12 @@ def test_ghz_pm_branches_are_bell_states():
 
 
 def test_extract_logical_plus():
-    sv = extract_logical(prepare([Plus(0)]), {0: 1})
+    sv = extract_logical(prepare([{"plus": 0}]), {0: 1})
     assert np.allclose(sv.amplitudes, np.array([1, 1]) / np.sqrt(2))
 
 
 def test_extract_logical_bell():
-    s = prepare([Plus(0), Plus(1)])
+    s = prepare([{"plus": 0}, {"plus": 1}])
     s = apply_pbs(s, 0, 1)
     s, prob = postselect_coincidence(s, [0, 1])
     assert prob == pytest.approx(0.5)
@@ -231,7 +240,7 @@ def test_extract_logical_rejects_zero_probability_state():
 
 
 def test_cz_circuit_quarter_probability():
-    s = prepare([Plus(0), Plus(1), Plus(2)])
+    s = prepare([{"plus": 0}, {"plus": 1}, {"plus": 2}])
     for t in (1, 2):
         s = apply_pbs(s, 0, t)
         s = apply_hwp(s, 0, 22.5)
@@ -243,7 +252,7 @@ def test_cz_circuit_quarter_probability():
 
 def test_ghz_chain_probabilities():
     for n in range(2, 9):
-        s = prepare([Plus(i) for i in range(n)])
+        s = prepare([{"plus": i} for i in range(n)])
         for i in range(n - 1):
             s = apply_pbs(s, i, i + 1)
         s, prob = postselect_coincidence(s, list(range(n)))
@@ -255,7 +264,7 @@ def test_ghz_chain_probabilities():
 def test_stagewise_halving():
     # the chain reads as sequential type-I fusions: each stage halves the norm
     n = 4
-    s = prepare([Plus(i) for i in range(n + 1)])
+    s = prepare([{"plus": i} for i in range(n + 1)])
     last = 1.0
     for i in range(1, n + 1):
         s = apply_pbs(s, 0, i)
@@ -270,7 +279,7 @@ def test_stagewise_halving():
 
 
 def test_state_json_round_trip():
-    s = prepare([GBell(0, 1)])
+    s = prepare([{"gbell": [0, 1]}])
     back = state_from_json(state_to_json(s))
     assert set(back.terms) == set(s.terms)
     for pat, amp in s.terms.items():
@@ -296,7 +305,7 @@ def test_run_circuit_json():
 
 
 def test_ghz3_state_dump_two_terms():
-    s = prepare([Plus(i) for i in range(3)])
+    s = prepare([{"plus": i} for i in range(3)])
     for i in range(2):
         s = apply_pbs(s, i, i + 1)
     s, _ = postselect_coincidence(s, [0, 1, 2])
@@ -371,7 +380,7 @@ def circuits(draw):
     postselected and an optional final measurement."""
     free = list(draw(st.permutations(range(6))))
     sources, used = [], []
-    for kind in draw(st.lists(st.sampled_from(sorted(SOURCE_KINDS)), min_size=1, max_size=3)):
+    for kind in draw(st.lists(st.sampled_from(sorted(optics.SOURCES)), min_size=1, max_size=3)):
         if kind == "plus":
             used.append(free.pop())
             sources.append({kind: used[-1]})
@@ -431,13 +440,18 @@ def test_retirement_can_empty_the_state(monkeypatch):
 
 def test_interference_emptied_port_is_still_a_port():
     # both photons leave port 2; a later element on it acts on vacuum
-    s = prepare([Plus(1), Plus(2)])
+    s = prepare([{"plus": 1}, {"plus": 2}])
     for port, angle in ((2, 0), (2, 22.5), (1, 22.5)):
         s = apply_hwp(s, port, angle)
     s = apply_pbs(s, 2, 1)
     assert all(dict(pat).get((2, "H"), 0) + dict(pat).get((2, "V"), 0) == 0 for pat in s.terms)
     assert s.ports == {1, 2}
     assert apply_hwp(s, 2, 22.5).terms == s.terms
+
+
+def _pbs_circuit(**keys):
+    """Two plus photons through a PBS, with these keys added or replaced."""
+    return {"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}], **keys}
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -450,6 +464,23 @@ def test_interference_emptied_port_is_still_a_port():
      "unknown port 7"),
     ({"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}, {"hwp": [1, 45]}]},
      "unsupported HWP angle"),
+    (_pbs_circuit(postselct=[0, 1]), "does not read 'postselct'"),
+    (_pbs_circuit(sources=[{"plus": [0, 1]}]), "a source is one of"),
+    (_pbs_circuit(sources=[{"plus": 0, "gbell": [1, 2]}]), "a source is one of"),
+    (_pbs_circuit(sources=[{"plus": "0"}, {"plus": 1}]), "a source is one of"),
+    (_pbs_circuit(sources=[{"gbell": [0, 1, 2]}]), "a source is one of"),
+    (_pbs_circuit(elements=[{"pbs": [0, 1], "hwp": [0, 0]}]), "unknown element"),
+    (_pbs_circuit(elements=[{"pbs": [0, 1]}, {"hwp": [1]}]), "unknown element"),
+    (_pbs_circuit(postselect=[0, 1, 0]), "none more than once"),
+    (_pbs_circuit(measure=[{"port": 0}]), "a measure entry is"),
+    (_pbs_circuit(measure=[{"port": 0, "basis": "XY"}]), "a measure entry is"),
+    (_pbs_circuit(measure=[{"port": 0, "basis": "HV", "outcome": "+"}]), "not an outcome"),
+    (_pbs_circuit(measure=[{"port": 9, "basis": "HV"}]), "unknown port 9"),
+    (_pbs_circuit(postselect=[0, 1, 5], measure=[{"port": 0, "basis": "PM"}] * 2),
+     "measured more than once"),
+    (_pbs_circuit(postselect=5), "postselect is a list"),
+    (_pbs_circuit(elements=[{"pbs": [[0], 1]}]), "unknown element"),
+    (_pbs_circuit(measure=[{"port": [0], "basis": "HV"}]), "a measure entry is"),
 ])
 def test_bad_circuit_raises_before_any_term(monkeypatch, spec, message):
     def no_terms(*args):
