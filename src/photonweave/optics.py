@@ -5,7 +5,8 @@ States are sparse maps from bosonic occupation patterns over
 circuits built here ever superpose different total photon numbers, and
 coincidence postselection discards bunched terms, but the bosonic
 sqrt(n!) factors are still applied so that the discarded probability is
-accounted for exactly.
+accounted for exactly.  ``run_circuit`` keys each term by one packed
+integer while it runs and returns a ``PhotonicState`` keyed by patterns.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ def _pattern(counts: dict[Mode, int]) -> Pattern:
     return tuple(sorted((m, c) for m, c in counts.items() if c))
 
 
-def _pattern_ports(p: Pattern) -> dict[int, int]:
-    ports: dict[int, int] = {}
-    for (port, _), c in p:
-        ports[port] = ports.get(port, 0) + c
-    return ports
+def _clean(terms: dict) -> dict:
+    """Drop the amplitudes at or under AMP_TOL; the others become Python complex."""
+    return {k: complex(a) for k, a in terms.items() if abs(a) > AMP_TOL}
 
 
 class PhotonicState:
@@ -59,7 +58,7 @@ class PhotonicState:
 
     def __init__(self, terms: dict[Pattern, complex], total_photons: int | None = None,
                  ports: frozenset[int] | None = None):
-        cleaned = {p: complex(a) for p, a in terms.items() if abs(a) > AMP_TOL}
+        cleaned = _clean(terms)
         totals = {sum(c for _, c in p) for p in cleaned}
         if total_photons is None:
             if len(totals) > 1:
@@ -96,23 +95,6 @@ def _check_sources(sources: list[Source]) -> frozenset[int]:
     return frozenset(used)
 
 
-def _expand(terms: dict[Pattern, complex], sources: list[Source]) -> dict[Pattern, complex]:
-    """Multiply a term map by more sources, on ports its terms leave empty."""
-    for kind, ports in sources:
-        pieces = [(tuple(((p, pol), 1) for p, pol in zip(ports, pols)), pa)
-                  for pols, pa in SOURCES[kind]]
-        new: dict[Pattern, complex] = {}
-        for pat, amp in terms.items():
-            base = dict(pat)
-            for piece, pa in pieces:
-                counts = dict(base)
-                counts.update(piece)
-                new_pat = _pattern(counts)
-                new[new_pat] = new.get(new_pat, 0) + amp * pa
-        terms = new
-    return terms
-
-
 def _require_ports(known: frozenset[int], *ports: int) -> None:
     """An element's ports: distinct, and each one of the ``known`` ports."""
     if len(ports) == 2 and ports[0] == ports[1]:
@@ -122,29 +104,14 @@ def _require_ports(known: frozenset[int], *ports: int) -> None:
             raise ValueError(f"unknown port {p}")
 
 
-def apply_pbs(state: PhotonicState, port_a: int, port_b: int) -> PhotonicState:
-    """Polarizing beam splitter: H transmits, V swaps between the two ports."""
-    _require_ports(state.ports, port_a, port_b)
-    out: dict[Pattern, complex] = {}
-    for pat, amp in state.terms.items():
-        counts = dict(pat)
-        va = counts.pop((port_a, "V"), 0)
-        vb = counts.pop((port_b, "V"), 0)
-        if vb:
-            counts[(port_a, "V")] = vb
-        if va:
-            counts[(port_b, "V")] = va
-        new_pat = _pattern(counts)
-        out[new_pat] = out.get(new_pat, 0) + amp
-    return PhotonicState(out, state.total_photons, state.ports)
-
-
 def _hwp_matrix(angle_degrees: float) -> np.ndarray:
-    if angle_degrees == 22.5:
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if angle_degrees == 0:
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    raise ValueError(f"unsupported HWP angle {angle_degrees}; use 0 or 22.5")
+    """The plate at 0 or 22.5 degrees; any other angle, a bool or a string raises ValueError."""
+    if type(angle_degrees) in (int, float):
+        if angle_degrees == 22.5:
+            return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        if angle_degrees == 0:
+            return np.array([[1, 0], [0, -1]], dtype=complex)
+    raise ValueError(f"unsupported HWP angle {angle_degrees!r}; use 0 or 22.5")
 
 
 def _mode_mix_coeffs(n_h: int, n_v: int, u: np.ndarray) -> dict[tuple[int, int], complex]:
@@ -176,54 +143,6 @@ def _mode_mix_coeffs(n_h: int, n_v: int, u: np.ndarray) -> dict[tuple[int, int],
     }
 
 
-def apply_hwp(state: PhotonicState, port: int, angle_degrees: float) -> PhotonicState:
-    """Half-wave plate on one port: 22.5 degrees maps H/V to +/-, 0 is a Pauli Z."""
-    _require_ports(state.ports, port)
-    u = _hwp_matrix(angle_degrees)
-    out: dict[Pattern, complex] = {}
-    for pat, amp in state.terms.items():
-        counts = dict(pat)
-        n_h = counts.pop((port, "H"), 0)
-        n_v = counts.pop((port, "V"), 0)
-        if n_h == n_v == 0:
-            out[pat] = out.get(pat, 0) + amp
-            continue
-        for (m_h, m_v), c in _mode_mix_coeffs(n_h, n_v, u).items():
-            new_counts = dict(counts)
-            if m_h:
-                new_counts[(port, "H")] = m_h
-            if m_v:
-                new_counts[(port, "V")] = m_v
-            new_pat = _pattern(new_counts)
-            out[new_pat] = out.get(new_pat, 0) + amp * c
-    return PhotonicState(out, state.total_photons, state.ports)
-
-
-def postselect_coincidence(
-    state: PhotonicState, ports: list[int]
-) -> tuple[PhotonicState, float]:
-    """Keep patterns with exactly one photon per listed port and none elsewhere.
-
-    Returns the renormalized kept state and the kept probability computed
-    from the pre-normalization amplitudes.  Probability 0 is a value: the
-    returned state is empty.
-    """
-    if len(set(ports)) != len(ports):
-        raise ValueError("ports listed more than once")
-    wanted = set(ports)
-    kept: dict[Pattern, complex] = {}
-    for pat, amp in state.terms.items():
-        per_port = _pattern_ports(pat)
-        if set(per_port) == wanted and all(c == 1 for c in per_port.values()):
-            kept[pat] = amp
-    prob = float(sum(abs(a) ** 2 for a in kept.values()))
-    if prob < AMP_TOL:
-        return PhotonicState({}, state.total_photons, state.ports), 0.0
-    norm = math.sqrt(prob)
-    kept = {p: a / norm for p, a in kept.items()}
-    return PhotonicState(kept, state.total_photons, state.ports), prob
-
-
 #: each basis's outcomes as weights on the H and V amplitudes of the detected photon
 _OUTCOMES = {
     "HV": {"H": {"H": 1.0}, "V": {"V": 1.0}},
@@ -231,62 +150,35 @@ _OUTCOMES = {
 }
 
 
-def _detect(state: PhotonicState, port: int, weights: dict[str, float]) -> tuple[float, PhotonicState]:
-    """Detect the photon at one port; keep the branch of the outcome with these weights.
-
-    Returns the branch probability and the post-state without the photon,
-    renormalised unless the probability is 0.
-    """
-    # amplitude organized by the polarization present at `port`
-    by_rest: dict[Pattern, dict[str, complex]] = {}
-    for pat, amp in state.terms.items():
-        here = [(pol, c) for (p, pol), c in pat if p == port]
-        if len(here) != 1 or here[0][1] != 1:
-            raise ValueError(f"port {port} does not hold exactly one photon in every term")
-        rest = tuple(item for item in pat if item[0][0] != port)
-        bucket = by_rest.setdefault(rest, {})
-        bucket[here[0][0]] = bucket.get(here[0][0], 0) + amp
-    terms = {}
-    for rest, pols in by_rest.items():
-        amp = sum(np.conj(w) * pols.get(pol, 0) for pol, w in weights.items())
-        if abs(amp) > AMP_TOL:
-            terms[rest] = amp
-    prob = float(sum(abs(a) ** 2 for a in terms.values()))
-    post = PhotonicState(
-        {p: a / math.sqrt(prob) for p, a in terms.items()} if prob > AMP_TOL else {},
-        state.total_photons - 1, state.ports - {port})
-    return prob, post
-
-
 def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> StateVector:
     """Read the polarization qubits off the listed ports: H -> 0, V -> 1.
 
     Every term must occupy exactly the listed ports with one photon each.
     """
-    ports = list(port_to_qubit)
-    for port in ports:
-        if any(_pattern_ports(pat).get(port, 0) != 1 for pat in state.terms):
-            raise ValueError(f"port {port} does not hold exactly one photon in every term")
-    for pat in state.terms:
-        extra = set(_pattern_ports(pat)) - set(ports)
-        if extra:
-            raise ValueError(f"terms occupy unlisted ports {sorted(extra)}")
-    n = len(ports)
-    qubits = tuple(port_to_qubit[p] for p in ports)
+    n = len(port_to_qubit)
+    bit = {port: 1 << (n - 1 - i) for i, port in enumerate(port_to_qubit)}
     amps = np.zeros(2**n, dtype=complex)
     for pat, amp in state.terms.items():
-        pols = dict(((port, pol) for (port, pol), _ in pat))
-        idx = 0
-        for i, port in enumerate(ports):
-            if pols[port] == "V":
-                idx |= 1 << (n - 1 - i)
+        # a listed port with one photon sets its bit; n distinct bits from n modes is a fit
+        idx = seen = 0
+        for (port, pol), count in pat:
+            b = bit.get(port, 0) if count == 1 else 0
+            seen |= b
+            idx |= b if pol == "V" else 0
+        if len(pat) != n or seen != (1 << n) - 1:  # word the error from every term's port counts
+            counts = [{q: sum(c for (p, _), c in pat if p == q) for (q, _), _ in pat} for pat in state.terms]
+            for port in port_to_qubit:
+                if any(per_port.get(port) != 1 for per_port in counts):
+                    raise ValueError(f"port {port} does not hold exactly one photon in every term")
+            extra = next(set(per_port) - set(bit) for per_port in counts if set(per_port) - set(bit))
+            raise ValueError(f"terms occupy unlisted ports {sorted(extra)}")
         amps[idx] = amp
     norm = np.linalg.norm(amps)
     if norm <= AMP_TOL:
         raise ValueError("zero-probability state: no amplitude to read")
     if abs(norm - 1.0) > 1e-9:
         amps = amps / norm
-    return StateVector(amps, qubits)
+    return StateVector(amps, tuple(port_to_qubit.values()))
 
 
 # -- circuit description JSON ---------------------------------------------------
@@ -339,12 +231,131 @@ def _measure_from_json(entry: dict, known: frozenset[int]) -> tuple[int, str, st
     return port, basis, outcome, weights
 
 
-def _join(state: PhotonicState, sources: list[Source]) -> PhotonicState:
-    if not sources:
-        return state
-    ports = [p for _, source_ports in sources for p in source_ports]
-    return PhotonicState(_expand(state.terms, sources), state.total_photons + len(ports),
-                         state.ports.union(ports))
+def _plan(spec: dict) -> tuple[list, list[list[Source]], list[list[int]], list[int] | None, list]:
+    """Check a whole circuit description, building no term: its elements, the sources joining
+    before each element and after the last, the ports retiring after each element, the
+    postselect list (None without the key) and the measure entries."""
+    for key, value in spec.items():
+        if key not in ("sources", "elements", "postselect", "measure"):
+            raise ValueError(f"a circuit description does not read {key!r}")
+        if not isinstance(value, list):
+            raise ValueError(f"a circuit description's {key} is a list")
+    sources = [_source_from_json(s) for s in spec.get("sources", [])]
+    known = _check_sources(sources)
+    elements = [_element_from_json(e, known) for e in spec.get("elements", [])]
+    postselect = spec.get("postselect")
+    if postselect is not None and (not all(type(p) is int for p in postselect)
+                                   or len(set(postselect)) < len(postselect)):
+        raise ValueError("postselect lists integer ports, none more than once")
+    measures = [_measure_from_json(m, known) for m in spec.get("measure", [])]
+    if len({port for port, *_ in measures}) < len(measures):
+        raise ValueError("a port is measured more than once")
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, (ports, _) in enumerate(elements):
+        for p in ports:
+            first.setdefault(p, i)
+            last[p] = i
+    joins: list[list[Source]] = [[] for _ in range(len(elements) + 1)]
+    for source in sources:
+        joins[min(first.get(p, len(elements)) for p in source[1])].append(source)
+    retires: list[list[int]] = [[] for _ in elements]
+    for p in postselect or []:
+        if p in last:
+            retires[last[p]].append(p)
+    return elements, joins, retires, postselect, measures
+
+
+# -- packed terms ------------------------------------------------------------------
+#
+# Inside run_circuit a term is one int: the i-th of the circuit's sorted ports
+# holds its H count in bits 10i..10i+4 and its V count in the next five, so
+# MAX_PHOTONS fits and the fields run in Pattern order.  Each step sums with
+# ``out.get(k, 0) + amp`` in term order and drops amplitudes at or under AMP_TOL
+# after each element, as tests/optics_oracle.py does on PhotonicState, so the
+# amplitudes and the term order are bit-identical to it.
+
+Terms = dict[int, complex]
+_COUNT = 31  # one mode's count field
+_PORT = 1023  # a port's H and V fields
+_SINGLE = (1, 1 << 5)  # a port's fields holding exactly one photon, H or V
+#: (a port's fields, HWP angle) -> each output fields value and coefficient; <= 2 x 152 entries
+_MIX: dict[tuple[int, float], tuple[tuple[int, complex], ...]] = {}
+
+
+def _join_terms(terms: Terms, sources: list[Source], shift: dict[int, int]) -> Terms:
+    """Multiply the terms by more sources, on ports every term leaves empty."""
+    for kind, ports in sources:
+        pieces = [(sum(1 << (shift[p] + (5 if pol == "V" else 0)) for p, pol in zip(ports, pols)), pa)
+                  for pols, pa in SOURCES[kind]]
+        new: Terms = {}
+        for key, amp in terms.items():
+            for piece, pa in pieces:
+                k = key | piece
+                new[k] = new.get(k, 0) + amp * pa
+        terms = new
+    return _clean(terms)
+
+
+def _pbs_terms(terms: Terms, shift_a: int, shift_b: int) -> Terms:
+    """Polarizing beam splitter: H transmits, so the two ports' V fields swap."""
+    va, vb = shift_a + 5, shift_b + 5
+    out: Terms = {}
+    for key, amp in terms.items():
+        x = (key >> va ^ key >> vb) & _COUNT
+        k = key ^ (x << va | x << vb)
+        out[k] = out.get(k, 0) + amp
+    return _clean(out)
+
+
+def _hwp_terms(terms: Terms, shift: int, angle: float) -> Terms:
+    """Half-wave plate on the port with fields at bit ``shift``: 22.5 degrees maps H/V to +/-,
+    0 is a Pauli Z."""
+    out: Terms = {}
+    for key, amp in terms.items():
+        fields = key >> shift & _PORT
+        if not fields:
+            out[key] = out.get(key, 0) + amp
+            continue
+        mix = _MIX.get((fields, angle))
+        if mix is None:
+            coeffs = _mode_mix_coeffs(fields & _COUNT, fields >> 5, _hwp_matrix(angle))
+            mix = _MIX[fields, angle] = tuple((m_h | m_v << 5, c) for (m_h, m_v), c in coeffs.items())
+        rest = key ^ fields << shift
+        for f, c in mix:
+            k = rest | f << shift
+            out[k] = out.get(k, 0) + amp * c
+    return _clean(out)
+
+
+def _detect_terms(terms: Terms, port: int, shift: int, weights: dict[str, float]) -> tuple[Terms, float]:
+    """Detect the photon at ``port`` (fields at bit ``shift``) and keep the outcome with these
+    weights; returns the terms without it, renormalised unless it has probability 0, and that."""
+    # the H and V amplitudes (0 when absent) at each rest of a term, in order of first sight
+    by_rest: dict[int, list] = {}
+    for key, amp in terms.items():
+        fields = key >> shift & _PORT
+        if fields not in _SINGLE:
+            raise ValueError(f"port {port} does not hold exactly one photon in every term")
+        pols = by_rest.setdefault(key ^ fields << shift, [0, 0])
+        pols[fields >> 5] = pols[fields >> 5] + amp
+    conj = [("HV".index(pol), np.conj(w)) for pol, w in weights.items()]
+    kept = {}
+    for rest, pols in by_rest.items():
+        amp = 0
+        for i, w in conj:
+            amp = amp + w * pols[i]
+        if abs(amp) > AMP_TOL:
+            kept[rest] = amp
+    prob = float(sum(abs(a) ** 2 for a in kept.values()))
+    norm = math.sqrt(prob)
+    return _clean({k: a / norm for k, a in kept.items()}) if prob > AMP_TOL else {}, prob
+
+
+def _pattern_of(key: int, ports: list[int]) -> Pattern:
+    """The occupation pattern of a packed term over these sorted ports."""
+    return _pattern({(port, pol): key >> 10 * i + 5 * j & _COUNT
+                     for i, port in enumerate(ports) for j, pol in enumerate("HV")})
 
 
 def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
@@ -364,55 +375,42 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     element on its ports, and each postselected port retires after the
     last element on it: the terms without exactly one photon there are
     dropped, unrenormalised.  No later element touches a retired port, so the result and the
-    probability are those of postselecting at the end.
+    probability are those of postselecting at the end.  Terms are packed
+    integers until the end (see above), then occupation patterns.
     """
-    for key, value in spec.items():
-        if key not in ("sources", "elements", "postselect", "measure"):
-            raise ValueError(f"a circuit description does not read {key!r}")
-        if not isinstance(value, list):
-            raise ValueError(f"a circuit description's {key} is a list")
-    sources = [_source_from_json(s) for s in spec.get("sources", [])]
-    known = _check_sources(sources)
-    elements = [_element_from_json(e, known) for e in spec.get("elements", [])]
-    postselect = spec.get("postselect", [])
-    if not all(type(p) is int for p in postselect) or len(set(postselect)) < len(postselect):
-        raise ValueError("postselect lists integer ports, none more than once")
-    measures = [_measure_from_json(m, known) for m in spec.get("measure", [])]
-    if len({port for port, *_ in measures}) < len(measures):
-        raise ValueError("a port is measured more than once")
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, (ports, _) in enumerate(elements):
-        for p in ports:
-            first.setdefault(p, i)
-            last[p] = i
-    joins: list[list[Source]] = [[] for _ in range(len(elements) + 1)]
-    for source in sources:
-        joins[min(first.get(p, len(elements)) for p in source[1])].append(source)
-    retires: list[list[int]] = [[] for _ in elements]
-    for p in postselect:
-        if p in last:
-            retires[last[p]].append(p)
-
-    state = PhotonicState({(): 1.0 + 0j}, 0, frozenset())
-    for (ports, angle), joining, retiring in zip(elements, joins, retires):
-        state = _join(state, joining)
+    elements, joins, retires, postselect, measures = _plan(spec)
+    ports = sorted(p for joining in joins for _, source_ports in joining for p in source_ports)
+    shift = {p: 10 * i for i, p in enumerate(ports)}
+    terms: Terms = {0: 1.0 + 0j}
+    for (element_ports, angle), joining, retiring in zip(elements, joins, retires):
+        if joining:
+            terms = _join_terms(terms, joining, shift)
         if angle is None:
-            state = apply_pbs(state, *ports)
+            terms = _pbs_terms(terms, shift[element_ports[0]], shift[element_ports[1]])
         else:
-            state = apply_hwp(state, ports[0], angle)
-        for p in retiring:
-            kept = {pat: a for pat, a in state.terms.items() if _pattern_ports(pat).get(p) == 1}
-            state = PhotonicState(kept, state.total_photons, state.ports)
-    state = _join(state, joins[-1])
+            terms = _hwp_terms(terms, shift[element_ports[0]], angle)
+        for s in (shift[p] for p in retiring):
+            terms = {k: a for k, a in terms.items() if k >> s & _PORT in _SINGLE}
+    if joins[-1]:
+        terms = _join_terms(terms, joins[-1], shift)
 
     prob = 1.0
-    if "postselect" in spec:
-        state, prob = postselect_coincidence(state, postselect)
+    if postselect is not None:
+        # N photons on N ports: a term has one on each port iff each has an odd H or V count,
+        # and no term can meet a list of fewer ports or a port no source has
+        odd = sum(1 << s for s in shift.values())
+        kept = {k: a for k, a in terms.items() if (k | k >> 5) & odd == odd} \
+            if set(postselect) == shift.keys() else {}
+        prob = float(sum(abs(a) ** 2 for a in kept.values()))
+        norm = math.sqrt(prob)
+        terms, prob = ({}, 0.0) if prob < AMP_TOL else (_clean({k: a / norm for k, a in kept.items()}), prob)
     log = []
     for port, basis, outcome, weights in measures:
-        branch_prob, state = _detect(state, port, weights)
+        terms, branch_prob = _detect_terms(terms, port, shift[port], weights)
         log.append({"port": port, "basis": basis, "outcome": outcome, "probability": branch_prob})
+    state = PhotonicState({_pattern_of(k, ports): a for k, a in terms.items()},
+                          len(ports) - len(measures),
+                          frozenset(ports).difference(port for port, *_ in measures))
     return state, prob, log
 
 

@@ -36,6 +36,8 @@ class StateVector:
         n = len(self.qubit_order)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.shape}")
+        if len(set(self.qubit_order)) < n:
+            raise ValueError(f"qubit labels repeat: {tuple(self.qubit_order)}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("state has non-finite amplitudes")
         norm = float(np.sum(np.abs(amps) ** 2))

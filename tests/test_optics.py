@@ -14,10 +14,7 @@ from photonweave import optics
 from photonweave.graphs import path_graph, star_graph
 from photonweave.optics import (
     PhotonicState,
-    apply_hwp,
-    apply_pbs,
     extract_logical,
-    postselect_coincidence,
     run_circuit,
     state_from_json,
     state_to_json,
@@ -25,7 +22,7 @@ from photonweave.optics import (
 )
 from photonweave.protocols import ghz_weave
 from photonweave.states import state_locally_equivalent
-from optics_oracle import composed, prepare
+from optics_oracle import apply_hwp, apply_pbs, composed, postselect_coincidence, prepare, run_tuples
 
 S2 = 1 / math.sqrt(2)
 
@@ -227,6 +224,22 @@ def test_extract_logical_bell():
     assert np.allclose(sv.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
+@pytest.mark.parametrize("patterns,listed,message", [
+    ([(((0, "H"), 2),)], {0: 0, 1: 1}, "port 0 does not hold"),
+    ([(((0, "H"), 1), ((0, "V"), 1))], {0: 0, 1: 1}, "port 0 does not hold"),
+    ([(((0, "H"), 1), ((2, "V"), 1))], {1: 0, 0: 1}, "port 1 does not hold"),
+    ([(((0, "H"), 1), ((1, "V"), 1)), (((1, "H"), 1), ((2, "V"), 1))], {0: 0, 1: 1},
+     "port 0 does not hold"),
+    ([(((0, "H"), 1), ((1, "V"), 1), ((3, "H"), 1)), (((0, "V"), 1), ((1, "V"), 1), ((2, "H"), 1))],
+     {0: 0, 1: 1}, r"unlisted ports \[3\]"),
+])
+def test_extract_logical_names_what_does_not_fit(patterns, listed, message):
+    # the first listed port without one photon in some term, else the first term's unlisted ports
+    state = PhotonicState({pat: len(patterns) ** -0.5 for pat in patterns})
+    with pytest.raises(ValueError, match=message):
+        extract_logical(state, listed)
+
+
 def test_extract_logical_rejects_zero_probability_state():
     # port 5 never holds a photon, so postselection keeps no term
     spec = {"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}], "postselect": [0, 1, 5]}
@@ -376,8 +389,9 @@ def assert_matches_composition(spec):
 
 @st.composite
 def circuits(draw):
-    """1-3 sources of any kind, 0-6 PBS/HWP elements on their ports, every port
-    postselected and an optional final measurement."""
+    """1-3 sources of any kind, 0-6 PBS/HWP elements on their ports, mostly every port
+    postselected (else some ports, maybe one no source has, or no postselect key) and up
+    to two detections, each in either basis with any outcome."""
     free = list(draw(st.permutations(range(6))))
     sources, used = [], []
     for kind in draw(st.lists(st.sampled_from(sorted(optics.SOURCES)), min_size=1, max_size=3)):
@@ -393,10 +407,17 @@ def circuits(draw):
         pairs = [[a, b] for a in used for b in used if a != b]
         options.append(st.sampled_from(pairs).map(lambda ab: {"pbs": ab}))
     elements = draw(st.lists(st.one_of(options), max_size=6))
-    spec = {"sources": sources, "elements": elements, "postselect": sorted(used)}
-    measure = draw(st.none() | st.tuples(st.sampled_from(used), st.sampled_from(["HV", "PM"])))
-    if measure is not None:
-        spec["measure"] = [{"port": measure[0], "basis": measure[1]}]
+    spec = {"sources": sources, "elements": elements}
+    listed = draw(st.sampled_from(["every", "every", "some", "none"]))
+    if listed != "none":
+        spec["postselect"] = sorted(used) if listed == "every" else \
+            draw(st.lists(st.sampled_from([*used, 6]), unique=True))
+    measured = draw(st.lists(st.sampled_from(used), max_size=2, unique=True))
+    if measured:
+        outcomes = st.sampled_from([("HV", "H"), ("HV", "V"), ("PM", "+"), ("PM", "-")])
+        spec["measure"] = [{"port": p, "basis": basis, "outcome": outcome}
+                           for p, (basis, outcome) in zip(measured, draw(
+                               st.lists(outcomes, min_size=len(measured), max_size=len(measured))))]
     return spec
 
 
@@ -404,6 +425,55 @@ def circuits(draw):
 @given(circuits())
 def test_run_circuit_matches_composition(spec):
     assert_matches_composition(spec)
+
+
+def _bits(x: complex | float) -> tuple[str, str]:
+    """A number's exact bits (the sign of a zero included)."""
+    return complex(x).real.hex(), complex(x).imag.hex()
+
+
+def assert_bit_identical(spec):
+    """run_circuit's packed terms give exactly the pattern-keyed engine's output."""
+    (state, prob, log), (ref, ref_prob, ref_log) = run_circuit(spec), run_tuples(spec)
+    assert [(pat, _bits(a)) for pat, a in state.terms.items()] == \
+        [(pat, _bits(a)) for pat, a in ref.terms.items()]
+    assert all(type(a) is complex for a in state.terms.values())
+    assert _bits(prob) == _bits(ref_prob)
+    assert [{**e, "probability": _bits(e["probability"])} for e in log] == \
+        [{**e, "probability": _bits(e["probability"])} for e in ref_log]
+    assert (state.total_photons, state.ports) == (ref.total_photons, ref.ports)
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuits())
+def test_packed_terms_are_bit_identical(spec):
+    try:
+        run_tuples(spec)
+    except ValueError as exc:  # a detection on a port without exactly one photon
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            run_circuit(spec)
+        return
+    assert_bit_identical(spec)
+
+
+def test_dual_path_circuits_are_bit_identical(monkeypatch):
+    # every circuit the dual-path criterion runs, over each protocol's full range
+    from photonweave import verify
+
+    specs = []
+    real = optics.run_circuit
+
+    def record(spec):
+        specs.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(optics, "run_circuit", record)
+    for _ in verify._dual_path_cases():
+        pass
+    monkeypatch.undo()
+    assert len(specs) == 44
+    for spec in specs:
+        assert_bit_identical(spec)
 
 
 def test_zero_probability_circuit():
@@ -424,15 +494,15 @@ def test_retirement_can_empty_the_state(monkeypatch):
                          {"pbs": [2, 1]}, {"hwp": [2, 22.5]}],
             "postselect": [1, 2], "measure": [{"port": 2, "basis": "HV"}]}
     seen = []
-    real = optics.apply_hwp
+    real = optics._hwp_terms
 
-    def spy(state, port, angle):
-        seen.append(len(state.terms))
-        return real(state, port, angle)
+    def spy(terms, shift, angle):
+        seen.append(len(terms))
+        return real(terms, shift, angle)
 
-    monkeypatch.setattr(optics, "apply_hwp", spy)
+    monkeypatch.setattr(optics, "_hwp_terms", spy)
     state, prob, log = run_circuit(spec)
-    assert seen[-1] == 0  # the last element runs on an empty state
+    assert len(seen) == 4 and seen[-1] == 0  # the last element runs on an empty term map
     assert prob == 0.0 and not state.terms and log[0]["probability"] == 0.0
     monkeypatch.undo()
     assert_matches_composition(spec)
@@ -481,18 +551,24 @@ def _pbs_circuit(**keys):
     (_pbs_circuit(postselect=5), "postselect is a list"),
     (_pbs_circuit(elements=[{"pbs": [[0], 1]}]), "unknown element"),
     (_pbs_circuit(measure=[{"port": [0], "basis": "HV"}]), "a measure entry is"),
+    (_pbs_circuit(elements=[{"pbs": [0, 1]}, {"hwp": [0, False]}]), "unsupported HWP angle False;"),
+    (_pbs_circuit(elements=[{"pbs": [0, 1]}, {"hwp": [0, "22.5"]}]),
+     re.escape("unsupported HWP angle '22.5';")),
 ])
 def test_bad_circuit_raises_before_any_term(monkeypatch, spec, message):
     def no_terms(*args):
         raise AssertionError("a term was built")
 
-    monkeypatch.setattr(optics, "_expand", no_terms)
+    # every term of run_circuit is built by a source joining the state
+    monkeypatch.setattr(optics, "_join_terms", no_terms)
     with pytest.raises(ValueError, match=message):
         run_circuit(spec)
 
 
 OPTICS_PRIMITIVES = {"apply_pbs", "apply_hwp", "postselect_coincidence", "prepare",
                      "measure_polarization"}
+#: the pattern-keyed engine, which lives in tests/optics_oracle.py as the reference
+TUPLE_ENGINE = OPTICS_PRIMITIVES | {"_detect", "_expand", "_join", "_pattern_ports"}
 
 
 def test_run_circuit_is_the_only_optics_path():
@@ -500,7 +576,7 @@ def test_run_circuit_is_the_only_optics_path():
     for path in sorted(Path(photonweave.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        assert not defined & {"prepare", "measure_polarization"}, path.name
+        assert not defined & TUPLE_ENGINE, path.name
         if path.name == "optics.py":
             continue
         called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)

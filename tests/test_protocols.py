@@ -752,7 +752,8 @@ def test_readme_request_table_matches_requests():
 def test_weave_optics_realization():
     # weaving two Bell pairs through the auxiliary-photon gate: success 1/4
     # and the same shape the graph-level operation produces
-    from photonweave.optics import apply_hwp, apply_pbs, extract_logical, postselect_coincidence
+    from optics_oracle import apply_hwp, apply_pbs, postselect_coincidence
+    from photonweave.optics import extract_logical
 
     s = prepare([{"plus": 0}, {"gbell": [1, 2]}, {"gbell": [3, 4]}])
     for target in (2, 4):

@@ -20,6 +20,7 @@ from photonweave.graphs import (
     path_graph,
     star_graph,
 )
+from photonweave.optics import extract_logical, run_circuit
 from photonweave.states import (
     NORM_TOL,
     STATE_VECTOR_LIMIT,
@@ -120,6 +121,15 @@ def test_non_finite_amplitudes_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             StateVector(np.array([bad, 0.0]), (1,))
+
+
+def test_repeated_qubit_labels_rejected():
+    # two photons read out as one qubit would decode as a one-vertex graph
+    with pytest.raises(ValueError, match="repeat"):
+        StateVector(np.array([1.0, 0.0, 0.0, 0.0]), (7, 7))
+    plus = run_circuit({"sources": [{"plus": 0}, {"plus": 1}]})[0]
+    with pytest.raises(ValueError, match="repeat"):
+        extract_logical(plus, {0: 7, 1: 7})
 
 
 # -- stabilizer decoding -------------------------------------------------------------
