@@ -13,6 +13,7 @@ zigzag- or honeycomb-shaped resource can hand to the users.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .graphs import (
@@ -399,13 +400,15 @@ def honeycomb_resource(n: int) -> tuple[Graph, list[int], list[int]]:
     return g, measured, survivors
 
 
+@lru_cache(maxsize=8)
 def honeycomb_multigraph(n: int) -> tuple[Multigraph, EulerianTour]:
     """The 4-regular multigraph carrying the honeycomb's equivalence class.
 
     Built by leaf-expanding the circulant at every unmeasured vertex, so
     the inherited tour's interlacement graph is exactly the honeycomb
     (leaf 100+s attached to survivor s).  The measured vertices keep
-    their original slot tags and can be rewired by apply_word.
+    their original slot tags and can be rewired by apply_word.  Cached:
+    both results are immutable and apply_word copies the edges.
     """
     mg = build_circulant(n)
     tour = canonical_tour(n)

@@ -3,7 +3,7 @@
 The vector layer is the oracle that ties the optics engine to the graph
 calculus: ``graph_form`` decodes any stabilizer vector back to a graph in
 one pass over its amplitudes (its local-Clifford frame is discarded),
-after which equivalence questions reduce to orbit search on graphs.
+after which equivalence questions go to the graph layer's linear test.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .graphs import Graph, locally_equivalent
 
 NORM_TOL = 1e-10
 STATE_VECTOR_LIMIT = 14
-EQUIVALENCE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,8 @@ def graph_form(sv: StateVector) -> Graph | None:
 
 def state_locally_equivalent(sv: StateVector, g: Graph) -> bool:
     """True iff single-qubit Cliffords map sv onto the graph state of g."""
-    if sv.n > EQUIVALENCE_LIMIT:
-        raise ValueError(f"equivalence search limited to {EQUIVALENCE_LIMIT} qubits")
+    if sv.n > STATE_VECTOR_LIMIT:
+        raise ValueError(f"equivalence test limited to {STATE_VECTOR_LIMIT} qubits")
     if set(sv.qubit_order) != set(g.vertices):
         return False
     decoded = graph_form(sv)

@@ -28,7 +28,6 @@ from .graphs import (
     star_graph,
 )
 from .states import (
-    EQUIVALENCE_LIMIT,
     StateVector,
     apply_single_qubit,
     state_locally_equivalent,
@@ -167,10 +166,9 @@ def _dual_path_cases():
         yield case(f"ghz M={m}", pr.run_ghz, pr.ghz_optics, m)
         yield case(f"ghz+server M={m}", pr.run_ghz, pr.ghz_optics, m, True)
     for m in range(2, 8):
-        if 2 * m <= EQUIVALENCE_LIMIT:
-            comb = pr.path_optics(m, stop_before_measurement=True)[:2]
-            yield (f"path M={m} comb intermediate", comb, pr.comb_graph(m),
-                   pr.run_path(m).success_probability)
+        comb = pr.path_optics(m, stop_before_measurement=True)[:2]
+        yield (f"path M={m} comb intermediate", comb, pr.comb_graph(m),
+               pr.run_path(m).success_probability)
         yield case(f"path M={m}", pr.run_path, pr.path_optics, m)
         yield case(f"path+server M={m}", pr.run_path, pr.path_optics, m, True)
     for m in range(3, 7):
@@ -194,7 +192,7 @@ def _dual_path_cases():
 def check_dual_path() -> CriterionResult:
     """Optics layer and graph layer agree over every protocol's full range.
 
-    The comb intermediate (2M qubits) stops at M = 5, the equivalence limit.
+    The comb intermediate (2M qubits) runs at every path M, up to 14 qubits.
     """
     t0 = time.time()
     for label, (sv, prob), graph, exact in _dual_path_cases():
@@ -202,7 +200,7 @@ def check_dual_path() -> CriterionResult:
             return _result("dual-path", False, f"{label} prob", t0)
         if not state_locally_equivalent(sv, graph):
             return _result("dual-path", False, f"{label} state", t0)
-    return _result("dual-path", True, "ghz M<=8, path M<=7 (comb M<=5), cycle M<=6, "
+    return _result("dual-path", True, "ghz M<=8, path M<=7 (comb M<=7), cycle M<=6, "
                    "caterpillar M<=7 and blocks agree", t0)
 
 

@@ -1,11 +1,17 @@
+import ast
 import itertools
 import json
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lc_oracle
+import photonweave
 from photonweave.graphs import (
+    LC_DIMENSION_LIMIT,
     Graph,
     ShapeClass,
     classify_graph,
@@ -207,6 +213,95 @@ def test_equivalence_relation(g):
 def test_orbit_cap():
     with pytest.raises(RuntimeError):
         list(lc_orbit(cycle_graph(9), cap=5))
+
+
+@st.composite
+def lc_pairs(draw, max_vertices=8):
+    """A graph of any density, often disconnected, and a partner for it.
+
+    The partner is a random LC walk from it (equivalent), such a walk with
+    one edge toggled (a near miss) or an unrelated graph on the same
+    labels, sometimes listed in reversed vertex order.
+    """
+    n = draw(st.integers(1, max_vertices))
+    labels = list(range(1, n + 1))
+    pairs = list(itertools.combinations(labels, 2))
+    g = Graph(labels, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else ())
+    h = g
+    for v in draw(st.lists(st.sampled_from(labels), max_size=8)):
+        h = local_complement(h, v)
+    kind = draw(st.sampled_from(["toggle", "other", "walk"]))
+    if kind == "toggle" and pairs:
+        h = h.with_edges_toggled([draw(st.sampled_from(pairs))])
+    elif kind == "other" and pairs:
+        h = Graph(labels, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    if draw(st.booleans()):
+        h = Graph(h.vertices[::-1], h.edges)
+    return g, h
+
+
+@settings(max_examples=400, deadline=None)
+@given(lc_pairs())
+def test_linear_test_matches_orbit_oracle(pair):
+    g, h = pair
+    assert locally_equivalent(g, h) == lc_oracle.locally_equivalent(g, h)
+
+
+def test_twelve_vertex_families_are_answered():
+    # the orbit search answered these at its 12-vertex limit; the star's
+    # solution space has 13 dimensions, the most measured at n <= 12
+    labels = range(12)
+    star, complete = star_graph(0, range(1, 12)), complete_graph(labels)
+    path, cycle = path_graph(labels), cycle_graph(labels)
+    for g in (star, complete, path, cycle):
+        assert locally_equivalent(g, g)
+        assert locally_equivalent(g, local_complement(local_complement(g, 3), 4))
+    assert locally_equivalent(star, complete) and locally_equivalent(complete, star)
+    # cut ranks over GF(2) are LC invariants: across {1, 3} the star has 1
+    # and the path 2; across {0..5} the star and the path have 1, the cycle 2
+    assert not locally_equivalent(star, path) and not locally_equivalent(path, star)
+    assert not locally_equivalent(path, cycle) and not locally_equivalent(cycle, star)
+
+
+def test_components_are_solved_one_at_a_time():
+    # as one system the edgeless 12-vertex graph has 36 dimensions, and two
+    # 11-vertex stars have 24
+    assert locally_equivalent(empty_graph(12), empty_graph(12))
+    two_stars = star_graph(0, range(1, 11)).disjoint_union(star_graph(11, range(12, 22)))
+    assert locally_equivalent(two_stars, local_complement(two_stars, 0))
+    assert not locally_equivalent(two_stars, local_complement(two_stars, 1).add_edge(1, 2))
+
+
+def test_dimension_limit_raises_before_the_walk():
+    # star against path has an n-dimensional solution space and no solution,
+    # so a walk over it would take seconds at n = 24
+    labels = range(LC_DIMENSION_LIMIT + 4)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="null-space dimensions"):
+        locally_equivalent(star_graph(0, labels[1:]), path_graph(labels))
+    assert time.perf_counter() - t0 < 1.0
+    big_star = star_graph(0, range(1, LC_DIMENSION_LIMIT))  # n + 1 = 21 dimensions
+    with pytest.raises(ValueError, match="null-space dimensions"):
+        locally_equivalent(big_star, big_star)
+    # at the limit itself the walk runs: 19 vertices, 20 dimensions
+    at_limit = range(LC_DIMENSION_LIMIT - 1)
+    assert locally_equivalent(star_graph(0, at_limit[1:]), complete_graph(at_limit))
+
+
+def test_orbit_search_stays_out_of_the_equivalence_test():
+    # lc_orbit is the minors shape bound's search; no other module reaches it
+    for path in sorted(Path(photonweave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert path.name in ("graphs.py", "minors.py") or "lc_orbit" not in names, path.name
+        if path.name == "graphs.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name != "lc_orbit":
+                    called = {c.func.id for c in ast.walk(node)
+                              if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                    assert "lc_orbit" not in called, node.name
 
 
 # -- classification --------------------------------------------------------------------

@@ -471,7 +471,7 @@ def test_dual_path_circuits_are_bit_identical(monkeypatch):
     for _ in verify._dual_path_cases():
         pass
     monkeypatch.undo()
-    assert len(specs) == 44
+    assert len(specs) == 46
     for spec in specs:
         assert_bit_identical(spec)
 

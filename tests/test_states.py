@@ -11,6 +11,7 @@ import photonweave
 import stabilizer_oracle
 from photonweave.graphs import (
     Graph,
+    _local_cliffords,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -172,10 +173,12 @@ def test_identity_case():
 
 
 def test_equivalence_size_limit():
+    # the linear test answers every size a state vector is built at
+    assert state_locally_equivalent(to_state_vector(empty_graph(11)), empty_graph(11))
+    n = STATE_VECTOR_LIMIT + 1
+    plus = StateVector(np.full(2**n, 2 ** (-n / 2), dtype=complex), tuple(range(1, n + 1)))
     with pytest.raises(ValueError):
-        state_locally_equivalent(
-            to_state_vector(empty_graph(11)), empty_graph(11)
-        )
+        state_locally_equivalent(plus, empty_graph(n))
 
 
 # -- measurement soundness: projections vs rewrite rules ------------------------------
@@ -249,6 +252,44 @@ def test_decoder_invariant_under_local_cliffords(rnd):
         decoded = graph_form(sv)
         assert decoded is not None
         assert locally_equivalent(decoded, g)
+
+
+def _frame(u: np.ndarray) -> tuple[int, int, int, int]:
+    """(a, b, c, d) of a single-qubit Clifford: X -> X^a Z^c and Z -> X^b Z^d, up to phase."""
+    xz = {(1, 0): PAULI["X"], (0, 1): PAULI["Z"], (1, 1): PAULI["X"] @ PAULI["Z"]}
+
+    def image(p):
+        m = u @ p @ u.conj().T
+        return next(key for key, q in xz.items() if abs(np.trace(q.conj().T @ m)) > 1)
+
+    (a, c), (b, d) = image(PAULI["X"]), image(PAULI["Z"])
+    return a, b, c, d
+
+
+def test_local_cliffords_take_one_graph_state_to_the_other(rnd):
+    # one unitary for each of the six frames, from words in H and S
+    unitaries = {}
+    for k in range(4):
+        for word in itertools.product("HS", repeat=k):
+            u = np.eye(2, dtype=complex)
+            for gate in word:
+                u = u @ GATES[gate]
+            unitaries.setdefault(_frame(u), u)
+    assert len(unitaries) == 6
+    assert _local_cliffords(path_graph(4), star_graph(1, [2, 3, 4])) is None
+    for _ in range(40):
+        g = random_graph(rnd, rnd.randint(1, 6))
+        h = g
+        for _ in range(rnd.randint(0, 5)):
+            h = local_complement(h, rnd.choice(g.vertices))
+        frames = _local_cliffords(g, h)
+        assert frames is not None and set(frames) == set(g.vertices)
+        sv = to_state_vector(g)
+        for v, frame in frames.items():
+            sv = apply_single_qubit(sv, v, unitaries[frame])
+        # h's graph state up to Paulis: full support, and it decodes to h itself
+        assert np.allclose(np.abs(sv.amplitudes), 2 ** (-g.n / 2))
+        assert graph_form(sv).edges == h.edges
 
 
 @st.composite
