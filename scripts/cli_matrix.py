@@ -68,6 +68,8 @@ COMMANDS = [
     "classify --word XYYY",
     "classify --word XXYYZZ --resource zigzag --n 8",
     "classify --word XXXXXXXXXX --n 20",
+    "classify --word XXXX --resource path_every_third --n 10",
+    "classify --word XYZX --resource honeycomb --n 8",
     # verify: the sub-second suites only
     "verify --suite cz-gate",
     "verify --suite ghz-postselection",

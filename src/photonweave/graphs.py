@@ -5,8 +5,7 @@ Cliffords: vertices are qubits and each edge records a CZ applied to a
 pair of |+> qubits.  The module provides the three Pauli-measurement
 rewrite rules (vertex deletion, local complementation + deletion, and
 the three-step X rule), local equivalence by Bouchet's linear test over
-GF(2), the local-complementation orbit for shape searches, and shape
-classification of the caterpillar/cycle family.
+GF(2), and shape classification of the caterpillar/cycle family.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -241,29 +240,6 @@ def measure_pauli(g: Graph, v: int, axis: str, x_partner: int | None = None) -> 
 
 
 # -- local equivalence --------------------------------------------------------
-
-ORBIT_CAP = 10**6
-
-
-def lc_orbit(g: Graph, cap: int = ORBIT_CAP) -> Iterator[Graph]:
-    """Breadth-first enumeration of the local-complementation orbit of g."""
-    # lc keeps the vertex order, so the neighbourhoods in that order identify a graph
-    seen = {tuple(g.adj.values())}
-    queue = deque([g])
-    while queue:
-        cur = queue.popleft()
-        yield cur
-        for v, nbrs in cur.adj.items():
-            if len(nbrs) < 2:  # lc is a no-op below degree 2
-                continue
-            nxt = local_complement(cur, v)
-            key = tuple(nxt.adj.values())
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise RuntimeError(f"local-complementation orbit exceeds cap {cap}")
-                seen.add(key)
-                queue.append(nxt)
-
 
 #: null-space dimension of one component's linear system above which the
 #: solution walk is refused.  The most measured over graphs of at most 12

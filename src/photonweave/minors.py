@@ -6,8 +6,8 @@ graph locally equivalent to the cycle.  Measuring out a vertex of the
 cycle corresponds to rewiring the four edges at the matching multigraph
 vertex in one of three ways (the X/Y/Z fragments), and attaching a leaf
 corresponds to splitting a vertex along a tour (leaf expansion).  The
-words over {X, Y, Z} that drive these rewirings classify everything a
-zigzag- or honeycomb-shaped resource can hand to the users.
+words over {X, Y, Z} that drive these rewirings classify everything the
+zigzag, honeycomb and path-every-third resources can hand to the users.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .graphs import (
     classify_graph,
     complete_graph,
     cycle_graph,
-    lc_orbit,
     locally_equivalent,
     measure_pauli,
     path_graph,
@@ -61,6 +60,8 @@ class Multigraph:
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
+        if len(vset) < len(self.vertices):
+            raise ValueError(f"repeated vertex labels in {self.vertices}")
         for (u, _), (v, _) in self.edges:
             if u not in vset or v not in vset:
                 raise ValueError(f"edge ({u},{v}) references a missing vertex")
@@ -322,6 +323,8 @@ def predict_representative(
         survivors = list(range(n_survivors))
     if len(survivors) != n_survivors:
         raise ValueError(f"need {n_survivors} survivor labels, got {len(survivors)}")
+    if len(set(survivors)) < n_survivors:
+        raise ValueError(f"repeated survivor labels in {list(survivors)}")
     after = list(survivors if close else survivors[1:])  # after[i] follows measured vertex i
 
     edges: list[tuple[int, int]] = []
@@ -446,17 +449,37 @@ def simulate_word(g: Graph, measured: Sequence[int], word: str) -> Graph:
     return g
 
 
+def _spine_leaf_word(resource: str, word: str) -> tuple[str, bool]:
+    """The word and closure the spine/leaf rule reads for a resource's word.
+
+    The zigzag and the honeycomb read the word itself, closed.  The
+    path-every-third resource reads an open word with each survivor
+    pair's edge as a letter and the interior letters ``word[1:-1]``
+    between the pairs.  A pair's edge reads Y, but Z next to an X end:
+    X on a degree-1 server end cuts its neighbour loose, Y or Z only
+    deletes the end.
+    """
+    if resource != "path_every_third":
+        return word, True
+    pairs = ["Y"] * (len(word) - 1)
+    if word[0] == "X":
+        pairs[0] = "Z"
+    if word[-1] == "X":
+        pairs[-1] = "Z"
+    return "".join(p + c for p, c in zip(pairs, word[1:-1])) + pairs[-1], False
+
+
 def crosscheck(n: int, word: str, resource: str = "zigzag") -> bool:
     """Does the word-level prediction match the rewrite-rule simulation?
 
-    For the zigzag the prediction is the combinatorial spine/leaf rule;
-    for the honeycomb it is the transition minor of the leaf-expanded
+    For the zigzag and the path-every-third resource the prediction is
+    the combinatorial spine/leaf rule, read on ``_spine_leaf_word``; for
+    the honeycomb it is the transition minor of the leaf-expanded
     multigraph (the naive read-the-leaves-back shortcut fails whenever an
-    X byproduct has to cross a leaf edge).  Both compare to the
-    rewrite-rule simulation up to local equivalence.  The
-    path-every-third resource instead checks the shape bound: every
-    component is a caterpillar admitting at most one leaf per spine
-    vertex.
+    X byproduct has to cross a leaf edge).  Each compares to the
+    rewrite-rule simulation up to local equivalence.  Every
+    path-every-third prediction is a caterpillar forest of maximum
+    degree 3, so the paper's shape bound follows from the check.
     """
     return _crosscheck(n, word, resource)[0]
 
@@ -471,37 +494,18 @@ def _crosscheck(n: int, word: str, resource: str) -> tuple[bool, Graph]:
     if len(word) != len(measured):
         raise InputShapeError(f"word length must be {len(measured)} for n={n}")
     sim = simulate_word(g, measured, word)
-    if resource == "zigzag":
-        pred = predict_representative(word, close=True, survivors=survivors)
-        return locally_equivalent(sim, pred), sim
     if resource == "honeycomb":
         mg, _ = honeycomb_multigraph(n)
         pred = tour_interlacement(apply_word(mg, measured, word))
-        return locally_equivalent(sim, pred), sim
-    return all(_single_leaf_caterpillar(sim, comp) for comp in sim.components()), sim
-
-
-def _single_leaf_caterpillar(g: Graph, comp: frozenset[int]) -> bool:
-    """Is some LC representative of the component a max-degree-3 caterpillar?
-
-    A caterpillar whose maximum degree is three can always be re-rooted
-    so that each spine vertex carries at most one leaf.
-    """
-    sub = g.induced(comp)
-    if len(comp) <= 2:
-        return True
-    for rep in lc_orbit(sub):
-        if max(map(len, rep.adj.values())) > 3:
-            continue
-        if classify_graph(rep).label in ("path", "star", "caterpillar", "empty"):
-            return True
-    return False
+    else:
+        pred = predict_representative(*_spine_leaf_word(resource, word), survivors=survivors)
+    return locally_equivalent(sim, pred), sim
 
 
 def crosscheck_report(n: int, word: str, resource: str = "zigzag") -> dict:
     """JSON-friendly classification report for one word."""
     ok, sim = _crosscheck(n, word, resource)
-    predicted = predict_class(word, close=resource in ("zigzag", "honeycomb"))
+    predicted = predict_class(*_spine_leaf_word(resource, word))
     return {
         "word": word,
         "resource": resource,

@@ -22,7 +22,6 @@ from photonweave.graphs import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    lc_orbit,
     local_complement,
     locally_equivalent,
     measure_pauli,
@@ -212,7 +211,7 @@ def test_equivalence_relation(g):
 
 def test_orbit_cap():
     with pytest.raises(RuntimeError):
-        list(lc_orbit(cycle_graph(9), cap=5))
+        list(lc_oracle.lc_orbit(cycle_graph(9), cap=5))
 
 
 @st.composite
@@ -288,20 +287,18 @@ def test_dimension_limit_raises_before_the_walk():
     assert locally_equivalent(star_graph(0, at_limit[1:]), complete_graph(at_limit))
 
 
-def test_orbit_search_stays_out_of_the_equivalence_test():
-    # lc_orbit is the minors shape bound's search; no other module reaches it
+def test_orbit_search_stays_out_of_the_package():
+    # local equivalence has one mechanism in the package, the linear test;
+    # the orbit search is a test oracle only
     for path in sorted(Path(photonweave.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  for alias in node.names}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert path.name in ("graphs.py", "minors.py") or "lc_orbit" not in names, path.name
-        if path.name == "graphs.py":
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name != "lc_orbit":
-                    called = {c.func.id for c in ast.walk(node)
-                              if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
-                    assert "lc_orbit" not in called, node.name
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not names & {"lc_orbit", "ORBIT_CAP"}, path.name
 
 
 # -- classification --------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import lc_oracle
 from photonweave.graphs import (
     classify_graph,
     cycle_graph,
@@ -12,6 +13,7 @@ from photonweave.graphs import (
 from photonweave.minors import (
     EulerianTour,
     Multigraph,
+    _spine_leaf_word,
     apply_word,
     build_circulant,
     canonical_tour,
@@ -218,6 +220,14 @@ def test_leaf_expansion_counts():
     assert len(interlacement(tour2).vertices) == 9
 
 
+def test_multigraph_rejects_repeated_vertices():
+    with pytest.raises(ValueError, match="repeated vertex"):
+        multigraph([0, 1, 0], [(0, 1)])
+    # a leaf label already in use would list the vertex twice
+    with pytest.raises(ValueError, match="repeated vertex"):
+        leaf_expansion(build_circulant(6), canonical_tour(6), 1, leaf_label=3)
+
+
 def test_leaf_expansion_unknown_vertex():
     with pytest.raises(ValueError):
         leaf_expansion(build_circulant(6), canonical_tour(6), 99)
@@ -245,6 +255,13 @@ def test_predict_all_z():
 def test_predict_no_z_with_y_closed_is_leafed_cycle():
     shape = predict_class("XYYYY", close=True)
     assert shape.label == "leafed-cycle"
+
+
+def test_predict_rejects_repeated_survivors():
+    with pytest.raises(ValueError, match="repeated survivor"):
+        predict_representative("YY", close=True, survivors=[1, 1])
+    with pytest.raises(ValueError, match="repeated survivor"):
+        predict_representative("YYY", close=False, survivors=[1, 2, 1, 3])
 
 
 def test_predict_word_validation():
@@ -325,6 +342,36 @@ def test_honeycomb_spot_words():
 def test_path_every_third_bound():
     for word in ALL_WORDS(3):
         assert crosscheck(7, word, "path_every_third"), word
+
+
+@pytest.mark.parametrize("word, effective", [
+    ("YZ", "Y"), ("XZ", "Z"), ("ZX", "Z"),  # n = 4: one pair, both ends on it
+    ("XYZX", "ZYYZZ"), ("ZXYY", "YXYYY"), ("XXXX", "ZXYXZ"),
+])
+def test_spine_leaf_word(word, effective):
+    assert _spine_leaf_word("path_every_third", word) == (effective, False)
+    assert _spine_leaf_word("zigzag", word) == _spine_leaf_word("honeycomb", word) == (word, True)
+
+
+def test_path_every_third_words_match_the_orbit_oracle():
+    # every word the n <= 12 cap admits: the GF(2) check of the spine/leaf
+    # prediction gives the orbit search's shape-bound verdict, and each
+    # prediction is itself a caterpillar forest of maximum degree 3
+    checked = 0
+    for n in (4, 7, 10):
+        g, measured, survivors = path_every_third_resource(n)
+        for word in ALL_WORDS(len(measured)):
+            sim = simulate_word(g, measured, word)
+            assert crosscheck(n, word, "path_every_third") == lc_oracle.single_leaf_caterpillars(sim)
+            pred = predict_representative(*_spine_leaf_word("path_every_third", word),
+                                          survivors=survivors)
+            assert max(map(len, pred.adj.values())) <= 3, word
+            kinds = {shape.kind for shape in classify_graph(pred).components}
+            assert kinds <= {"empty", "path", "star", "caterpillar"}, word
+            report = crosscheck_report(n, word, "path_every_third")
+            assert report["predicted"] == report["simulated"], word
+            checked += 1
+    assert checked == 117
 
 
 def test_crosscheck_validation():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -18,11 +20,19 @@ def run_script(*args: str) -> str:
     return proc.stdout
 
 
-def test_word_sweep_script():
-    summary = json.loads(run_script("scripts/word_sweep.py", "--resource", "zigzag", "--n", "6"))
-    assert summary["resource"] == "zigzag" and summary["n"] == 6
-    assert summary["words"] == 27 == sum(summary["classes"].values())
+@pytest.mark.parametrize("resource, n, words", [("zigzag", 6, 27), ("path_every_third", 10, 81)])
+def test_word_sweep_script(resource, n, words, tmp_path):
+    csv = tmp_path / "shapes.csv"
+    summary = json.loads(run_script("scripts/word_sweep.py", "--resource", resource,
+                                    "--n", str(n), "--csv", str(csv)))
+    assert summary["resource"] == resource and summary["n"] == n
+    assert summary["words"] == words == sum(summary["classes"].values())
     assert summary["mismatches"] == []
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == words
+    if resource == "path_every_third":
+        # the report labels the graph the check compares against
+        assert all(row.split(",")[1] == row.split(",")[2] for row in rows)
 
 
 def test_protocol_table_script():
