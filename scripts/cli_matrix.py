@@ -68,12 +68,15 @@ COMMANDS = [
     "classify --word XYYY",
     "classify --word XXYYZZ --resource zigzag --n 8",
     "classify --word XXXXXXXXXX --n 20",
+    "classify --word XXXXXXX --n 14",
+    "classify --word XXXXXXXXXX --resource honeycomb --n 20",
     "classify --word XXXX --resource path_every_third --n 10",
     "classify --word XYZX --resource honeycomb --n 8",
     # verify: the sub-second suites only
     "verify --suite cz-gate",
     "verify --suite ghz-postselection",
     "verify --suite appendix-b --n 8",
+    "verify --suite appendix-b --n 18",
     "verify --suite cz-gate --trials 3",
     # montecarlo: every protocol, CSV logs, usage errors
     "montecarlo --protocol ghz --users 3 --trials 2000 --seed 7 --csv ghz.csv",

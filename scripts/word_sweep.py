@@ -3,22 +3,19 @@
 
 Classifies every word over {X, Y, Z}, verifies the prediction against
 the rewrite-rule simulation, and tabulates the reachable shape classes.
+A size the resource cannot build, or a sweep of more than
+``minors.MAX_SWEEP_WORDS`` words, is a usage error (exit 2).
 
     PYTHONPATH=src python3 scripts/word_sweep.py --resource zigzag --n 10
     PYTHONPATH=src python3 scripts/word_sweep.py --resource honeycomb --n 8 --csv shapes.csv
 """
 
 import argparse
-import itertools
 import json
 import sys
 from collections import Counter
 
-from photonweave.minors import RESOURCE_BUILDERS, RESOURCES, crosscheck_report
-
-
-def word_length(resource: str, n: int) -> int:
-    return len(RESOURCE_BUILDERS[resource](n)[1])
+from photonweave.minors import RESOURCES, crosscheck_report, resource_words
 
 
 def main() -> int:
@@ -28,10 +25,11 @@ def main() -> int:
     parser.add_argument("--csv", help="also write one row per word here")
     args = parser.parse_args()
 
-    k = word_length(args.resource, args.n)
-    rows = []
-    for letters in itertools.product("XYZ", repeat=k):
-        rows.append(crosscheck_report(args.n, "".join(letters), args.resource))
+    try:
+        words = resource_words(args.resource, args.n)
+    except ValueError as exc:  # a size the resource cannot build, or too many words
+        parser.error(str(exc))
+    rows = [crosscheck_report(args.n, word, args.resource) for word in words]
 
     by_class = Counter(r["simulated"] for r in rows)
     mismatches = [r["word"] for r in rows if not r["equivalent"]]

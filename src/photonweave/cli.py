@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -173,7 +174,7 @@ def _cmd_classify(args) -> tuple[dict, bool | None, dict]:
     if not args.word:
         raise UsageError("--word must be a nonempty string over X/Y/Z")
     if args.open and args.n is not None:
-        raise UsageError("--open makes no sense with a closed resource simulation")
+        raise UsageError("--open does not combine with --n: the resource fixes the closure")
     command = {"word": args.word, "resource": args.resource, "close": not args.open}
     minors.check_word(args.word)
     if args.n is None:
@@ -183,8 +184,8 @@ def _cmd_classify(args) -> tuple[dict, bool | None, dict]:
             "predicted": shape.label,
             "contiguous_leaves": shape.contiguous_leaves,
         }
-    command["n"] = args.n
     report = minors.crosscheck_report(args.n, args.word, args.resource)
+    command.update(n=args.n, close=minors.spine_leaf_word(args.resource, args.word)[1])
     return command, report["equivalent"], report
 
 
@@ -203,17 +204,7 @@ def _cmd_verify(args) -> tuple[dict, bool | None, dict]:
             raise UsageError("--trials must be a positive integer")
         kwargs["trials"] = command["trials"] = args.trials
     criteria = run_suite(args.suite, **kwargs)
-    results = {
-        "criteria": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "details": c.details,
-                "seconds": c.seconds,
-            }
-            for c in criteria
-        ]
-    }
+    results = {"criteria": [asdict(c) for c in criteria]}
     return command, all(c.passed for c in criteria), results
 
 

@@ -12,9 +12,10 @@ zigzag, honeycomb and path-every-third resources can hand to the users.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     AXES,
@@ -437,6 +438,25 @@ RESOURCE_BUILDERS = {
     "path_every_third": path_every_third_resource,
 }
 RESOURCES = tuple(RESOURCE_BUILDERS)
+#: the most words one sweep enumerates: honeycomb n = 16, the costliest sweep
+#: this admits, takes about 7 s on a 2-core x86_64 host, and n = 18 about 25 s
+MAX_SWEEP_WORDS = 3**8
+
+
+def build_resource(resource: str, n: int) -> tuple[Graph, list[int], list[int]]:
+    """The named resource at size n: (graph, measured server vertices, survivors)."""
+    if resource not in RESOURCE_BUILDERS:
+        raise ValueError(f"unknown resource {resource!r}; use one of {RESOURCES}")
+    return RESOURCE_BUILDERS[resource](n)
+
+
+def resource_words(resource: str, n: int) -> Iterator[str]:
+    """Every word of the resource at size n; a size the resource cannot build,
+    or more than ``MAX_SWEEP_WORDS`` words, raises ValueError before the first."""
+    k = len(build_resource(resource, n)[1])
+    if 3**k > MAX_SWEEP_WORDS:
+        raise ValueError(f"{resource} n={n} has 3^{k} words; sweeps stop at {MAX_SWEEP_WORDS}")
+    return ("".join(letters) for letters in itertools.product(AXES, repeat=k))
 
 
 def simulate_word(g: Graph, measured: Sequence[int], word: str) -> Graph:
@@ -449,7 +469,7 @@ def simulate_word(g: Graph, measured: Sequence[int], word: str) -> Graph:
     return g
 
 
-def _spine_leaf_word(resource: str, word: str) -> tuple[str, bool]:
+def spine_leaf_word(resource: str, word: str) -> tuple[str, bool]:
     """The word and closure the spine/leaf rule reads for a resource's word.
 
     The zigzag and the honeycomb read the word itself, closed.  The
@@ -473,7 +493,7 @@ def crosscheck(n: int, word: str, resource: str = "zigzag") -> bool:
     """Does the word-level prediction match the rewrite-rule simulation?
 
     For the zigzag and the path-every-third resource the prediction is
-    the combinatorial spine/leaf rule, read on ``_spine_leaf_word``; for
+    the combinatorial spine/leaf rule, read on ``spine_leaf_word``; for
     the honeycomb it is the transition minor of the leaf-expanded
     multigraph (the naive read-the-leaves-back shortcut fails whenever an
     X byproduct has to cross a leaf edge).  Each compares to the
@@ -486,11 +506,7 @@ def crosscheck(n: int, word: str, resource: str = "zigzag") -> bool:
 
 def _crosscheck(n: int, word: str, resource: str) -> tuple[bool, Graph]:
     """``crosscheck``'s verdict and the simulated graph it judged."""
-    if n > 12:
-        raise ValueError("crosscheck capped at n = 12")
-    if resource not in RESOURCE_BUILDERS:
-        raise ValueError(f"unknown resource {resource!r}; use one of {RESOURCES}")
-    g, measured, survivors = RESOURCE_BUILDERS[resource](n)
+    g, measured, survivors = build_resource(resource, n)
     if len(word) != len(measured):
         raise InputShapeError(f"word length must be {len(measured)} for n={n}")
     sim = simulate_word(g, measured, word)
@@ -498,14 +514,20 @@ def _crosscheck(n: int, word: str, resource: str) -> tuple[bool, Graph]:
         mg, _ = honeycomb_multigraph(n)
         pred = tour_interlacement(apply_word(mg, measured, word))
     else:
-        pred = predict_representative(*_spine_leaf_word(resource, word), survivors=survivors)
+        pred = predict_representative(*spine_leaf_word(resource, word), survivors=survivors)
     return locally_equivalent(sim, pred), sim
 
 
 def crosscheck_report(n: int, word: str, resource: str = "zigzag") -> dict:
-    """JSON-friendly classification report for one word."""
+    """JSON-friendly classification report for one word.
+
+    ``predicted`` labels the spine/leaf graph of ``spine_leaf_word``.  For
+    the honeycomb that is the word's shape on the bare zigzag, without the
+    leaves, while the check compares against the transition minor, so
+    ``predicted`` and ``simulated`` can differ while ``equivalent`` is true.
+    """
     ok, sim = _crosscheck(n, word, resource)
-    predicted = predict_class(*_spine_leaf_word(resource, word))
+    predicted = predict_class(*spine_leaf_word(resource, word))
     return {
         "word": word,
         "resource": resource,

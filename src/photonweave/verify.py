@@ -19,7 +19,6 @@ import numpy as np
 
 from . import minors, optics as po, protocols as pr
 from .graphs import (
-    AXES,
     Graph,
     cycle_graph,
     local_complement,
@@ -231,31 +230,17 @@ def check_appendix_a() -> CriterionResult:
     return _result("appendix-a", True, "P_N ends fuse to C_(N-1)+leaf, N=4..8", t0)
 
 
-def check_appendix_b(zigzag_sizes: tuple[int, ...] = (6, 8, 10)) -> CriterionResult:
-    """Exhaustive word sweeps for the classification machinery."""
+def check_appendix_b(zigzag_sizes: tuple[int, ...] = (6, 8, 10, 12, 14)) -> CriterionResult:
+    """Crosscheck every word of each resource at each size, sizing every sweep first."""
     t0 = time.time()
-    total = 0
-    for n in zigzag_sizes:
-        k = n // 2
-        for letters in itertools.product(AXES, repeat=k):
-            word = "".join(letters)
-            if not minors.crosscheck(n, word, "zigzag"):
-                return _result("appendix-b", False, f"zigzag n={n} word {word}", t0)
-            total += 1
-    rng = np.random.default_rng(20240901)
-    for _ in range(100):  # random honeycomb words
-        word = "".join(rng.choice(AXES, size=4))
-        if not minors.crosscheck(8, word, "honeycomb"):
-            return _result("appendix-b", False, f"honeycomb word {word}", t0)
-        total += 1
-    for n in (7, 10):
-        k = n // 3 + 1
-        for letters in itertools.product(AXES, repeat=k):
-            word = "".join(letters)
-            if not minors.crosscheck(n, word, "path_every_third"):
-                return _result("appendix-b", False, f"path_every_third n={n} word {word}", t0)
-            total += 1
-    return _result("appendix-b", True, f"{total} words verified", t0)
+    table = (("zigzag", zigzag_sizes), ("honeycomb", (8, 10, 12)),
+             ("path_every_third", (7, 10, 13)))
+    cases = [(resource, n, word) for resource, sizes in table for n in sizes
+             for word in minors.resource_words(resource, n)]
+    for resource, n, word in cases:
+        if not minors.crosscheck(n, word, resource):
+            return _result("appendix-b", False, f"{resource} n={n} word {word}", t0)
+    return _result("appendix-b", True, f"{len(cases)} words verified", t0)
 
 
 def check_monte_carlo(trials: int = 100_000, seed: int = 7) -> CriterionResult:

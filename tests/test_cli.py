@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -168,8 +169,26 @@ def test_classify_with_simulation(capsys):
 
 
 def test_runtime_error_exit_code(capsys):
-    code = main(["classify", "--word", "X" * 10, "--n", "20"])
-    assert code == 1  # size cap exceeded is a runtime failure, not usage
+    # a null space above graphs.LC_DIMENSION_LIMIT is a runtime failure, not usage
+    code = main(["classify", "--word", "X" * 10, "--resource", "honeycomb", "--n", "20"])
+    assert code == 1
+    assert "null-space dimensions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resource, word, n, close", [
+    ("zigzag", "XXYY", 8, True), ("honeycomb", "XXYY", 8, True),
+    ("path_every_third", "XXYY", 10, False),
+])
+def test_classify_echoes_the_closure_its_check_reads(resource, word, n, close, capsys):
+    code, report = run_cli(capsys, "classify", "--word", word, "--resource", resource,
+                           "--n", str(n))
+    assert code == 0 and report["command"]["close"] is close
+
+
+def test_classify_open_with_n_is_usage_error(capsys):
+    assert main(["classify", "--word", "XXYY", "--n", "10", "--open"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --open does not combine with --n: the resource fixes the closure\n")
 
 
 @pytest.mark.parametrize(
@@ -320,6 +339,13 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
 def test_verify_appendix_b_cli(capsys):
     code, report = run_cli(capsys, "verify", "--suite", "appendix-b", "--n", "8")
     assert code == 0 and report["pass"] is True
+
+
+def test_verify_refuses_an_oversize_sweep_at_once(capsys):
+    t0 = time.perf_counter()
+    assert main(["verify", "--suite", "appendix-b", "--n", "18"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "error: zigzag n=18 has 3^9 words; sweeps stop at 6561\n"
 
 
 def test_montecarlo_csv_log(tmp_path, capsys):

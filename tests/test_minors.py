@@ -1,8 +1,10 @@
 import itertools
+import time
 
 import pytest
 
 import lc_oracle
+from photonweave import minors
 from photonweave.graphs import (
     classify_graph,
     cycle_graph,
@@ -13,7 +15,7 @@ from photonweave.graphs import (
 from photonweave.minors import (
     EulerianTour,
     Multigraph,
-    _spine_leaf_word,
+    spine_leaf_word,
     apply_word,
     build_circulant,
     canonical_tour,
@@ -23,15 +25,18 @@ from photonweave.minors import (
     honeycomb_multigraph,
     honeycomb_resource,
     interlacement,
+    MAX_SWEEP_WORDS,
     leaf_expansion,
     path_every_third_resource,
     predict_class,
     predict_representative,
+    resource_words,
     simulate_word,
     tour_interlacement,
     validate_tour,
     zigzag_resource,
 )
+from photonweave.verify import check_appendix_b
 
 ALL_WORDS = lambda k: ("".join(p) for p in itertools.product("XYZ", repeat=k))
 
@@ -322,7 +327,7 @@ def test_path_every_third_resource_shape():
     assert measured == [0, 3, 6, 9]
 
 
-@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("n", [6, 8, 14])
 def test_zigzag_sweep_exhaustive(n):
     for word in ALL_WORDS(n // 2):
         assert crosscheck(n, word, "zigzag"), word
@@ -348,13 +353,13 @@ def test_path_every_third_bound():
     ("YZ", "Y"), ("XZ", "Z"), ("ZX", "Z"),  # n = 4: one pair, both ends on it
     ("XYZX", "ZYYZZ"), ("ZXYY", "YXYYY"), ("XXXX", "ZXYXZ"),
 ])
-def test_spine_leaf_word(word, effective):
-    assert _spine_leaf_word("path_every_third", word) == (effective, False)
-    assert _spine_leaf_word("zigzag", word) == _spine_leaf_word("honeycomb", word) == (word, True)
+def testspine_leaf_word(word, effective):
+    assert spine_leaf_word("path_every_third", word) == (effective, False)
+    assert spine_leaf_word("zigzag", word) == spine_leaf_word("honeycomb", word) == (word, True)
 
 
 def test_path_every_third_words_match_the_orbit_oracle():
-    # every word the n <= 12 cap admits: the GF(2) check of the spine/leaf
+    # every word up to n = 10: the GF(2) check of the spine/leaf
     # prediction gives the orbit search's shape-bound verdict, and each
     # prediction is itself a caterpillar forest of maximum degree 3
     checked = 0
@@ -363,7 +368,7 @@ def test_path_every_third_words_match_the_orbit_oracle():
         for word in ALL_WORDS(len(measured)):
             sim = simulate_word(g, measured, word)
             assert crosscheck(n, word, "path_every_third") == lc_oracle.single_leaf_caterpillars(sim)
-            pred = predict_representative(*_spine_leaf_word("path_every_third", word),
+            pred = predict_representative(*spine_leaf_word("path_every_third", word),
                                           survivors=survivors)
             assert max(map(len, pred.adj.values())) <= 3, word
             kinds = {shape.kind for shape in classify_graph(pred).components}
@@ -375,8 +380,11 @@ def test_path_every_third_words_match_the_orbit_oracle():
 
 
 def test_crosscheck_validation():
-    with pytest.raises(ValueError):
-        crosscheck(14, "X" * 7, "zigzag")
+    # no size cap of its own: the GF(2) test's dimension limit is the only bound
+    assert crosscheck(14, "X" * 7, "zigzag")
+    assert crosscheck(20, "X" * 10, "zigzag")
+    with pytest.raises(ValueError, match="null-space dimensions"):
+        crosscheck(20, "X" * 10, "honeycomb")
     with pytest.raises(ValueError):
         crosscheck(8, "XXX", "zigzag")
     with pytest.raises(ValueError):
@@ -431,3 +439,57 @@ def test_reachable_classes_stay_in_the_caterpillar_family():
 def test_honeycomb_sweep_exhaustive_n10():
     for word in ALL_WORDS(5):
         assert crosscheck(10, word, "honeycomb"), word
+
+
+# -- sizes above n = 12 and the sweep bound ----------------------------------------
+
+
+def test_path_every_third_sweep_n16():
+    for word in resource_words("path_every_third", 16):
+        assert crosscheck(16, word, "path_every_third"), word
+
+
+def test_honeycomb_sample_n14():
+    # every 13th word in lexicographic order, and each word of one repeated letter
+    sample = {*itertools.islice(resource_words("honeycomb", 14), 0, None, 13),
+              "XXXXXXX", "YYYYYYY", "ZZZZZZZ"}
+    assert len(sample) == 171
+    for word in sample:
+        assert crosscheck(14, word, "honeycomb"), word
+
+
+def test_resource_words():
+    assert list(resource_words("zigzag", 6))[:4] == ["XXX", "XXY", "XXZ", "XYX"]
+    assert sum(1 for _ in resource_words("honeycomb", 8)) == 81
+    assert sum(1 for _ in resource_words("path_every_third", 13)) == 3**5
+    with pytest.raises(ValueError, match="3m \\+ 1"):
+        resource_words("path_every_third", 8)
+    with pytest.raises(ValueError, match="unknown resource"):
+        resource_words("torus", 8)
+
+
+def test_oversize_sweep_is_refused_before_any_word_is_checked(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a word was checked")
+
+    monkeypatch.setattr(minors, "crosscheck", no_check)
+    resource_words("zigzag", 16)  # 3^8 words: admitted
+    t0 = time.perf_counter()
+    for resource, n in (("zigzag", 18), ("honeycomb", 18), ("path_every_third", 25),
+                        ("zigzag", 40)):
+        with pytest.raises(ValueError, match=f"sweeps stop at {MAX_SWEEP_WORDS}"):
+            resource_words(resource, n)
+    # the oversize zigzag size comes after sweeps that fit in appendix-b's table
+    with pytest.raises(ValueError, match=f"sweeps stop at {MAX_SWEEP_WORDS}"):
+        check_appendix_b(zigzag_sizes=(6, 40))
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_honeycomb_report_predicts_the_bare_zigzag_shape():
+    # predicted reads the word on the zigzag without leaves; the check uses the minor
+    report = crosscheck_report(8, "YYYY", "honeycomb")
+    assert (report["predicted"], report["simulated"], report["equivalent"]) == (
+        "cycle", "leafed-cycle", True)
+    reports = [crosscheck_report(8, w, "honeycomb") for w in resource_words("honeycomb", 8)]
+    assert all(r["equivalent"] for r in reports)
+    assert sum(r["predicted"] != r["simulated"] for r in reports) == 31

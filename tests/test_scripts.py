@@ -35,6 +35,20 @@ def test_word_sweep_script(resource, n, words, tmp_path):
         assert all(row.split(",")[1] == row.split(",")[2] for row in rows)
 
 
+@pytest.mark.parametrize("flags, message", [
+    # the default --n 8 on a resource that needs n = 3m + 1
+    (["--resource", "path_every_third"], "needs n = 3m + 1 so both path ends are server-held"),
+    (["--n", "7"], "zigzag needs even n >= 6"),
+    (["--n", "40"], "zigzag n=40 has 3^20 words; sweeps stop at 6561"),
+])
+def test_word_sweep_script_rejects_sizes(flags, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "scripts/word_sweep.py", *flags], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"word_sweep.py: error: {message}"
+
+
 def test_protocol_table_script():
     lines = run_script("scripts/protocol_table.py", "--trials", "200", "--seed", "1").splitlines()
     assert lines[0].split() == ["protocol", "exact", "estimate", "3*sigma"]
