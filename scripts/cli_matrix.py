@@ -72,11 +72,14 @@ COMMANDS = [
     "classify --word XXXXXXXXXX --resource honeycomb --n 20",
     "classify --word XXXX --resource path_every_third --n 10",
     "classify --word XYZX --resource honeycomb --n 8",
+    "classify --word XXX --n 7",
+    "classify --word XXX --resource path_every_third --n 8",
     # verify: the sub-second suites only
     "verify --suite cz-gate",
     "verify --suite ghz-postselection",
     "verify --suite appendix-b --n 8",
     "verify --suite appendix-b --n 18",
+    "verify --suite appendix-b --n 7",
     "verify --suite cz-gate --trials 3",
     # montecarlo: every protocol, CSV logs, usage errors
     "montecarlo --protocol ghz --users 3 --trials 2000 --seed 7 --csv ghz.csv",

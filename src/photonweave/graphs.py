@@ -23,10 +23,11 @@ AXES = ("X", "Y", "Z")
 
 
 class InputShapeError(ValueError):
-    """An input string of the wrong length or alphabet for what reads it.
+    """An input of the wrong length, alphabet or size for what reads it.
 
-    Measurement words, detector outcomes and measurement plans raise it;
-    the command line reports it as a usage error, not a runtime failure.
+    Measurement words, detector outcomes, measurement plans and sizes a
+    resource cannot be built at raise it; the command line reports it as a
+    usage error, not a runtime failure.
     """
 
 

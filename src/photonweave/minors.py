@@ -386,10 +386,10 @@ def zigzag_resource(n: int) -> tuple[Graph, list[int], list[int]]:
     """Closed zigzag: the n-cycle with the server holding every other vertex.
 
     Returns (graph, measured server vertices, survivor vertices); survivor
-    i follows measured i around the cycle.
+    i follows measured i around the cycle.  Another n raises InputShapeError.
     """
     if n % 2 or n < 6:
-        raise ValueError("zigzag needs even n >= 6")
+        raise InputShapeError("zigzag needs even n >= 6")
     g = cycle_graph(range(n))
     measured = [2 * i for i in range(n // 2)]
     survivors = [2 * i + 1 for i in range(n // 2)]
@@ -422,9 +422,10 @@ def honeycomb_multigraph(n: int) -> tuple[Multigraph, EulerianTour]:
 
 
 def path_every_third_resource(n: int) -> tuple[Graph, list[int], list[int]]:
-    """An n-vertex path where the server holds every third vertex."""
+    """An n-vertex path where the server holds every third vertex; an n other than
+    3m + 1 raises InputShapeError."""
     if n % 3 != 1 or n < 4:
-        raise ValueError("needs n = 3m + 1 so both path ends are server-held")
+        raise InputShapeError("needs n = 3m + 1 so both path ends are server-held")
     g = path_graph(range(n))
     measured = [3 * i for i in range(n // 3 + 1)]
     survivors = [v for v in range(n) if v % 3 != 0]

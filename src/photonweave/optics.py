@@ -5,8 +5,11 @@ States are sparse maps from bosonic occupation patterns over
 circuits built here ever superpose different total photon numbers, and
 coincidence postselection discards bunched terms, but the bosonic
 sqrt(n!) factors are still applied so that the discarded probability is
-accounted for exactly.  ``run_circuit`` keys each term by one packed
-integer while it runs and returns a ``PhotonicState`` keyed by patterns.
+accounted for exactly.  ``run_circuit`` computes in integers: each term
+is one packed integer key with an integer coefficient of a creation-
+operator monomial, under one global scale 2^(-h/2), so every
+probability is a ratio of exact sums.  Floats appear once, when it
+returns a ``PhotonicState`` keyed by patterns.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ Pattern = tuple[tuple[Mode, int], ...]  # sorted ((mode, count), ...)
 Source = tuple[str, tuple[int, ...]]  # (kind, ports), read from a README source entry
 
 AMP_TOL = 1e-12
-_S2 = 1 / math.sqrt(2)
 
-#: each source kind's terms: the polarization of the photon on each of its ports, and the amplitude
+#: each source kind's h and terms: the polarization of the photon on each of its ports and
+#: the integer coefficient, so a term's amplitude is the coefficient times 2^(-h/2)
 SOURCES = {
-    "plus": ((("H",), _S2), (("V",), _S2)),
-    "bell_psi": ((("H", "H"), _S2), (("V", "V"), _S2)),
+    "plus": (1, ((("H",), 1), (("V",), 1))),
+    "bell_psi": (1, ((("H", "H"), 1), (("V", "V"), 1))),
     # the two-vertex graph state (|+H> + |-V>)/sqrt(2), the +/- photon on the first port
-    "gbell": ((("H", "H"), 0.5), (("V", "H"), 0.5), (("H", "V"), 0.5), (("V", "V"), -0.5)),
+    "gbell": (2, ((("H", "H"), 1), (("V", "H"), 1), (("H", "V"), 1), (("V", "V"), -1))),
 }
 
 
@@ -104,49 +107,10 @@ def _require_ports(known: frozenset[int], *ports: int) -> None:
             raise ValueError(f"unknown port {p}")
 
 
-def _hwp_matrix(angle_degrees: float) -> np.ndarray:
-    """The plate at 0 or 22.5 degrees; any other angle, a bool or a string raises ValueError."""
-    if type(angle_degrees) in (int, float):
-        if angle_degrees == 22.5:
-            return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        if angle_degrees == 0:
-            return np.array([[1, 0], [0, -1]], dtype=complex)
-    raise ValueError(f"unsupported HWP angle {angle_degrees!r}; use 0 or 22.5")
-
-
-def _mode_mix_coeffs(n_h: int, n_v: int, u: np.ndarray) -> dict[tuple[int, int], complex]:
-    """Second-quantized action of a 2x2 mode transform on |n_h, n_v>.
-
-    Expands (u00 aH+ + u01 aV+)^nH (u10 aH+ + u11 aV+)^nV with the
-    bosonic sqrt(n!) normalization.
-    """
-    total = n_h + n_v
-    out: dict[tuple[int, int], complex] = {}
-    for k in range(n_h + 1):
-        for l in range(n_v + 1):
-            m_h = k + l
-            m_v = total - m_h
-            coeff = (
-                math.comb(n_h, k)
-                * math.comb(n_v, l)
-                * u[0, 0] ** k
-                * u[0, 1] ** (n_h - k)
-                * u[1, 0] ** l
-                * u[1, 1] ** (n_v - l)
-            )
-            out[(m_h, m_v)] = out.get((m_h, m_v), 0) + coeff
-    norm_in = math.sqrt(math.factorial(n_h) * math.factorial(n_v))
-    return {
-        (m_h, m_v): c * math.sqrt(math.factorial(m_h) * math.factorial(m_v)) / norm_in
-        for (m_h, m_v), c in out.items()
-        if abs(c) > AMP_TOL
-    }
-
-
-#: each basis's outcomes as weights on the H and V amplitudes of the detected photon
+#: each basis's outcomes: the h of the detection and the outcome's H and V weights
 _OUTCOMES = {
-    "HV": {"H": {"H": 1.0}, "V": {"V": 1.0}},
-    "PM": {"+": {"H": _S2, "V": _S2}, "-": {"H": _S2, "V": -_S2}},
+    "HV": {"H": (0, (1, 0)), "V": (0, (0, 1))},
+    "PM": {"+": (1, (1, 1)), "-": (1, (1, -1))},
 }
 
 
@@ -196,7 +160,7 @@ def _source_from_json(entry: dict) -> Source:
     kind, ports = _only_item(entry)
     ports = [ports] if type(ports) is int else ports
     if kind not in SOURCES or not isinstance(ports, list) \
-            or not all(type(p) is int for p in ports) or len(ports) != len(SOURCES[kind][0][0]):
+            or not all(type(p) is int for p in ports) or len(ports) != len(SOURCES[kind][1][0][0]):
         raise ValueError(f"a source is one of {sorted(SOURCES)} with its number of integer "
                          f"ports, got {entry!r}")
     return kind, tuple(ports)
@@ -211,24 +175,23 @@ def _element_from_json(element: dict, known: frozenset[int]) -> tuple[tuple[int,
                          "use {'pbs': [a, b]} or {'hwp': [port, angle]}")
     ports, angle = (tuple(values), None) if kind == "pbs" else ((values[0],), values[1])
     _require_ports(known, *ports)
-    if angle is not None:
-        _hwp_matrix(angle)
+    if angle is not None and (type(angle) not in (int, float) or angle not in (0, 22.5)):
+        raise ValueError(f"unsupported HWP angle {angle!r}; use 0 or 22.5")
     return ports, angle
 
 
-def _measure_from_json(entry: dict, known: frozenset[int]) -> tuple[int, str, str, dict]:
-    """A measure entry's port, basis, outcome (H or + when absent) and that outcome's weights."""
+def _measure_from_json(entry: dict, known: frozenset[int]) -> tuple[int, str, str]:
+    """A measure entry's port, basis and outcome (H or + when absent)."""
     if not isinstance(entry, dict) or not set(entry) <= {"port", "basis", "outcome"} \
             or type(entry.get("port")) is not int or entry.get("basis") not in ("HV", "PM"):
         raise ValueError("a measure entry is {port: an integer, basis: 'HV' or 'PM', outcome}, "
                          f"got {entry!r}")
     port, basis = entry["port"], entry["basis"]
     outcome = entry.get("outcome", "H" if basis == "HV" else "+")
-    weights = next((w for o, w in _OUTCOMES[basis].items() if o == outcome), None)
-    if weights is None:
+    if not any(o == outcome for o in _OUTCOMES[basis]):  # an unhashable outcome is no outcome
         raise ValueError(f"{outcome!r} is not an outcome of the {basis} basis")
     _require_ports(known, port)
-    return port, basis, outcome, weights
+    return port, basis, outcome
 
 
 def _plan(spec: dict) -> tuple[list, list[list[Source]], list[list[int]], list[int] | None, list]:
@@ -268,94 +231,178 @@ def _plan(spec: dict) -> tuple[list, list[list[Source]], list[list[int]], list[i
 
 # -- packed terms ------------------------------------------------------------------
 #
-# Inside run_circuit a term is one int: the i-th of the circuit's sorted ports
-# holds its H count in bits 10i..10i+4 and its V count in the next five, so
-# MAX_PHOTONS fits and the fields run in Pattern order.  Each step sums with
-# ``out.get(k, 0) + amp`` in term order and drops amplitudes at or under AMP_TOL
-# after each element, as tests/optics_oracle.py does on PhotonicState, so the
-# amplitudes and the term order are bit-identical to it.
+# Inside run_circuit a term is one int key and one int coefficient.  The i-th of
+# the circuit's sorted ports holds its H count in bits 10i..10i+4 and its V count
+# in the next five, so MAX_PHOTONS fits and the fields run in Pattern order.  The
+# coefficient multiplies the unnormalised creation-operator monomial of those
+# counts, and the state is 2^(-h/2) times the sum of the terms, one h for all.
+# A coefficient a + b*sqrt(2) keeps a under the key and b under the key with the
+# _ROOT2 bit set; a pattern stays while either part is nonzero, so the patterns
+# keep the order of first sight the float engine in tests/optics_oracle.py has.
 
-Terms = dict[int, complex]
+Terms = dict[int, int]
 _COUNT = 31  # one mode's count field
 _PORT = 1023  # a port's H and V fields
+_GROUP = (1 << 30) - 1  # three ports' fields
 _SINGLE = (1, 1 << 5)  # a port's fields holding exactly one photon, H or V
-#: (a port's fields, HWP angle) -> each output fields value and coefficient; <= 2 x 152 entries
-_MIX: dict[tuple[int, float], tuple[tuple[int, complex], ...]] = {}
+_ROOT2 = 1 << 10 * MAX_PHOTONS  # the key of a coefficient's sqrt(2) part
+#: the count bits worth 2 or more in every field: a key without them has all m! = 1
+_MULTI = sum(30 << 5 * i for i in range(2 * MAX_PHOTONS))
 
 
-def _join_terms(terms: Terms, sources: list[Source], shift: dict[int, int]) -> Terms:
+def _real(p: int, q: int, r: int = 1) -> float:
+    """(p + q sqrt(2)) / r: p / r correctly rounded when q is 0, else the float nearest
+    a number within a relative 2^-62 of it (|p^2 - 2 q^2| >= 1 keeps it away from 0)."""
+    if not q:
+        return p / r
+    bits = 64 + max(p.bit_length(), q.bit_length())
+    root = math.isqrt(2 * q * q << 2 * bits)  # |q| sqrt(2) 2^bits, less than 1 under
+    return ((p << bits) + (root if q > 0 else -root)) / (r << bits)
+
+
+def _ratio(num: tuple[int, int], den: tuple[int, int]) -> float:
+    """(x1 + y1 sqrt(2)) / (x0 + y0 sqrt(2)) through ``_real``, rationalised by the conjugate."""
+    (x1, y1), (x0, y0) = num, den
+    return _real(x1 * x0 - 2 * y1 * y0, y1 * x0 - x1 * y0, x0 * x0 - 2 * y0 * y0)
+
+
+def _factorials(key: int) -> int:
+    """The product of m! over the counts of a packed key."""
+    f = 1
+    while key:
+        f *= math.factorial(key & _COUNT)
+        key >>= 5
+    return f
+
+
+def _norm2(terms: Terms) -> tuple[int, int]:
+    """The squared norm: the sum over the patterns of |a + b sqrt(2)|^2 times the product
+    of m!, as the (x, y) of x + y sqrt(2)."""
+    x = y = 0
+    for key, c in terms.items():
+        f = _factorials(key) if key & _MULTI else 1
+        if key < _ROOT2:
+            x += c * c * f
+        else:
+            x += 2 * c * c * f
+            y += 2 * c * terms.get(key ^ _ROOT2, 0) * f
+    return x, y
+
+
+def _nonzero(terms: Terms) -> Terms:
+    """The terms of every pattern with a nonzero part."""
+    if 0 not in terms.values():
+        return terms
+    return {k: c for k, c in terms.items() if c or terms.get(k ^ _ROOT2)}
+
+
+def _join_int(terms: Terms, sources: list[Source], shift: dict[int, int]) -> Terms:
     """Multiply the terms by more sources, on ports every term leaves empty."""
     for kind, ports in sources:
-        pieces = [(sum(1 << (shift[p] + (5 if pol == "V" else 0)) for p, pol in zip(ports, pols)), pa)
-                  for pols, pa in SOURCES[kind]]
-        new: Terms = {}
-        for key, amp in terms.items():
-            for piece, pa in pieces:
-                k = key | piece
-                new[k] = new.get(k, 0) + amp * pa
-        terms = new
-    return _clean(terms)
+        pieces = [(sum(1 << (shift[p] + (5 if pol == "V" else 0)) for p, pol in zip(ports, pols)), pc)
+                  for pols, pc in SOURCES[kind][1]]
+        terms = {key | piece: c * pc for key, c in terms.items() for piece, pc in pieces}
+    return terms
 
 
-def _pbs_terms(terms: Terms, shift_a: int, shift_b: int) -> Terms:
+def _pbs_int(terms: Terms, shift_a: int, shift_b: int) -> Terms:
     """Polarizing beam splitter: H transmits, so the two ports' V fields swap."""
     va, vb = shift_a + 5, shift_b + 5
+    both = 1 << va | 1 << vb
+    return {key ^ ((key >> va ^ key >> vb) & _COUNT) * both: c for key, c in terms.items()}
+
+
+def _hadamard(fields: int, flag: int, shift: int, top: int) -> tuple[tuple[int, int], ...]:
+    """The 22.5-degree plate on a port's fields, H -> H + V and V -> H - V, times
+    sqrt(2)^(top - photons) so every term shares the scale: each output's fields (at
+    bit ``shift``) with its _ROOT2 flag, and its coefficient, in the float engine's order."""
+    n_h, n_v = fields & _COUNT, fields >> 5
+    e = top - n_h - n_v
+    scale = 1 << e // 2
+    if e % 2:  # (a + b sqrt(2)) sqrt(2) = 2b + a sqrt(2)
+        scale <<= 1 if flag else 0
+        flag ^= _ROOT2
+    out: dict[int, int] = {}
+    for k in range(n_h + 1):
+        for l in range(n_v + 1):
+            c = math.comb(n_h, k) * math.comb(n_v, l) * (-1) ** (n_v - l)
+            out[k + l] = out.get(k + l, 0) + c
+    return tuple(((m_h | (n_h + n_v - m_h) << 5) << shift | flag, c * scale)
+                 for m_h, c in out.items() if c)
+
+
+def _hwp_int(terms: Terms, shift: int, angle: float) -> tuple[Terms, int]:
+    """Half-wave plate on the port with fields at bit ``shift``: 22.5 degrees maps H/V to
+    +/-, 0 is a Pauli Z.  Returns the terms and the step's h: the most photons on the port."""
+    if angle == 0:  # V photons flip the sign
+        odd_v = 1 << shift + 5
+        return {key: -c if key & odd_v else c for key, c in terms.items()}, 0
+    select = _PORT << shift | _ROOT2
+    found = {key & select for key in terms}
+    top = max(((s >> shift & _COUNT) + (s >> shift + 5 & _COUNT) for s in found), default=0)
+    mixes = {s: _hadamard(s >> shift & _PORT, s & _ROOT2, shift, top) for s in found}
     out: Terms = {}
-    for key, amp in terms.items():
-        x = (key >> va ^ key >> vb) & _COUNT
-        k = key ^ (x << va | x << vb)
-        out[k] = out.get(k, 0) + amp
-    return _clean(out)
+    for key, c in terms.items():
+        s = key & select
+        rest = key ^ s
+        for bits, m in mixes[s]:
+            k = rest | bits
+            out[k] = out.get(k, 0) + c * m
+    return _nonzero(out), top
 
 
-def _hwp_terms(terms: Terms, shift: int, angle: float) -> Terms:
-    """Half-wave plate on the port with fields at bit ``shift``: 22.5 degrees maps H/V to +/-,
-    0 is a Pauli Z."""
+def _detect_int(terms: Terms, port: int, shift: int, weights: tuple[int, int]) -> Terms:
+    """Detect the photon at ``port`` (fields at bit ``shift``) and keep the outcome with
+    these H and V weights; returns the terms without it, unnormalised."""
     out: Terms = {}
-    for key, amp in terms.items():
-        fields = key >> shift & _PORT
-        if not fields:
-            out[key] = out.get(key, 0) + amp
-            continue
-        mix = _MIX.get((fields, angle))
-        if mix is None:
-            coeffs = _mode_mix_coeffs(fields & _COUNT, fields >> 5, _hwp_matrix(angle))
-            mix = _MIX[fields, angle] = tuple((m_h | m_v << 5, c) for (m_h, m_v), c in coeffs.items())
-        rest = key ^ fields << shift
-        for f, c in mix:
-            k = rest | f << shift
-            out[k] = out.get(k, 0) + amp * c
-    return _clean(out)
-
-
-def _detect_terms(terms: Terms, port: int, shift: int, weights: dict[str, float]) -> tuple[Terms, float]:
-    """Detect the photon at ``port`` (fields at bit ``shift``) and keep the outcome with these
-    weights; returns the terms without it, renormalised unless it has probability 0, and that."""
-    # the H and V amplitudes (0 when absent) at each rest of a term, in order of first sight
-    by_rest: dict[int, list] = {}
-    for key, amp in terms.items():
+    for key, c in terms.items():
         fields = key >> shift & _PORT
         if fields not in _SINGLE:
             raise ValueError(f"port {port} does not hold exactly one photon in every term")
-        pols = by_rest.setdefault(key ^ fields << shift, [0, 0])
-        pols[fields >> 5] = pols[fields >> 5] + amp
-    conj = [("HV".index(pol), np.conj(w)) for pol, w in weights.items()]
-    kept = {}
-    for rest, pols in by_rest.items():
-        amp = 0
-        for i, w in conj:
-            amp = amp + w * pols[i]
-        if abs(amp) > AMP_TOL:
-            kept[rest] = amp
-    prob = float(sum(abs(a) ** 2 for a in kept.values()))
-    norm = math.sqrt(prob)
-    return _clean({k: a / norm for k, a in kept.items()}) if prob > AMP_TOL else {}, prob
+        rest = key ^ fields << shift
+        out[rest] = out.get(rest, 0) + weights[fields >> 5] * c
+    return _nonzero(out)
 
 
 def _pattern_of(key: int, ports: list[int]) -> Pattern:
     """The occupation pattern of a packed term over these sorted ports."""
-    return _pattern({(port, pol): key >> 10 * i + 5 * j & _COUNT
-                     for i, port in enumerate(ports) for j, pol in enumerate("HV")})
+    pattern = []
+    for port in ports:
+        if key & _PORT:
+            if key & _COUNT:
+                pattern.append(((port, "H"), key & _COUNT))
+            if key >> 5 & _COUNT:
+                pattern.append(((port, "V"), key >> 5 & _COUNT))
+        key >>= 10
+    return tuple(pattern)
+
+
+def _amplitudes(terms: Terms, norm: tuple[int, int], ports: list[int]) -> dict[Pattern, complex]:
+    """Each pattern's amplitude: its coefficient times the root of its m! product, over
+    the root of ``norm``, the terms' ``_norm2``."""
+    values: dict[int, int | float] = terms
+    if any(key >= _ROOT2 for key in terms):  # one value per pattern, in order of first sight
+        values = {}
+        for key in terms:
+            key &= _ROOT2 - 1
+            if key not in values:
+                values[key] = _real(terms.get(key, 0), terms.get(key | _ROOT2, 0))
+    root = math.sqrt(_real(*norm)) if terms else 1.0
+    # a key is read three ports (30 bits) at a time, each value of a group decoded once
+    groups = [(10 * i, ports[i:i + 3], {}) for i in range(0, len(ports), 3)]
+    amps: dict[Pattern, complex] = {}
+    for key, v in values.items():
+        pat: Pattern = ()
+        for s, group, seen in groups:
+            fields = key >> s & _GROUP
+            piece = seen.get(fields)
+            if piece is None:
+                piece = seen[fields] = _pattern_of(fields, group)
+            pat += piece
+        if key & _MULTI:
+            v *= math.sqrt(_factorials(key))
+        amps[pat] = complex(v / root)
+    return amps
 
 
 def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
@@ -376,40 +423,47 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     last element on it: the terms without exactly one photon there are
     dropped, unrenormalised.  No later element touches a retired port, so the result and the
     probability are those of postselecting at the end.  Terms are packed
-    integers until the end (see above), then occupation patterns.
+    integers with integer coefficients until the end (see above); every
+    probability is a ratio of exact sums, and the state is normalised
+    once, on return.
     """
     elements, joins, retires, postselect, measures = _plan(spec)
     ports = sorted(p for joining in joins for _, source_ports in joining for p in source_ports)
     shift = {p: 10 * i for i, p in enumerate(ports)}
-    terms: Terms = {0: 1.0 + 0j}
+    terms: Terms = {0: 1}
+    h = sum(SOURCES[kind][0] for joining in joins for kind, _ in joining)
     for (element_ports, angle), joining, retiring in zip(elements, joins, retires):
         if joining:
-            terms = _join_terms(terms, joining, shift)
+            terms = _join_int(terms, joining, shift)
         if angle is None:
-            terms = _pbs_terms(terms, shift[element_ports[0]], shift[element_ports[1]])
+            terms = _pbs_int(terms, shift[element_ports[0]], shift[element_ports[1]])
         else:
-            terms = _hwp_terms(terms, shift[element_ports[0]], angle)
+            terms, dh = _hwp_int(terms, shift[element_ports[0]], angle)
+            h += dh
         for s in (shift[p] for p in retiring):
-            terms = {k: a for k, a in terms.items() if k >> s & _PORT in _SINGLE}
+            terms = {k: c for k, c in terms.items() if k >> s & _PORT in _SINGLE}
     if joins[-1]:
-        terms = _join_terms(terms, joins[-1], shift)
+        terms = _join_int(terms, joins[-1], shift)
 
     prob = 1.0
+    # the elements keep the sources' squared norm 2^h; only postselected ports retire
+    norm = (1 << h, 0)
     if postselect is not None:
         # N photons on N ports: a term has one on each port iff each has an odd H or V count,
         # and no term can meet a list of fewer ports or a port no source has
         odd = sum(1 << s for s in shift.values())
-        kept = {k: a for k, a in terms.items() if (k | k >> 5) & odd == odd} \
+        terms = {k: c for k, c in terms.items() if (k | k >> 5) & odd == odd} \
             if set(postselect) == shift.keys() else {}
-        prob = float(sum(abs(a) ** 2 for a in kept.values()))
-        norm = math.sqrt(prob)
-        terms, prob = ({}, 0.0) if prob < AMP_TOL else (_clean({k: a / norm for k, a in kept.items()}), prob)
+        kept = _norm2(terms)
+        prob, norm = _ratio(kept, norm), kept
     log = []
-    for port, basis, outcome, weights in measures:
-        terms, branch_prob = _detect_terms(terms, port, shift[port], weights)
+    for port, basis, outcome in measures:
+        dh, weights = _OUTCOMES[basis][outcome]
+        terms = _detect_int(terms, port, shift[port], weights)
+        before, norm = norm, _norm2(terms)
+        branch_prob = _ratio(norm, (before[0] << dh, before[1] << dh)) if terms else 0.0
         log.append({"port": port, "basis": basis, "outcome": outcome, "probability": branch_prob})
-    state = PhotonicState({_pattern_of(k, ports): a for k, a in terms.items()},
-                          len(ports) - len(measures),
+    state = PhotonicState(_amplitudes(terms, norm, ports), len(ports) - len(measures),
                           frozenset(ports).difference(port for port, *_ in measures))
     return state, prob, log
 

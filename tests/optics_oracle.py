@@ -1,12 +1,15 @@
-"""The slow optics paths, kept as the test oracles for ``optics.run_circuit``.
+"""The float optics paths, kept as the test oracles for ``optics.run_circuit``.
 
 The element primitives act on a ``PhotonicState`` keyed by sorted
-occupation patterns.  ``run_tuples`` is ``run_circuit`` on them, one
-state per step: the packed-integer engine must match its terms, their
-order and every probability bit for bit.  ``prepare`` builds the full
-product of the sources, ``measure_polarization`` returns every detection
-branch, and ``composed`` runs a circuit description element by element
-on the whole state, postselecting and measuring only at the end.
+occupation patterns.  ``run_tuples`` is ``run_circuit``'s schedule on
+them, one state per step, and ``run_packed`` is the same schedule on
+packed-integer keys with float amplitudes: the two match in their terms,
+their order and every probability bit for bit, and the exact integer
+engine of ``run_circuit`` matches them within a rounding bound.
+``prepare`` builds the full product of the sources,
+``measure_polarization`` returns every detection branch, and
+``composed`` runs a circuit description element by element on the whole
+state, postselecting and measuring only at the end.
 """
 
 import math
@@ -20,13 +23,61 @@ from photonweave.optics import (
     PhotonicState,
     Source,
     _check_sources,
-    _hwp_matrix,
-    _mode_mix_coeffs,
+    _clean,
     _pattern,
     _plan,
     _require_ports,
     _source_from_json,
 )
+
+_S2 = 1 / math.sqrt(2)
+#: each source kind's terms with float amplitudes: the coefficient over sqrt(2^h)
+AMPLITUDES = {kind: tuple((pols, c / math.sqrt(2**h)) for pols, c in kind_terms)
+              for kind, (h, kind_terms) in SOURCES.items()}
+#: each basis's outcomes as weights on the H and V amplitudes of the detected photon
+OUTCOMES = {
+    "HV": {"H": {"H": 1.0}, "V": {"V": 1.0}},
+    "PM": {"+": {"H": _S2, "V": _S2}, "-": {"H": _S2, "V": -_S2}},
+}
+
+
+def _hwp_matrix(angle_degrees: float) -> np.ndarray:
+    """The plate at 0 or 22.5 degrees; any other angle, a bool or a string raises ValueError."""
+    if type(angle_degrees) in (int, float):
+        if angle_degrees == 22.5:
+            return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        if angle_degrees == 0:
+            return np.array([[1, 0], [0, -1]], dtype=complex)
+    raise ValueError(f"unsupported HWP angle {angle_degrees!r}; use 0 or 22.5")
+
+
+def _mode_mix_coeffs(n_h: int, n_v: int, u: np.ndarray) -> dict[tuple[int, int], complex]:
+    """Second-quantized action of a 2x2 mode transform on |n_h, n_v>.
+
+    Expands (u00 aH+ + u01 aV+)^nH (u10 aH+ + u11 aV+)^nV with the
+    bosonic sqrt(n!) normalization.
+    """
+    total = n_h + n_v
+    out: dict[tuple[int, int], complex] = {}
+    for k in range(n_h + 1):
+        for l in range(n_v + 1):
+            m_h = k + l
+            m_v = total - m_h
+            coeff = (
+                math.comb(n_h, k)
+                * math.comb(n_v, l)
+                * u[0, 0] ** k
+                * u[0, 1] ** (n_h - k)
+                * u[1, 0] ** l
+                * u[1, 1] ** (n_v - l)
+            )
+            out[(m_h, m_v)] = out.get((m_h, m_v), 0) + coeff
+    norm_in = math.sqrt(math.factorial(n_h) * math.factorial(n_v))
+    return {
+        (m_h, m_v): c * math.sqrt(math.factorial(m_h) * math.factorial(m_v)) / norm_in
+        for (m_h, m_v), c in out.items()
+        if abs(c) > AMP_TOL
+    }
 
 
 def _pattern_ports(p: Pattern) -> dict[int, int]:
@@ -40,7 +91,7 @@ def _expand(terms: dict[Pattern, complex], sources: list[Source]) -> dict[Patter
     """Multiply a term map by more sources, on ports its terms leave empty."""
     for kind, ports in sources:
         pieces = [(tuple(((p, pol), 1) for p, pol in zip(ports, pols)), pa)
-                  for pols, pa in SOURCES[kind]]
+                  for pols, pa in AMPLITUDES[kind]]
         new: dict[Pattern, complex] = {}
         for pat, amp in terms.items():
             base = dict(pat)
@@ -172,8 +223,8 @@ def run_tuples(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     if postselect is not None:
         state, prob = postselect_coincidence(state, postselect)
     log = []
-    for port, basis, outcome, weights in measures:
-        branch_prob, state = _detect(state, port, weights)
+    for port, basis, outcome in measures:
+        branch_prob, state = _detect(state, port, OUTCOMES[basis][outcome])
         log.append({"port": port, "basis": basis, "outcome": outcome, "probability": branch_prob})
     return state, prob, log
 
@@ -211,14 +262,8 @@ def measure_polarization(
         bucket = by_rest.setdefault(rest, {})
         bucket[pol] = bucket.get(pol, 0) + amp
 
-    if basis == "HV":
-        combos = {"H": {"H": 1.0}, "V": {"V": 1.0}}
-    else:
-        s = 1 / math.sqrt(2)
-        combos = {"+": {"H": s, "V": s}, "-": {"H": s, "V": -s}}
-
     branches = []
-    for outcome, weights in combos.items():
+    for outcome, weights in OUTCOMES[basis].items():
         terms = {}
         for rest, pols in by_rest.items():
             amp = sum(np.conj(w) * pols.get(pol, 0) for pol, w in weights.items())
@@ -251,4 +296,132 @@ def composed(spec):
         branch_prob, state = branches[picked]
         log.append({"port": m["port"], "basis": m["basis"], "outcome": picked,
                     "probability": branch_prob})
+    return state, prob, log
+
+
+# -- packed terms with float amplitudes ------------------------------------------------
+#
+# A term is one int: the i-th of the circuit's sorted ports holds its H count in
+# bits 10i..10i+4 and its V count in the next five.  Each step sums with
+# ``out.get(k, 0) + amp`` in term order and drops amplitudes at or under AMP_TOL
+# after each element, as run_tuples does on PhotonicState, so the amplitudes and
+# the term order are bit-identical to it.
+
+_COUNT = 31  # one mode's count field
+_PORT = 1023  # a port's H and V fields
+_SINGLE = (1, 1 << 5)  # a port's fields holding exactly one photon, H or V
+#: (a port's fields, HWP angle) -> each output fields value and coefficient
+_MIX: dict[tuple[int, float], tuple[tuple[int, complex], ...]] = {}
+
+
+def _join_terms(terms: dict, sources: list[Source], shift: dict[int, int]) -> dict:
+    """Multiply the terms by more sources, on ports every term leaves empty."""
+    for kind, ports in sources:
+        pieces = [(sum(1 << (shift[p] + (5 if pol == "V" else 0)) for p, pol in zip(ports, pols)), pa)
+                  for pols, pa in AMPLITUDES[kind]]
+        new: dict = {}
+        for key, amp in terms.items():
+            for piece, pa in pieces:
+                k = key | piece
+                new[k] = new.get(k, 0) + amp * pa
+        terms = new
+    return _clean(terms)
+
+
+def _pbs_terms(terms: dict, shift_a: int, shift_b: int) -> dict:
+    """Polarizing beam splitter: H transmits, so the two ports' V fields swap."""
+    va, vb = shift_a + 5, shift_b + 5
+    out: dict = {}
+    for key, amp in terms.items():
+        x = (key >> va ^ key >> vb) & _COUNT
+        k = key ^ (x << va | x << vb)
+        out[k] = out.get(k, 0) + amp
+    return _clean(out)
+
+
+def _hwp_terms(terms: dict, shift: int, angle: float) -> dict:
+    """Half-wave plate on the port with fields at bit ``shift``: 22.5 degrees maps H/V to +/-,
+    0 is a Pauli Z."""
+    out: dict = {}
+    for key, amp in terms.items():
+        fields = key >> shift & _PORT
+        if not fields:
+            out[key] = out.get(key, 0) + amp
+            continue
+        mix = _MIX.get((fields, angle))
+        if mix is None:
+            coeffs = _mode_mix_coeffs(fields & _COUNT, fields >> 5, _hwp_matrix(angle))
+            mix = _MIX[fields, angle] = tuple((m_h | m_v << 5, c) for (m_h, m_v), c in coeffs.items())
+        rest = key ^ fields << shift
+        for f, c in mix:
+            k = rest | f << shift
+            out[k] = out.get(k, 0) + amp * c
+    return _clean(out)
+
+
+def _detect_terms(terms: dict, port: int, shift: int, weights: dict[str, float]) -> tuple[dict, float]:
+    """Detect the photon at ``port`` (fields at bit ``shift``) and keep the outcome with these
+    weights; returns the terms without it, renormalised unless it has probability 0, and that."""
+    # the H and V amplitudes (0 when absent) at each rest of a term, in order of first sight
+    by_rest: dict[int, list] = {}
+    for key, amp in terms.items():
+        fields = key >> shift & _PORT
+        if fields not in _SINGLE:
+            raise ValueError(f"port {port} does not hold exactly one photon in every term")
+        pols = by_rest.setdefault(key ^ fields << shift, [0, 0])
+        pols[fields >> 5] = pols[fields >> 5] + amp
+    conj = [("HV".index(pol), np.conj(w)) for pol, w in weights.items()]
+    kept = {}
+    for rest, pols in by_rest.items():
+        amp = 0
+        for i, w in conj:
+            amp = amp + w * pols[i]
+        if abs(amp) > AMP_TOL:
+            kept[rest] = amp
+    prob = float(sum(abs(a) ** 2 for a in kept.values()))
+    norm = math.sqrt(prob)
+    return _clean({k: a / norm for k, a in kept.items()}) if prob > AMP_TOL else {}, prob
+
+
+def _pattern_of(key: int, ports: list[int]) -> Pattern:
+    """The occupation pattern of a packed term over these sorted ports."""
+    return _pattern({(port, pol): key >> 10 * i + 5 * j & _COUNT
+                     for i, port in enumerate(ports) for j, pol in enumerate("HV")})
+
+
+def run_packed(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
+    """``optics.run_circuit``'s schedule on packed-integer terms with float amplitudes."""
+    elements, joins, retires, postselect, measures = _plan(spec)
+    ports = sorted(p for joining in joins for _, source_ports in joining for p in source_ports)
+    shift = {p: 10 * i for i, p in enumerate(ports)}
+    terms: dict = {0: 1.0 + 0j}
+    for (element_ports, angle), joining, retiring in zip(elements, joins, retires):
+        if joining:
+            terms = _join_terms(terms, joining, shift)
+        if angle is None:
+            terms = _pbs_terms(terms, shift[element_ports[0]], shift[element_ports[1]])
+        else:
+            terms = _hwp_terms(terms, shift[element_ports[0]], angle)
+        for s in (shift[p] for p in retiring):
+            terms = {k: a for k, a in terms.items() if k >> s & _PORT in _SINGLE}
+    if joins[-1]:
+        terms = _join_terms(terms, joins[-1], shift)
+
+    prob = 1.0
+    if postselect is not None:
+        # N photons on N ports: a term has one on each port iff each has an odd H or V count,
+        # and no term can meet a list of fewer ports or a port no source has
+        odd = sum(1 << s for s in shift.values())
+        kept = {k: a for k, a in terms.items() if (k | k >> 5) & odd == odd} \
+            if set(postselect) == shift.keys() else {}
+        prob = float(sum(abs(a) ** 2 for a in kept.values()))
+        norm = math.sqrt(prob)
+        terms, prob = ({}, 0.0) if prob < AMP_TOL else (_clean({k: a / norm for k, a in kept.items()}), prob)
+    log = []
+    for port, basis, outcome in measures:
+        terms, branch_prob = _detect_terms(terms, port, shift[port], OUTCOMES[basis][outcome])
+        log.append({"port": port, "basis": basis, "outcome": outcome, "probability": branch_prob})
+    state = PhotonicState({_pattern_of(k, ports): a for k, a in terms.items()},
+                          len(ports) - len(measures),
+                          frozenset(ports).difference(port for port, *_ in measures))
     return state, prob, log

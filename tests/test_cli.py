@@ -212,6 +212,17 @@ def test_wrong_length_input_is_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--word", "XXX", "--n", "7"], "zigzag needs even n >= 6"),
+    (["classify", "--word", "XXX", "--resource", "path_every_third", "--n", "8"],
+     "needs n = 3m + 1 so both path ends are server-held"),
+    (["verify", "--suite", "appendix-b", "--n", "7"], "zigzag needs even n >= 6"),
+])
+def test_size_the_resource_cannot_build_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

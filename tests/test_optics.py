@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,15 @@ from photonweave.optics import (
 )
 from photonweave.protocols import ghz_weave
 from photonweave.states import state_locally_equivalent
-from optics_oracle import apply_hwp, apply_pbs, composed, postselect_coincidence, prepare, run_tuples
+from optics_oracle import (
+    apply_hwp,
+    apply_pbs,
+    composed,
+    postselect_coincidence,
+    prepare,
+    run_packed,
+    run_tuples,
+)
 
 S2 = 1 / math.sqrt(2)
 
@@ -433,8 +442,8 @@ def _bits(x: complex | float) -> tuple[str, str]:
 
 
 def assert_bit_identical(spec):
-    """run_circuit's packed terms give exactly the pattern-keyed engine's output."""
-    (state, prob, log), (ref, ref_prob, ref_log) = run_circuit(spec), run_tuples(spec)
+    """The float engine on packed terms gives exactly the pattern-keyed engine's output."""
+    (state, prob, log), (ref, ref_prob, ref_log) = run_packed(spec), run_tuples(spec)
     assert [(pat, _bits(a)) for pat, a in state.terms.items()] == \
         [(pat, _bits(a)) for pat, a in ref.terms.items()]
     assert all(type(a) is complex for a in state.terms.values())
@@ -451,7 +460,7 @@ def test_packed_terms_are_bit_identical(spec):
         run_tuples(spec)
     except ValueError as exc:  # a detection on a port without exactly one photon
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            run_circuit(spec)
+            run_packed(spec)
         return
     assert_bit_identical(spec)
 
@@ -476,6 +485,72 @@ def test_dual_path_circuits_are_bit_identical(monkeypatch):
         assert_bit_identical(spec)
 
 
+#: how far the exact engine's amplitudes and probabilities may sit from the float engine's:
+#: the float engine rounds at every step, the exact one once at the end
+FLOAT_ENGINE_TOL = 1e-14
+
+
+def assert_matches_float_engine(spec):
+    """run_circuit gives the float engine's terms in its order, its errors, and its numbers
+    within FLOAT_ENGINE_TOL."""
+    exact, exact_error = _run_or_error(run_circuit, spec)
+    ref, ref_error = _run_or_error(run_packed, spec)
+    assert exact_error == ref_error
+    if ref_error:
+        return
+    (state, prob, log), (ref_state, ref_prob, ref_log) = exact, ref
+    assert list(state.terms) == list(ref_state.terms)
+    assert all(type(a) is complex for a in state.terms.values())
+    for pat, amp in ref_state.terms.items():
+        assert abs(state.terms[pat] - amp) <= FLOAT_ENGINE_TOL
+    assert (state.total_photons, state.ports) == (ref_state.total_photons, ref_state.ports)
+    assert abs(prob - ref_prob) <= FLOAT_ENGINE_TOL
+    assert [{**e, "probability": None} for e in log] == [{**e, "probability": None} for e in ref_log]
+    for entry, ref_entry in zip(log, ref_log):
+        assert abs(entry["probability"] - ref_entry["probability"]) <= FLOAT_ENGINE_TOL
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuits())
+def test_exact_engine_matches_float_engine(spec):
+    assert_matches_float_engine(spec)
+
+
+def test_sqrt2_parts_match_float_engine(monkeypatch):
+    # the second plate sees ports holding 0, 1 and 2 photons, so terms of both parities
+    # meet on one scale and some coefficients get a sqrt(2) part
+    spec = {"sources": [{"plus": 0}, {"plus": 1}],
+            "elements": [{"pbs": [0, 1]}, {"hwp": [0, 22.5]}, {"pbs": [0, 1]}, {"hwp": [0, 22.5]},
+                         {"hwp": [1, 22.5]}]}
+    keys = []
+    real = optics._hwp_int
+
+    def spy(terms, shift, angle):
+        out, dh = real(terms, shift, angle)
+        keys.extend(out)
+        return out, dh
+
+    monkeypatch.setattr(optics, "_hwp_int", spy)
+    state, prob, _ = run_circuit(spec)
+    monkeypatch.undo()
+    assert any(k >= optics._ROOT2 for k in keys) and any(k < optics._ROOT2 for k in keys)
+    assert max(sum(c for _, c in pat) for pat in state.terms) == 2
+    assert abs(state.norm_squared() - 1) <= FLOAT_ENGINE_TOL and prob == 1.0
+    assert_matches_float_engine(spec)
+    assert_matches_float_engine({**spec, "measure": [{"port": 1, "basis": "PM", "outcome": "-"}]})
+
+
+def test_dual_path_probabilities_are_exact():
+    # every dual-path circuit returns its dyadic probability as the float equal to it
+    from photonweave import verify
+
+    cases = list(verify._dual_path_cases())
+    assert len(cases) == 46
+    for label, (_, prob), _, exact in cases:
+        assert exact.numerator == 1 and exact.denominator & exact.denominator - 1 == 0, label
+        assert prob == float(Fraction(1, exact.denominator)), label
+
+
 def test_zero_probability_circuit():
     # port 5 has no source, so no term can hold one photon on it
     spec = {"sources": [{"plus": 0}, {"plus": 1}], "elements": [{"pbs": [0, 1]}],
@@ -494,13 +569,13 @@ def test_retirement_can_empty_the_state(monkeypatch):
                          {"pbs": [2, 1]}, {"hwp": [2, 22.5]}],
             "postselect": [1, 2], "measure": [{"port": 2, "basis": "HV"}]}
     seen = []
-    real = optics._hwp_terms
+    real = optics._hwp_int
 
     def spy(terms, shift, angle):
         seen.append(len(terms))
         return real(terms, shift, angle)
 
-    monkeypatch.setattr(optics, "_hwp_terms", spy)
+    monkeypatch.setattr(optics, "_hwp_int", spy)
     state, prob, log = run_circuit(spec)
     assert len(seen) == 4 and seen[-1] == 0  # the last element runs on an empty term map
     assert prob == 0.0 and not state.terms and log[0]["probability"] == 0.0
@@ -560,15 +635,18 @@ def test_bad_circuit_raises_before_any_term(monkeypatch, spec, message):
         raise AssertionError("a term was built")
 
     # every term of run_circuit is built by a source joining the state
-    monkeypatch.setattr(optics, "_join_terms", no_terms)
+    monkeypatch.setattr(optics, "_join_int", no_terms)
     with pytest.raises(ValueError, match=message):
         run_circuit(spec)
 
 
 OPTICS_PRIMITIVES = {"apply_pbs", "apply_hwp", "postselect_coincidence", "prepare",
                      "measure_polarization"}
-#: the pattern-keyed engine, which lives in tests/optics_oracle.py as the reference
-TUPLE_ENGINE = OPTICS_PRIMITIVES | {"_detect", "_expand", "_join", "_pattern_ports"}
+#: the pattern-keyed engine and the float packed engine, which live in tests/optics_oracle.py
+#: as the references
+TUPLE_ENGINE = OPTICS_PRIMITIVES | {"_detect", "_expand", "_join", "_pattern_ports", "_join_terms",
+                                    "_pbs_terms", "_hwp_terms", "_detect_terms", "run_packed",
+                                    "_mode_mix_coeffs", "_hwp_matrix"}
 
 
 def test_run_circuit_is_the_only_optics_path():
