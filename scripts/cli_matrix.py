@@ -74,6 +74,7 @@ COMMANDS = [
     "classify --word XYZX --resource honeycomb --n 8",
     "classify --word XXX --n 7",
     "classify --word XXX --resource path_every_third --n 8",
+    "classify --word XXXX --resource path_every_third",
     # verify: the sub-second suites only
     "verify --suite cz-gate",
     "verify --suite ghz-postselection",

@@ -175,7 +175,10 @@ def _cmd_classify(args) -> tuple[dict, bool | None, dict]:
         raise UsageError("--word must be a nonempty string over X/Y/Z")
     if args.open and args.n is not None:
         raise UsageError("--open does not combine with --n: the resource fixes the closure")
-    command = {"word": args.word, "resource": args.resource, "close": not args.open}
+    if args.n is None:
+        _reject_unread(args, ("word", "open"), "classify without --n")
+    resource = args.resource or "zigzag"
+    command = {"word": args.word, "resource": resource, "close": not args.open}
     minors.check_word(args.word)
     if args.n is None:
         shape = minors.predict_class(args.word, close=not args.open)
@@ -184,8 +187,8 @@ def _cmd_classify(args) -> tuple[dict, bool | None, dict]:
             "predicted": shape.label,
             "contiguous_leaves": shape.contiguous_leaves,
         }
-    report = minors.crosscheck_report(args.n, args.word, args.resource)
-    command.update(n=args.n, close=minors.spine_leaf_word(args.resource, args.word)[1])
+    report = minors.crosscheck_report(args.n, args.word, resource)
+    command.update(n=args.n, close=minors.spine_leaf_word(resource, args.word)[1])
     return command, report["equivalent"], report
 
 
@@ -291,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="classify a measurement word")
     cls.add_argument("--word", required=True)
-    cls.add_argument("--resource", default="zigzag", choices=list(minors.RESOURCES))
+    cls.add_argument("--resource", choices=list(minors.RESOURCES),
+                     help="checked at --n (default zigzag)")
     cls.add_argument("--n", type=int)
     cls.add_argument("--open", action="store_true", help="treat the word as open")
     cls.add_argument("--out")

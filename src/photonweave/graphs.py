@@ -245,7 +245,7 @@ def measure_pauli(g: Graph, v: int, axis: str, x_partner: int | None = None) -> 
 #: null-space dimension of one component's linear system above which the
 #: solution walk is refused.  The most measured over graphs of at most 12
 #: vertices is 13 (stars and complete graphs: n + 1); a full walk of 2^20
-#: solutions takes about 0.35 s on a 2-core x86_64 host
+#: solutions takes about 0.3 s on a 2-core x86_64 host (Python 3.11)
 LC_DIMENSION_LIMIT = 20
 
 
@@ -293,32 +293,58 @@ def _local_cliffords(g1: Graph, g2: Graph) -> dict[int, tuple[int, int, int, int
 def _bouchet_solution(
     order: list[int], adj1: dict[int, frozenset[int]], adj2: dict[int, frozenset[int]]
 ) -> int | None:
-    """Solve one component's system; bits [kn, (k+1)n) of the answer are a, b, c, d."""
+    """Solve one component's system; bits [kn, (k+1)n) of the answer are a, b, c, d.
+
+    The system is held by columns: one n²-bit integer per unknown, whose
+    bit jn + k says the unknown appears in equation (j, k).  The columns
+    are reduced by their lowest set bit, each carrying a tag of the
+    unknowns summed into it, and the tags of the columns that reach zero
+    span the null space.  That basis is then put in its canonical form:
+    each vector has its own lowest set bit, cleared from all the others,
+    in increasing order of that bit.  This is the free-variable basis of
+    the row-reduced system, so the Gray-code walk below visits the
+    solutions in one fixed order and returns the same first solution
+    however the basis was found.
+    """
     n, full = len(order), (1 << len(order)) - 1
     index = {v: i for i, v in enumerate(order)}
     nb1 = [sum(1 << index[u] for u in adj1[v]) for v in order]
-    nb2 = [sum(1 << index[u] for u in adj2[v]) for v in order]
-    # one row per equation (j, k): b_i for i in N2(j) & N1(k), a_k if jk in g2,
-    # c_j if j == k, d_j if jk in g1; reduced so each pivot row has no other pivot
-    pivots: dict[int, int] = {}
-    for j in range(n):
-        for k in range(n):
-            row = ((nb2[j] & nb1[k]) << n | (nb2[j] >> k & 1) << k
-                   | (j == k) << (2 * n + j) | (nb1[j] >> k & 1) << (3 * n + j))
-            for p, r in pivots.items():
-                if row >> p & 1:
-                    row ^= r
-            if row:
-                p = row.bit_length() - 1
-                for q, r in pivots.items():
-                    if r >> p & 1:
-                        pivots[q] = r ^ row
-                pivots[p] = row
-    basis = [1 << f | sum(1 << p for p, r in pivots.items() if r >> f & 1)
-             for f in range(4 * n) if f not in pivots]
-    if len(basis) > LC_DIMENSION_LIMIT:
+    # N2(i) spread out so neighbour j sits at bit jn
+    spread2 = [sum(1 << index[u] * n for u in adj2[v]) for v in order]
+    # equation (j, k): b_i for i in N2(j) & N1(k), a_k if jk in g2, c_j if
+    # j == k, d_j if jk in g1.  b_i's column is the outer product N2(i) x N1(i)
+    columns = ([spread2[k] << k for k in range(n)]
+               + [spread2[i] * nb1[i] for i in range(n)]
+               + [1 << (n + 1) * j for j in range(n)]
+               + [nb1[j] << j * n for j in range(n)])
+    pivots: dict[int, tuple[int, int]] = {}  # lowest set bit -> (column, tag)
+    null = []
+    for unknown, col in enumerate(columns):
+        tag = 1 << unknown
+        while col:
+            low = col & -col
+            if low not in pivots:
+                pivots[low] = (col, tag)
+                break
+            pcol, ptag = pivots[low]
+            col ^= pcol
+            tag ^= ptag
+        else:
+            null.append(tag)
+    if len(null) > LC_DIMENSION_LIMIT:
         raise ValueError(f"local-equivalence test limited to {LC_DIMENSION_LIMIT} "
-                         f"null-space dimensions, got {len(basis)}")
+                         f"null-space dimensions, got {len(null)}")
+    canonical: dict[int, int] = {}  # lowest set bit -> the one vector holding that bit
+    for x in null:
+        for low, y in canonical.items():
+            if x & low:
+                x ^= y
+        low = x & -x
+        for other, y in canonical.items():
+            if y & low:
+                canonical[other] = y ^ x
+        canonical[low] = x
+    basis = [canonical[low] for low in sorted(canonical)]
     # every nonzero combination once, in Gray-code order: one XOR per step
     x = 0
     for step in range(1, 1 << len(basis)):

@@ -129,27 +129,38 @@ def canonical_tour(n: int) -> EulerianTour:
     return EulerianTour(tuple(seq), tuple(ids))
 
 
-def find_tour(mg: Multigraph) -> EulerianTour:
-    """Hierholzer's algorithm; deterministic given the edge ordering."""
-    if len(mg.simple_graph().components()) > 1:
-        raise ValueError("multigraph is disconnected")
-    if any(mg.degree(v) % 2 for v in mg.vertices):
-        raise ValueError("odd-degree vertex; no Eulerian tour")
-    if not mg.edges:
-        raise ValueError("no edges to tour")
+def _incidence(mg: Multigraph) -> dict[int, list[int]]:
+    """Each vertex's edge ids, largest first so pop() takes the smallest.
+
+    A loop is listed once and counts degree 2; an odd degree raises.
+    """
     incident: dict[int, list[int]] = {v: [] for v in mg.vertices}
+    odd = dict.fromkeys(mg.vertices, False)
     for idx, ((u, _), (v, _)) in enumerate(mg.edges):
         incident[u].append(idx)
         if v != u:
             incident[v].append(idx)
+            odd[u] = not odd[u]
+            odd[v] = not odd[v]
+    if any(odd.values()):
+        raise ValueError("odd-degree vertex; no Eulerian tour")
     for lst in incident.values():
-        lst.sort(reverse=True)  # pop() takes the smallest id
-    used = [False] * len(mg.edges)
-    start = mg.vertices[0]
+        lst.reverse()
+    return incident
+
+
+def _hierholzer(
+    edges: Sequence[MEdge], incident: dict[int, list[int]], used: list[bool], start: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The closed tour from ``start`` over the unused edges it reaches, smallest id first.
+
+    Consumes ``incident`` and marks ``used``; returns the visit sequence and
+    the edge ids of its steps.
+    """
     stack: list[tuple[int, int | None]] = [(start, None)]  # (vertex, edge used to get here)
     path: list[tuple[int, int | None]] = []
     while stack:
-        v, via = stack[-1]
+        v, _ = stack[-1]
         lst = incident[v]
         while lst and used[lst[-1]]:
             lst.pop()
@@ -158,35 +169,47 @@ def find_tour(mg: Multigraph) -> EulerianTour:
             continue
         eid = lst.pop()
         used[eid] = True
-        (a, _), (b, _) = mg.edges[eid]
-        nxt = b if a == v else a
-        stack.append((nxt, eid))
+        (a, _), (b, _) = edges[eid]
+        stack.append((b if a == v else a, eid))
     path.reverse()
-    seq = tuple(v for v, _ in path[:-1])
-    ids = tuple(e for _, e in path[1:])
+    return tuple(v for v, _ in path[:-1]), tuple(e for _, e in path[1:])
+
+
+def find_tour(mg: Multigraph) -> EulerianTour:
+    """Hierholzer's algorithm; deterministic given the edge ordering."""
+    if len(mg.simple_graph().components()) > 1:
+        raise ValueError("multigraph is disconnected")
+    incident = _incidence(mg)
+    if not mg.edges:
+        raise ValueError("no edges to tour")
+    seq, ids = _hierholzer(mg.edges, incident, [False] * len(mg.edges), mg.vertices[0])
     if len(ids) != len(mg.edges):
         raise ValueError("multigraph is disconnected")  # unreachable edges remain
     return EulerianTour(seq, ids)
 
 
-def interlacement(tour: EulerianTour) -> Graph:
-    """Two vertices are adjacent iff their visits alternate along the tour."""
+def _interlaced(sequence: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """The sorted vertices of a double-occurrence tour and its alternating pairs."""
     positions: dict[int, list[int]] = {}
-    for i, v in enumerate(tour.sequence):
+    for i, v in enumerate(sequence):
         positions.setdefault(v, []).append(i)
     for v, pos in positions.items():
         if len(pos) != 2:
             raise ValueError(f"vertex {v} visited {len(pos)} times; need a 4-regular tour")
     verts = sorted(positions)
-    n = len(tour.sequence)
     edges = []
     for i, u in enumerate(verts):
         a1, a2 = positions[u]
         for w in verts[i + 1 :]:
-            inside = sum(1 for p in positions[w] if a1 < p < a2)
-            if inside == 1:
+            b1, b2 = positions[w]
+            if (a1 < b1 < a2) != (a1 < b2 < a2):
                 edges.append((u, w))
-    return Graph(verts, edges)
+    return verts, edges
+
+
+def interlacement(tour: EulerianTour) -> Graph:
+    """Two vertices are adjacent iff their visits alternate along the tour."""
+    return Graph(*_interlaced(tour.sequence))
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +386,30 @@ def predict_class(word: str, close: bool) -> ShapeClass:
 
 
 def tour_interlacement(mg: Multigraph) -> Graph:
-    """Interlacement graph of one Eulerian tour per connected component."""
+    """Interlacement graph of one Eulerian tour per connected component.
+
+    Each component's tour is ``find_tour``'s on that component alone: it
+    starts at the component's first vertex in ``mg.vertices`` order and
+    takes the smallest edge id first.  The components come in the order
+    of their first vertices, each with its vertices sorted; a vertex
+    without edges stands alone.
+    """
+    incident = _incidence(mg)
+    used = [False] * len(mg.edges)
+    seen: set[int] = set()
     verts: list[int] = []
     edges: list[tuple[int, int]] = []
-    for comp in mg.simple_graph().components():
-        comp_verts = tuple(u for u in mg.vertices if u in comp)
-        comp_edges = tuple(e for e in mg.edges if e[0][0] in comp)
-        if not comp_edges:
-            verts.extend(comp_verts)
+    for v in mg.vertices:
+        if v in seen:
             continue
-        g = interlacement(find_tour(Multigraph(comp_verts, comp_edges)))
-        verts.extend(g.vertices)
-        edges.extend(g.edges)
+        if not incident[v]:
+            seen.add(v)
+            verts.append(v)
+            continue
+        comp_verts, comp_edges = _interlaced(_hierholzer(mg.edges, incident, used, v)[0])
+        seen.update(comp_verts)
+        verts.extend(comp_verts)
+        edges.extend(comp_edges)
     return Graph(verts, edges)
 
 
@@ -440,7 +475,8 @@ RESOURCE_BUILDERS = {
 }
 RESOURCES = tuple(RESOURCE_BUILDERS)
 #: the most words one sweep enumerates: honeycomb n = 16, the costliest sweep
-#: this admits, takes about 7 s on a 2-core x86_64 host, and n = 18 about 25 s
+#: this admits, takes about 3.3 s on a 2-core x86_64 host (Python 3.11), and
+#: n = 18 about 16 s
 MAX_SWEEP_WORDS = 3**8
 
 
@@ -448,7 +484,15 @@ def build_resource(resource: str, n: int) -> tuple[Graph, list[int], list[int]]:
     """The named resource at size n: (graph, measured server vertices, survivors)."""
     if resource not in RESOURCE_BUILDERS:
         raise ValueError(f"unknown resource {resource!r}; use one of {RESOURCES}")
-    return RESOURCE_BUILDERS[resource](n)
+    g, measured, survivors = _built_resource(resource, n)
+    return g, list(measured), list(survivors)
+
+
+@lru_cache(maxsize=8)
+def _built_resource(resource: str, n: int) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
+    """Cached: the graph is immutable and build_resource copies the vertex lists."""
+    g, measured, survivors = RESOURCE_BUILDERS[resource](n)
+    return g, tuple(measured), tuple(survivors)
 
 
 def resource_words(resource: str, n: int) -> Iterator[str]:

@@ -7,12 +7,16 @@ built on it: ``locally_equivalent``, for ``graphs.locally_equivalent``
 GF(2)), and ``single_leaf_caterpillars``, the paper's shape bound for
 the path-every-third resource, for the spine/leaf prediction that
 ``minors.crosscheck`` checks with the linear test.
+
+``bouchet_solution_rows`` is the row-elimination solver of that linear
+test, the oracle for ``graphs._bouchet_solution``, which solves the same
+system by columns.
 """
 
 from collections import deque
 from typing import Iterator
 
-from photonweave.graphs import Graph, classify_graph, local_complement
+from photonweave.graphs import LC_DIMENSION_LIMIT, Graph, classify_graph, local_complement
 
 ORBIT_VERTEX_LIMIT = 12
 ORBIT_CAP = 10**6
@@ -74,3 +78,46 @@ def _single_leaf_caterpillar(g: Graph, comp: frozenset[int]) -> bool:
         if classify_graph(rep).label in ("path", "star", "caterpillar", "empty"):
             return True
     return False
+
+
+def bouchet_solution_rows(
+    order: list[int], adj1: dict[int, frozenset[int]], adj2: dict[int, frozenset[int]]
+) -> int | None:
+    """Row elimination over the n² equations of one component's system.
+
+    Builds one row per equation and reduces it against every pivot, about
+    4n³ steps.  Returns what ``graphs._bouchet_solution`` returns, or
+    raises the same ValueError.
+    """
+    n, full = len(order), (1 << len(order)) - 1
+    index = {v: i for i, v in enumerate(order)}
+    nb1 = [sum(1 << index[u] for u in adj1[v]) for v in order]
+    nb2 = [sum(1 << index[u] for u in adj2[v]) for v in order]
+    # one row per equation (j, k): b_i for i in N2(j) & N1(k), a_k if jk in g2,
+    # c_j if j == k, d_j if jk in g1; reduced so each pivot row has no other pivot
+    pivots: dict[int, int] = {}
+    for j in range(n):
+        for k in range(n):
+            row = ((nb2[j] & nb1[k]) << n | (nb2[j] >> k & 1) << k
+                   | (j == k) << (2 * n + j) | (nb1[j] >> k & 1) << (3 * n + j))
+            for p, r in pivots.items():
+                if row >> p & 1:
+                    row ^= r
+            if row:
+                p = row.bit_length() - 1
+                for q, r in pivots.items():
+                    if r >> p & 1:
+                        pivots[q] = r ^ row
+                pivots[p] = row
+    basis = [1 << f | sum(1 << p for p, r in pivots.items() if r >> f & 1)
+             for f in range(4 * n) if f not in pivots]
+    if len(basis) > LC_DIMENSION_LIMIT:
+        raise ValueError(f"local-equivalence test limited to {LC_DIMENSION_LIMIT} "
+                         f"null-space dimensions, got {len(basis)}")
+    # every nonzero combination once, in Gray-code order: one XOR per step
+    x = 0
+    for step in range(1, 1 << len(basis)):
+        x ^= basis[(step & -step).bit_length() - 1]
+        if (x & full & x >> 3 * n) ^ (x >> n & x >> 2 * n & full) == full:
+            return x
+    return None

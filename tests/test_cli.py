@@ -191,6 +191,17 @@ def test_classify_open_with_n_is_usage_error(capsys):
         "usage error: --open does not combine with --n: the resource fixes the closure\n")
 
 
+@pytest.mark.parametrize("resource", ["zigzag", "path_every_third"])
+def test_classify_resource_without_n_is_usage_error(resource, capsys):
+    # without --n the word is classified alone, closed unless --open: a
+    # resource named there would be echoed but not read
+    assert main(["classify", "--word", "XXXX", "--resource", resource]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: classify without --n does not read --resource\n")
+    code, report = run_cli(capsys, "classify", "--word", "XXXX")
+    assert code == 0 and report["command"]["resource"] == "zigzag"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,11 +1,12 @@
 import ast
+import inspect
 import itertools
 import json
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lc_oracle
@@ -14,6 +15,7 @@ from photonweave.graphs import (
     LC_DIMENSION_LIMIT,
     Graph,
     ShapeClass,
+    _bouchet_solution,
     classify_graph,
     complete_graph,
     cycle_graph,
@@ -246,6 +248,45 @@ def test_linear_test_matches_orbit_oracle(pair):
     assert locally_equivalent(g, h) == lc_oracle.locally_equivalent(g, h)
 
 
+@st.composite
+def solver_systems(draw):
+    """One system per component of an lc_pairs pair, as ``_local_cliffords`` solves them.
+
+    The labels are spread out and permuted, and each component's vertices
+    come in any order; the partner is read on the same vertices.
+    """
+    g, h = draw(lc_pairs())
+    labels = draw(st.permutations([3 * v + 7 for v in g.vertices]))
+    relabel = dict(zip(g.vertices, labels))
+    g, h = (Graph([relabel[v] for v in k.vertices], [(relabel[a], relabel[b]) for a, b in k.edges])
+            for k in (g, h))
+    return [(draw(st.permutations(sorted(comp))), g.adj, h.induced(comp).adj)
+            for comp in g.components()]
+
+
+def _solve(solver, order, adj1, adj2):
+    try:
+        return solver(order, adj1, adj2)
+    except ValueError as exc:
+        return str(exc)
+
+
+_big_star, _edgeless = star_graph(0, range(1, LC_DIMENSION_LIMIT)), empty_graph(8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(solver_systems())
+# above the dimension limit: a 21-dimensional star, and an edgeless graph
+# solved as one 24-dimensional system
+@example([(list(_big_star.vertices), _big_star.adj, _big_star.adj),
+          (list(_edgeless.vertices), _edgeless.adj, _edgeless.adj)])
+def test_column_solver_matches_row_oracle(systems):
+    # the same first solution, None, or the same error
+    for order, adj1, adj2 in systems:
+        assert (_solve(_bouchet_solution, order, adj1, adj2)
+                == _solve(lc_oracle.bouchet_solution_rows, order, adj1, adj2))
+
+
 def test_twelve_vertex_families_are_answered():
     # the orbit search answered these at its 12-vertex limit; the star's
     # solution space has 13 dimensions, the most measured at n <= 12
@@ -298,7 +339,22 @@ def test_orbit_search_stays_out_of_the_package():
         names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.name for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        assert not names & {"lc_orbit", "ORBIT_CAP"}, path.name
+        assert not names & {"lc_orbit", "ORBIT_CAP", "bouchet_solution_rows"}, path.name
+
+
+def _for_depth(node: ast.AST) -> int:
+    inner = max((_for_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    return inner + isinstance(node, ast.For)
+
+
+def test_row_solver_stays_out_of_the_package():
+    # the linear test has one solver in the package, by columns; the row
+    # elimination, whose equation loop nests three fors, is a test oracle only
+    tree = ast.parse((Path(photonweave.__file__).parent / "graphs.py").read_text())
+    solver = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_bouchet_solution")
+    assert _for_depth(solver) < 3
+    assert _for_depth(ast.parse(inspect.getsource(lc_oracle.bouchet_solution_rows))) == 3
 
 
 # -- classification --------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 import lc_oracle
 from photonweave import minors
 from photonweave.graphs import (
+    Graph,
     classify_graph,
     cycle_graph,
     locally_equivalent,
@@ -154,6 +155,36 @@ def test_fragment_soundness_exhaustive(n):
             assert all(rewired.degree(u) == 4 for u in rewired.vertices)
             ig = tour_interlacement(rewired)
             assert locally_equivalent(ig, measure_pauli(cyc, v, letter)), (n, v, letter)
+
+
+def _per_component_interlacement(mg: Multigraph) -> Graph:
+    """A checked sub-multigraph, find_tour and interlacement per simple-graph component."""
+    verts, edges = [], []
+    for comp in mg.simple_graph().components():
+        comp_verts = tuple(u for u in mg.vertices if u in comp)
+        comp_edges = tuple(e for e in mg.edges if e[0][0] in comp)
+        if not comp_edges:
+            verts.extend(comp_verts)
+            continue
+        g = interlacement(find_tour(Multigraph(comp_verts, comp_edges)))
+        verts.extend(g.vertices)
+        edges.extend(g.edges)
+    return Graph(verts, edges)
+
+
+def test_tour_interlacement_matches_per_component_tours():
+    # the one walk over the whole multigraph takes find_tour's tour on each
+    # component: the same vertex order and the same edges, word for word
+    words = 0
+    for n in (6, 8, 10, 12):
+        mg, _ = honeycomb_multigraph(n)
+        _, measured, _ = honeycomb_resource(n)
+        for word in resource_words("honeycomb", n):
+            rewired = apply_word(mg, measured, word)
+            got, want = tour_interlacement(rewired), _per_component_interlacement(rewired)
+            assert got.vertices == want.vertices and got.edges == want.edges, (n, word)
+            words += 1
+    assert words == 1080
 
 
 def test_all_z_disconnects_everything():
@@ -313,6 +344,15 @@ def test_zigzag_resource_shape():
     g, measured, survivors = zigzag_resource(8)
     assert classify_graph(g).label == "cycle"
     assert measured == [0, 2, 4, 6] and survivors == [1, 3, 5, 7]
+
+
+def test_build_resource_hands_out_fresh_lists():
+    g, measured, survivors = minors.build_resource("zigzag", 8)
+    measured.append(99)
+    survivors.clear()
+    again = minors.build_resource("zigzag", 8)
+    assert again[0] is g  # the graph is cached, and immutable
+    assert again[1:] == ([0, 2, 4, 6], [1, 3, 5, 7])
 
 
 def test_honeycomb_resource_matches_expanded_multigraph():
