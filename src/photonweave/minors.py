@@ -228,16 +228,26 @@ def apply_word(mg: Multigraph, measured: Sequence[int], word: str) -> Multigraph
     check_word(word)
     if len(measured) != len(word):
         raise InputShapeError(f"{len(measured)} measured vertices but {len(word)} letters")
-    edges: dict[int, MEdge] = dict(enumerate(mg.edges))
-    next_id = len(mg.edges)
+    edges: dict[int, MEdge] = {}
+    # each measured vertex's edge ends, (edge id, side) -> tag, kept as edges come and go
+    ends_at: dict[int, dict[tuple[int, int], int | None]] = {v: {} for v in measured}
+    ids = itertools.count()
+
+    def add(ends: MEdge) -> None:
+        eid = next(ids)
+        edges[eid] = ends
+        for side, (vert, tag) in enumerate(ends):
+            if vert in ends_at:
+                ends_at[vert][eid, side] = tag
+
+    for ends in mg.edges:
+        add(ends)
     for v, letter in zip(measured, word):
         slots: dict[int, tuple[int, int]] = {}  # tag -> (edge id, side)
-        for eid, ends in edges.items():
-            for side, (vert, tag) in enumerate(ends):
-                if vert == v:
-                    if tag is None or tag in slots:
-                        raise ValueError(f"vertex {v} lacks distinct slot tags")
-                    slots[tag] = (eid, side)
+        for half, tag in ends_at[v].items():
+            if tag is None or tag in slots:
+                raise ValueError(f"vertex {v} lacks distinct slot tags")
+            slots[tag] = half
         if set(slots) != {-2, -1, 1, 2}:
             raise ValueError(f"vertex {v} does not have the four circulant slots")
         # junction partners among v's slots per the letter's pairing
@@ -265,11 +275,13 @@ def apply_word(mg: Multigraph, measured: Sequence[int], word: str) -> Multigraph
         # the new edges only join ends off v, so they can go in while v's wires are walked
         for tag in (-2, -1, 1, 2):
             if slots[tag] not in handled and (end := walk(slots[tag])) is not None:
-                edges[next_id] = (end, walk(partner[slots[tag]]))
-                next_id += 1
+                add((end, walk(partner[slots[tag]])))
         for eid, _ in slots.values():
-            edges.pop(eid, None)  # a loop at v holds two of its slots
-    survivors = tuple(v for v in mg.vertices if v not in set(measured))
+            # a loop at v holds two of its slots
+            for side, (vert, _) in enumerate(edges.pop(eid, ())):
+                if vert in ends_at:
+                    del ends_at[vert][eid, side]
+    survivors = tuple(v for v in mg.vertices if v not in ends_at)
     return Multigraph(survivors, tuple(edges.values()))
 
 

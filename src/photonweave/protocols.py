@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -612,8 +612,132 @@ class MonteCarloStats:
         return asdict(self) | {"resource_means": dict(sorted(self.resource_means.items()))}
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
+# Trial t of a Monte Carlo call runs on ``np.random.default_rng([seed, t])``.  NumPy
+# keeps the SeedSequence and PCG64 streams stable (NEP 19), so the streams of a block
+# of trials are computed together in uint32/uint64 array arithmetic, bit for bit.
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _POOL_SIZE = 0xCA01F9DD, 0x4973F715, 4
+#: PCG64's 128-bit LCG multiplier (O'Neill, PCG, HMC-CS-2014-0905)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: trials whose streams are computed together, so a call's arrays stay small
+_TRIAL_BLOCK = 4096
+
+
+def _hash_constants(h: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """SeedSequence's hash constant before and after each of its steps."""
+    while True:
+        after = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(after)
+        h = after
+
+
+def _hashmix(value: np.ndarray, hashes: Iterator[tuple[np.uint32, np.uint32]]) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of uint32 words, stepping the shared hash constant once."""
+    xor, mult = next(hashes)
+    value = (value ^ xor) * mult
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two uint32 words."""
+    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return value ^ value >> np.uint32(16)
+
+
+def _mul_hi(a: np.ndarray, m: int) -> np.ndarray:
+    """The high 64 bits of each a * m, for a 64-bit constant m, from 32-bit halves."""
+    low, half = np.uint64(_MASK32), np.uint64(32)
+    a0, a1, m0, m1 = a & low, a >> half, np.uint64(m & _MASK32), np.uint64(m >> 32)
+    cross0, cross1 = a0 * m1, a1 * m0
+    mid = (a0 * m0 >> half) + (cross0 & low) + (cross1 & low)
+    return a1 * m1 + (cross0 >> half) + (cross1 >> half) + (mid >> half)
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One LCG step, state * _PCG_MULT + inc mod 2^128, on (high, low) words."""
+    m_lo = _PCG_MULT & _MASK64
+    new_hi = _mul_hi(lo, m_lo) + lo * np.uint64(_PCG_MULT >> 64) + hi * np.uint64(m_lo)
+    new_lo = lo * np.uint64(m_lo) + inc_lo
+    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _pcg64_words(seed: int, trials: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` outputs of ``default_rng([seed, t]).bit_generator`` for each t.
+
+    Returns the 64-bit words, one row per trial, and the generators' state
+    after them, one column per trial: state high, state low, increment high,
+    increment low.
+    """
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    trials = np.asarray(trials, dtype=np.uint64)
+    words = np.empty((len(trials), count), np.uint64)
+    state = np.empty((4, len(trials)), np.uint64)
+    wide = trials > np.uint64(_MASK32)
+    # an index of two 32-bit words makes the entropy one word longer: seed those apart
+    for rows in (np.flatnonzero(~wide), np.flatnonzero(wide)):
+        if not len(rows):
+            continue
+        t = trials[rows]
+        entropy = [np.full(len(t), w, np.uint32) for w in seed_words]
+        entropy.append((t & np.uint64(_MASK32)).astype(np.uint32))
+        if wide[rows[0]]:
+            entropy.append((t >> np.uint64(32)).astype(np.uint32))
+        # SeedSequence.mix_entropy: fill the pool (zeros past the entropy), mix
+        # every pool word into every other, then mix in the entropy past the pool
+        hashes = _hash_constants(_INIT_A, _MULT_A)
+        padded = entropy + [np.zeros(len(t), np.uint32)] * (_POOL_SIZE - len(entropy))
+        pool = [_hashmix(word, hashes) for word in padded[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], _hashmix(word, hashes))
+        # generate_state(4, uint64): eight hashed 32-bit words, read little-endian in pairs
+        hashes = _hash_constants(_INIT_B, _MULT_B)
+        out = [_hashmix(pool[i % _POOL_SIZE], hashes).astype(np.uint64) for i in range(8)]
+        val = [out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+        # PCG64 seeding: inc = (val[2], val[3]) << 1 | 1; step from 0, add (val[0], val[1]), step
+        inc_hi = val[2] << np.uint64(1) | val[3] >> np.uint64(63)
+        inc_lo = val[3] << np.uint64(1) | np.uint64(1)
+        lo = inc_lo + val[1]
+        hi, lo = _pcg64_step(inc_hi + val[0] + (lo < inc_lo), lo, inc_hi, inc_lo)
+        for k in range(count):  # each output: step, then XSL-RR
+            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+            folded, rot = hi ^ lo, hi >> np.uint64(58)
+            words[rows, k] = folded >> rot | folded << (np.uint64(64) - rot & np.uint64(63))
+        state[:, rows] = hi, lo, inc_hi, inc_lo
+    return words, state
+
+
+def _fusion_coins(prefix: list[int], state: np.ndarray, trial: int) -> Iterator[int]:
+    """One trial's ``integers(0, 2)`` coins: bit 31, then bit 63, of each 64-bit output.
+
+    The outputs of ``prefix`` come first; past them the trial's own
+    generator state (column ``trial`` of ``state``) steps on in Python ints.
+    """
+    for word in prefix:
+        yield word >> 31 & 1
+        yield word >> 63
+    hi, lo, inc_hi, inc_lo = (int(x) for x in state[:, trial])
+    current, inc = hi << 64 | lo, inc_hi << 64 | inc_lo
+    while True:
+        current = (current * _PCG_MULT + inc) & _MASK128
+        folded, rot = (current >> 64 ^ current) & _MASK64, current >> 122
+        word = (folded >> rot | folded << (64 - rot)) & _MASK64
+        yield word >> 31 & 1
+        yield word >> 63
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 #: the request schema, as the README tables it: protocol -> (runner, required keys, optional keys);
@@ -663,34 +787,51 @@ def monte_carlo(
     retry policy and records resource use; the chain's graph does not
     depend on the coins, so it is built once and each trial draws only
     its fusion coins.
-    Per-trial generators are derived from (seed, trial) so results do not
-    depend on evaluation order.  Pass a list as ``trial_log`` to collect
-    (trial, success, resource...) rows for CSV export.
+    Trial t draws from ``np.random.default_rng([seed, t])``: an attempt
+    succeeds when its ``random()`` falls below the analytic probability,
+    and a chain's fusion coins are its ``integers(0, 2)``.  The streams of
+    each block of trials are computed together and equal those generators
+    bit for bit, so results do not depend on evaluation order.  ``trials``
+    is an int >= 1 and ``seed`` an int >= 0.  Pass a list as ``trial_log``
+    to collect (trial, success, resource...) rows for CSV export.
     """
-    if trials < 1:
-        raise ValueError("trials >= 1")
-    successes = 0
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     base = run_request(request)  # checks the request; a chain's graph is built once here
-    if request["protocol"] == "chain":
+    chain = request["protocol"] == "chain"
+    if chain:
         totals = [0, 0, 0]
-        for t in range(trials):
-            coin = _trial_rng(seed, t).integers
-            succeeded, *counts = _retry_counts(base.blocks, base.close_cycle, lambda: coin(0, 2))
-            successes += succeeded
-            totals = [a + b for a, b in zip(totals, counts)]
-            if trial_log is not None:
-                trial_log.append((t, int(succeeded), *counts))
-        resource_totals = dict(zip(("blocks", "bell_pairs", "fusions"), totals))
         # the closure fusion is the only unrecoverable coin
         analytic = 0.5 if base.close_cycle else 1.0
     else:
         analytic = float(base.success_probability)
         pairs = base.resources.get("bell_pairs", 0)
-        for t in range(trials):
-            success = _trial_rng(seed, t).random() < analytic
-            successes += success
+    successes = 0
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = np.arange(start, min(start + _TRIAL_BLOCK, trials), dtype=np.uint64)
+        if chain:
+            # a trial needs two coins per joint on average, and a closed chain one
+            # more; the prefix holds two per output, and a trial past it steps on
+            words, state = _pcg64_words(seed, block, len(base.blocks) + 3)
+            runs = [_retry_counts(base.blocks, base.close_cycle,
+                                  _fusion_coins(prefix, state, i).__next__)
+                    for i, prefix in enumerate(words.tolist())]
+            oks, *columns = zip(*runs)
+            successes += sum(oks)
+            totals = [total + sum(column) for total, column in zip(totals, columns)]
             if trial_log is not None:
-                trial_log.append((t, int(success), pairs))
+                trial_log.extend((start + i, int(ok), *counts)
+                                 for i, (ok, *counts) in enumerate(runs))
+        else:
+            words, _ = _pcg64_words(seed, block, 1)
+            hits = (words[:, 0] >> np.uint64(11)) * 2.0**-53 < analytic  # random() < analytic
+            successes += int(np.count_nonzero(hits))
+            if trial_log is not None:
+                trial_log.extend((start + i, hit, pairs)
+                                 for i, hit in enumerate(hits.astype(int).tolist()))
+    if chain:
+        resource_totals = dict(zip(("blocks", "bell_pairs", "fusions"), totals))
+    else:
         resource_totals = {"bell_pairs": pairs * trials}
     p_hat = successes / trials
     std_error = math.sqrt(p_hat * (1 - p_hat) / trials)

@@ -204,6 +204,26 @@ def test_apply_word_length_mismatch():
         apply_word(build_circulant(6), [0, 2], "X")
 
 
+def retagged(mg: Multigraph, end: tuple[int, int], tag) -> Multigraph:
+    """mg with the edge end ``end`` (vertex, tag) carrying ``tag`` instead."""
+    return Multigraph(mg.vertices, tuple(tuple((v, tag) if (v, t) == end else (v, t) for v, t in edge)
+                                         for edge in mg.edges))
+
+
+@pytest.mark.parametrize("mg, measured, message", [
+    (retagged(build_circulant(6), (0, 1), 2), [0], "vertex 0 lacks distinct slot tags"),
+    (retagged(build_circulant(6), (0, 1), None), [0], "vertex 0 lacks distinct slot tags"),
+    (retagged(build_circulant(6), (0, 1), 3), [0], "vertex 0 does not have the four circulant slots"),
+    # vertex 1 is measured after 0's fragment has rewired the edges at 1
+    (retagged(build_circulant(6), (1, 2), -1), [0, 1], "vertex 1 lacks distinct slot tags"),
+    (build_circulant(6), [0, 0], "vertex 0 does not have the four circulant slots"),
+])
+def test_apply_word_rejects_bad_slots(mg, measured, message):
+    with pytest.raises(ValueError) as excinfo:
+        apply_word(mg, measured, "X" * len(measured))
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("word", ["ZXX", "ZXZ"])
 def test_apply_word_exact(word):
     # after Z at 0 and X at 1, vertex 2 carries a loop joining its slots -2 and -1:

@@ -650,6 +650,51 @@ def test_monte_carlo_matches_per_trial_fuse_chain(req, seed, trials):
     assert log == oracle_log
 
 
+def test_monte_carlo_chain_trial_past_the_prefix():
+    # trial 5 draws 20 coins (a closed chain draws one per block it consumes),
+    # past the 16 coins of the 8 outputs computed for every trial
+    req = {"protocol": "chain", "blocks": ["three"] * 5, "close": True}
+    log, oracle_log = [], []
+    stats = monte_carlo(req, 6, 2, trial_log=log)
+    assert log[5] == (5, 0, 20, 60, 20)
+    assert repr(stats) == repr(per_trial_monte_carlo(req, 6, 2, oracle_log))
+    assert log == oracle_log
+
+
+#: seeds of 1, 2, 3, 5 and 6 32-bit words: with the index, 5 or more entropy
+#: words overflow SeedSequence's pool of 4 and take its last mixing loop
+stream_seeds = st.sampled_from([1, 2, 3, 5, 6]).flatmap(
+    lambda words: st.integers(1 << 32 * (words - 1), (1 << 32 * words) - 1) | st.just(0))
+#: trial indices of one and of two 32-bit words
+stream_indices = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1]) | st.integers(0, 2**40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_seeds, st.lists(stream_indices, min_size=1, max_size=6), st.integers(1, 4))
+def test_trial_streams_match_default_rng(seed, trials, count):
+    words, state = protocols._pcg64_words(seed, np.array(trials, dtype=np.uint64), count)
+    for i, t in enumerate(trials):
+        bit_generator = np.random.default_rng([seed, t]).bit_generator
+        assert words[i].tolist() == bit_generator.random_raw(count).tolist()
+        assert (words[i, 0] >> 11) * 2.0**-53 == np.random.default_rng([seed, t]).random()
+        # more coins than the prefix holds: the rest come from the stepped-on state
+        coins = protocols._fusion_coins(words[i].tolist(), state, i)
+        rng = np.random.default_rng([seed, t])
+        for _ in range(2 * count + 9):
+            assert next(coins) == rng.integers(0, 2)
+
+
+@pytest.mark.parametrize("trials, seed, error", [
+    ("5", 1, TypeError), (2.0, 1, TypeError), (True, 1, TypeError), (None, 1, TypeError),
+    (0, 1, ValueError), (-3, 1, ValueError),
+    (5, "3", TypeError), (5, None, TypeError), (5, 1.5, TypeError), (5, False, TypeError),
+    (5, np.int64(3), TypeError), (5, -1, ValueError),
+])
+def test_monte_carlo_checks_trials_and_seed(trials, seed, error):
+    with pytest.raises(error):
+        monte_carlo({"protocol": "ghz", "M": 3}, trials, seed)
+
+
 # recorded from the per-trial implementation
 @pytest.mark.parametrize("req, stats, rows", [
     ({"protocol": "chain", "blocks": ["path4"] * 4},
