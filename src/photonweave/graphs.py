@@ -14,7 +14,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -258,7 +258,7 @@ def locally_equivalent(g1: Graph, g2: Graph) -> bool:
     walking the orbit; a component whose solution space has more than
     ``LC_DIMENSION_LIMIT`` dimensions raises ValueError.
     """
-    return _local_cliffords(g1, g2) is not None
+    return all(x is not None for _, x in _solutions(g1, g2))
 
 
 def _local_cliffords(g1: Graph, g2: Graph) -> dict[int, tuple[int, int, int, int]] | None:
@@ -272,22 +272,28 @@ def _local_cliffords(g1: Graph, g2: Graph) -> dict[int, tuple[int, int, int, int
     (Bouchet, Combinatorica 11, 1991; Van den Nest, Dehaene and De Moor,
     PRA 70, 034302, 2004).
     """
-    if g1.adj.keys() != g2.adj.keys():
-        return None
-    comps = g1.components()
-    # components are invariant under lc: cheap rejection
-    if set(comps) != set(g2.components()):
-        return None
     frames: dict[int, tuple[int, int, int, int]] = {}
-    for comp in comps:
-        order = [v for v in g1.adj if v in comp]
-        x = _bouchet_solution(order, g1.adj, g2.adj)
+    for order, x in _solutions(g1, g2):
         if x is None:
             return None
         n = len(order)
         for i, v in enumerate(order):
             frames[v] = tuple(x >> (part * n + i) & 1 for part in range(4))
     return frames
+
+
+def _solutions(g1: Graph, g2: Graph) -> Iterator[tuple[list[int], int | None]]:
+    """Each component's vertex order and ``_bouchet_solution``, solved only when asked
+    for, or one None when the vertices or the components already differ."""
+    if g1.adj.keys() == g2.adj.keys():
+        comps = g1.components()
+        # components are invariant under lc: cheap rejection
+        if set(comps) == set(g2.components()):
+            for comp in comps:
+                order = [v for v in g1.adj if v in comp]
+                yield order, _bouchet_solution(order, g1.adj, g2.adj)
+            return
+    yield [], None
 
 
 def _bouchet_solution(

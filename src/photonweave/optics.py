@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .states import StateVector
+from .states import NORM_TOL, StateVector
 
 MAX_PHOTONS = 16
 
@@ -118,6 +118,8 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
     """Read the polarization qubits off the listed ports: H -> 0, V -> 1.
 
     Every term must occupy exactly the listed ports with one photon each.
+    Amplitudes whose squared norm is within ``NORM_TOL`` of 1 are read as
+    they are; any others are renormalised.
     """
     n = len(port_to_qubit)
     bit = {port: 1 << (n - 1 - i) for i, port in enumerate(port_to_qubit)}
@@ -140,7 +142,7 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
     norm = np.linalg.norm(amps)
     if norm <= AMP_TOL:
         raise ValueError("zero-probability state: no amplitude to read")
-    if abs(norm - 1.0) > 1e-9:
+    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > NORM_TOL:  # as StateVector tests it
         amps = amps / norm
     return StateVector(amps, tuple(port_to_qubit.values()))
 

@@ -98,7 +98,9 @@ def graph_weave(weaver: int, targets: Sequence[int], leaves: Container[int] = ()
 class _Circuit(NamedTuple):
     """A protocol's weaving circuit; every source port is postselected to one photon."""
 
-    pairs: list[tuple[int, int]]  # `gbell` sources, each with its +/- photon first
+    #: `gbell` sources, each with its +/- photon first; ``_optics`` runs a pair with an
+    #: idle photon as `bell_psi` and that photon's Hadamard at read-out
+    pairs: list[tuple[int, int]]
     elements: list[dict]
     detections: list[tuple[int, str, str]]  # (port, basis, outcome) in detection order
     qubits: dict[int, int]  # read-out port -> qubit label
@@ -120,15 +122,35 @@ def _record(detections: Iterable[tuple[int, str, str]]) -> tuple[tuple[str, str]
 
 
 def _optics(circuit: _Circuit) -> tuple[StateVector, float]:
-    """Run one weaving circuit; returns its read-out qubits and probability."""
+    """Run one weaving circuit; returns its read-out qubits and probability.
+
+    A pair with a photon on an idle port, one that no element touches and
+    no detection reads, runs as ``bell_psi``, and that photon's qubit takes
+    a Hadamard at read-out: ``gbell`` = (H x I) ``bell_psi``, with the H on
+    either photon.  The woven photons' reduced state is the same under both
+    sources, so every probability is the same exact ratio, and the pair no
+    longer doubles the terms of every later step.
+    """
+    busy = {port for port, _, _ in circuit.detections}
+    for element in circuit.elements:
+        busy.update(element["pbs"] if "pbs" in element else element["hwp"][:1])
+    idle = [next((p for p in pair if p not in busy), None) for pair in circuit.pairs]
     spec = {
-        "sources": [{"gbell": list(pair)} for pair in circuit.pairs],
+        "sources": [{"gbell" if p is None else "bell_psi": list(pair)}
+                    for pair, p in zip(circuit.pairs, idle)],
         "elements": circuit.elements,
         "postselect": [port for pair in circuit.pairs for port in pair],
         "measure": [{"port": p, "basis": b, "outcome": o} for p, b, o in circuit.detections],
     }
     state, prob, _ = po.run_circuit(spec)
-    return po.extract_logical(state, circuit.qubits), prob
+    sv = po.extract_logical(state, circuit.qubits)
+    axes = [sv.qubit_order.index(circuit.qubits[p]) for p in idle if p is not None]
+    amps = sv.amplitudes
+    for axis in axes:  # H on each axis, its 1/sqrt(2) taken once for all
+        split = amps.reshape(1 << axis, 2, -1)
+        h, v = split[:, :1], split[:, 1:]
+        amps = np.concatenate((h + v, h - v), 1)
+    return StateVector(amps.reshape(-1) * 2 ** (-len(axes) / 2), sv.qubit_order), prob
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ from photonweave.optics import (
     _source_from_json,
 )
 
+#: how far the exact engine's amplitudes and probabilities may sit from the float engine's:
+#: the float engine rounds at every step, the exact one once at the end
+FLOAT_ENGINE_TOL = 1e-14
+
 _S2 = 1 / math.sqrt(2)
 #: each source kind's terms with float amplitudes: the coefficient over sqrt(2^h)
 AMPLITUDES = {kind: tuple((pols, c / math.sqrt(2**h)) for pols, c in kind_terms)

@@ -16,6 +16,7 @@ from photonweave.graphs import (
     Graph,
     ShapeClass,
     _bouchet_solution,
+    _local_cliffords,
     classify_graph,
     complete_graph,
     cycle_graph,
@@ -245,7 +246,8 @@ def lc_pairs(draw, max_vertices=8):
 @given(lc_pairs())
 def test_linear_test_matches_orbit_oracle(pair):
     g, h = pair
-    assert locally_equivalent(g, h) == lc_oracle.locally_equivalent(g, h)
+    assert locally_equivalent(g, h) == lc_oracle.locally_equivalent(g, h) \
+        == (_local_cliffords(g, h) is not None)
 
 
 @st.composite
@@ -310,6 +312,37 @@ def test_components_are_solved_one_at_a_time():
     two_stars = star_graph(0, range(1, 11)).disjoint_union(star_graph(11, range(12, 22)))
     assert locally_equivalent(two_stars, local_complement(two_stars, 0))
     assert not locally_equivalent(two_stars, local_complement(two_stars, 1).add_edge(1, 2))
+
+
+def test_bool_test_builds_no_frames_and_stops_at_the_first_failure(monkeypatch):
+    # locally_equivalent reads the same per-component solves as _local_cliffords, builds
+    # no frame tuple, and solves no component after the first without a solution
+    from photonweave import graphs
+
+    solved = []
+    real = graphs._bouchet_solution
+
+    def record(order, adj1, adj2):
+        solved.append(order)
+        return real(order, adj1, adj2)
+
+    def no_frames(g1, g2):
+        raise AssertionError("the bool test built frames")
+
+    monkeypatch.setattr(graphs, "_bouchet_solution", record)
+    monkeypatch.setattr(graphs, "_local_cliffords", no_frames)
+    rest = path_graph([5, 6, 7, 8]).disjoint_union(path_graph([9, 10, 11, 12]))
+    three = path_graph([1, 2, 3, 4]).disjoint_union(rest)
+    # the first path becomes a star: the same components, but no longer lc-equivalent
+    assert not locally_equivalent(three, star_graph(2, [1, 3, 4]).disjoint_union(rest))
+    assert solved == [[1, 2, 3, 4]]
+    solved.clear()
+    assert locally_equivalent(three, local_complement(three, 6))
+    assert solved == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+    solved.clear()
+    assert not locally_equivalent(three, three.add_edge(4, 5))  # the components differ
+    assert not locally_equivalent(three, path_graph(11))  # the vertices differ
+    assert solved == []
 
 
 def test_dimension_limit_raises_before_the_walk():

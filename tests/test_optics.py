@@ -22,8 +22,9 @@ from photonweave.optics import (
     state_to_json_dict,
 )
 from photonweave.protocols import ghz_weave
-from photonweave.states import state_locally_equivalent
+from photonweave.states import NORM_TOL, state_locally_equivalent
 from optics_oracle import (
+    FLOAT_ENGINE_TOL,
     apply_hwp,
     apply_pbs,
     composed,
@@ -258,6 +259,21 @@ def test_extract_logical_rejects_zero_probability_state():
         extract_logical(state, {0: 0, 1: 1})
 
 
+@pytest.mark.parametrize("excess", [1e-12, 3e-10, 1e-9, 5e-9])
+def test_extract_logical_reads_states_near_unit_norm(excess):
+    # a squared norm within StateVector's NORM_TOL of 1 is read as it is, bit for bit;
+    # one farther off is renormalised, never rejected
+    amp = math.sqrt((1 + excess) / 2)
+    state = PhotonicState({one(0, "H"): amp, one(0, "V"): -amp})
+    sv = extract_logical(state, {0: 7})
+    assert sv.qubit_order == (7,)
+    if excess <= NORM_TOL:
+        assert sv.amplitudes.tolist() == [amp, -amp]
+    else:
+        assert abs(float(np.sum(np.abs(sv.amplitudes) ** 2)) - 1) <= 1e-15
+        assert sv.amplitudes[0] == -sv.amplitudes[1] > 0
+
+
 # -- reference circuits ----------------------------------------------------------------
 
 
@@ -483,11 +499,6 @@ def test_dual_path_circuits_are_bit_identical(monkeypatch):
     assert len(specs) == 46
     for spec in specs:
         assert_bit_identical(spec)
-
-
-#: how far the exact engine's amplitudes and probabilities may sit from the float engine's:
-#: the float engine rounds at every step, the exact one once at the end
-FLOAT_ENGINE_TOL = 1e-14
 
 
 def assert_matches_float_engine(spec):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonweave import protocols
+from photonweave import optics, protocols
 
 from photonweave.graphs import (
     Graph,
@@ -50,7 +50,7 @@ from photonweave.states import (
     state_locally_equivalent,
     to_state_vector,
 )
-from optics_oracle import prepare
+from optics_oracle import FLOAT_ENGINE_TOL, prepare
 
 
 def textbook_comb(m_users: int) -> Graph:
@@ -334,6 +334,114 @@ def test_protocols_run_circuits_from_one_site():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and node.func.attr == "run_circuit"]
     assert len(calls) == 1
+
+
+# -- idle photons: the literal `gbell` description is the oracle ------------------------
+
+
+def literal_gbell(circuit) -> tuple[StateVector, float]:
+    """A protocol circuit run as written, every pair a `gbell` source: the oracle for
+    ``protocols._optics``, which runs a pair with an idle photon as `bell_psi`."""
+    spec = {"sources": [{"gbell": list(pair)} for pair in circuit.pairs],
+            "elements": circuit.elements,
+            "postselect": [port for pair in circuit.pairs for port in pair],
+            "measure": [{"port": p, "basis": b, "outcome": o} for p, b, o in circuit.detections]}
+    state, prob, _ = optics.run_circuit(spec)
+    return optics.extract_logical(state, circuit.qubits), prob
+
+
+def assert_matches_literal_gbell(circuit) -> None:
+    sv, prob = protocols._optics(circuit)
+    ref, ref_prob = literal_gbell(circuit)
+    assert sv.qubit_order == ref.qubit_order
+    assert prob == ref_prob
+    assert np.max(np.abs(sv.amplitudes - ref.amplitudes)) <= FLOAT_ENGINE_TOL
+
+
+def test_dual_path_circuits_match_literal_gbell(monkeypatch):
+    # every circuit of the dual-path criterion, over each protocol's full user range
+    from photonweave import verify
+
+    circuits = []
+    real = protocols._optics
+
+    def record(circuit):
+        circuits.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(protocols, "_optics", record)
+    assert len(list(verify._dual_path_cases())) == 46
+    monkeypatch.undo()
+    assert len(circuits) == 46
+    for circuit in circuits:
+        assert_matches_literal_gbell(circuit)
+
+
+@st.composite
+def protocol_circuits(draw):
+    """A protocol circuit at a small size, with drawn outcomes and weaver outcome."""
+    kind = draw(st.sampled_from(["ghz", "path", "cycle", "weave", "block"]))
+    weaver = draw(st.sampled_from("HV"))
+
+    def signs(n):
+        return draw(st.text("+-", min_size=n, max_size=n))
+
+    if kind == "ghz":
+        m, server = draw(st.integers(2, 5)), draw(st.booleans())
+        return protocols._ghz(m, server, signs(m - server))[1]
+    if kind == "path":
+        m = draw(st.integers(2, 4))
+        return protocols._path(m, draw(st.booleans()), signs(m - 1), weaver)[1]
+    if kind == "cycle":
+        m = draw(st.integers(3, 4))
+        return protocols._cycle(m, signs(m), weaver)[1]
+    if kind == "weave":
+        layout, close = draw(st.sampled_from([p.values for p in _layouts_up_to(4)]))
+        return protocols._weave_circuit(layout, close, signs(len(layout) - (not close)), weaver)
+    return protocols._block(draw(st.sampled_from(BLOCK_KINDS)))[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(protocol_circuits())
+def test_idle_photons_match_literal_gbell(circuit):
+    assert_matches_literal_gbell(circuit)
+
+
+def test_a_detected_photon_is_not_idle():
+    # no element touches port 101, but a detection reads it, so its pair stays `gbell`
+    circuit = protocols._Circuit([(101, 1), (102, 2)], protocols.ghz_weave([1, 2]),
+                                 [(101, "PM", "-")], {1: 1, 2: 2, 102: 102})
+    assert_matches_literal_gbell(circuit)
+
+
+@pytest.mark.parametrize("run,args", [(cycle_optics, (4,)),
+                                      (caterpillar_optics, (["spine", "spine", "leaf"], True))])
+def test_closed_weave_server_pair_stays_gbell(monkeypatch, run, args):
+    # both photons of the (50, 0) pair are woven; every user pair has an idle photon
+    specs = []
+    real = optics.run_circuit
+
+    def record(spec):
+        specs.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(optics, "run_circuit", record)
+    run(*args)
+    [spec] = specs
+    assert spec["sources"][0] == {"gbell": [protocols.SERVER_WEAVER, 0]}
+    assert all(list(source) == ["bell_psi"] for source in spec["sources"][1:])
+
+
+def test_every_caterpillar_layout_up_to_seven_users_agrees():
+    # every open and closed layout with M <= 7: the exact probability, and a state
+    # locally equivalent to the final graph
+    layouts = [param.values for param in _layouts_up_to(7)]
+    assert len(layouts) == 247
+    for layout, close in layouts:
+        res = run_caterpillar(layout, close)
+        sv, prob = caterpillar_optics(layout, close)
+        assert prob == float(res.success_probability), (layout, close)
+        assert state_locally_equivalent(sv, res.final_graph), (layout, close)
 
 
 def test_caterpillar_layout_validation():
