@@ -75,6 +75,13 @@ COMMANDS = [
     "classify --word XXX --n 7",
     "classify --word XXX --resource path_every_third --n 8",
     "classify --word XXXX --resource path_every_third",
+    # the closed words whose spine wraps to two survivors, to one, or to none
+    "classify --word XYXY",
+    "classify --word XXYX",
+    "classify --word XXXX",
+    # open words, one with a Z and one of a single letter
+    "classify --word XYZX --open",
+    "classify --word X --open",
     # verify: the sub-second suites only
     "verify --suite cz-gate",
     "verify --suite ghz-postselection",

@@ -14,7 +14,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -258,48 +258,28 @@ def locally_equivalent(g1: Graph, g2: Graph) -> bool:
     walking the orbit; a component whose solution space has more than
     ``LC_DIMENSION_LIMIT`` dimensions raises ValueError.
     """
-    return all(x is not None for _, x in _solutions(g1, g2))
-
-
-def _local_cliffords(g1: Graph, g2: Graph) -> dict[int, tuple[int, int, int, int]] | None:
-    """A local Clifford taking g1's graph state to g2's up to Paulis, or None.
-
-    Maps each vertex to the (a, b, c, d) of its single-qubit Clifford:
-    X goes to X^a Z^c and Z to X^b Z^d, up to sign.  Stabilizer
-    generators as (x; z) columns are [I; Γ], so the Clifford Q = [[A, B],
-    [C, D]] (diagonal blocks) works iff Γ'BΓ + Γ'A + DΓ + C = 0 and
-    a_i d_i + b_i c_i = 1 for every i, with Γ for g1 and Γ' for g2
-    (Bouchet, Combinatorica 11, 1991; Van den Nest, Dehaene and De Moor,
-    PRA 70, 034302, 2004).
-    """
-    frames: dict[int, tuple[int, int, int, int]] = {}
-    for order, x in _solutions(g1, g2):
-        if x is None:
-            return None
-        n = len(order)
-        for i, v in enumerate(order):
-            frames[v] = tuple(x >> (part * n + i) & 1 for part in range(4))
-    return frames
-
-
-def _solutions(g1: Graph, g2: Graph) -> Iterator[tuple[list[int], int | None]]:
-    """Each component's vertex order and ``_bouchet_solution``, solved only when asked
-    for, or one None when the vertices or the components already differ."""
-    if g1.adj.keys() == g2.adj.keys():
-        comps = g1.components()
-        # components are invariant under lc: cheap rejection
-        if set(comps) == set(g2.components()):
-            for comp in comps:
-                order = [v for v in g1.adj if v in comp]
-                yield order, _bouchet_solution(order, g1.adj, g2.adj)
-            return
-    yield [], None
+    if g1.adj.keys() != g2.adj.keys():
+        return False
+    comps = g1.components()
+    if set(comps) != set(g2.components()):  # components are invariant under lc
+        return False
+    # one system per component, in vertex order, until one has no solution
+    return all(_bouchet_solution([v for v in g1.adj if v in comp], g1.adj, g2.adj) is not None
+               for comp in comps)
 
 
 def _bouchet_solution(
     order: list[int], adj1: dict[int, frozenset[int]], adj2: dict[int, frozenset[int]]
 ) -> int | None:
     """Solve one component's system; bits [kn, (k+1)n) of the answer are a, b, c, d.
+
+    The unknowns are each vertex's single-qubit Clifford: X goes to
+    X^a Z^c and Z to X^b Z^d, up to sign.  Stabilizer generators as
+    (x; z) columns are [I; Γ], so the Clifford Q = [[A, B], [C, D]]
+    (diagonal blocks) takes g1's graph state to g2's up to Paulis iff
+    Γ'BΓ + Γ'A + DΓ + C = 0 and a_i d_i + b_i c_i = 1 for every i, with
+    Γ for g1 and Γ' for g2 (Bouchet, Combinatorica 11, 1991; Van den
+    Nest, Dehaene and De Moor, PRA 70, 034302, 2004).
 
     The system is held by columns: one n²-bit integer per unknown, whose
     bit jn + k says the unknown appears in equation (j, k).  The columns

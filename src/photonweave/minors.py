@@ -182,10 +182,8 @@ def find_tour(mg: Multigraph) -> EulerianTour:
     incident = _incidence(mg)
     if not mg.edges:
         raise ValueError("no edges to tour")
-    seq, ids = _hierholzer(mg.edges, incident, [False] * len(mg.edges), mg.vertices[0])
-    if len(ids) != len(mg.edges):
-        raise ValueError("multigraph is disconnected")  # unreachable edges remain
-    return EulerianTour(seq, ids)
+    # connected with every degree even, so the walk from any vertex covers every edge
+    return EulerianTour(*_hierholzer(mg.edges, incident, [False] * len(mg.edges), mg.vertices[0]))
 
 
 def _interlaced(sequence: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
@@ -348,47 +346,37 @@ def predict_representative(
     sitting just after the i-th measured vertex around the cycle; an open
     word has one more survivor at the head.  Y letters extend the spine,
     X letters hang the following survivor as a leaf off the most recent
-    spine vertex, and Z letters cut.  With no Z a closed word's spine
-    wraps into a cycle, degenerating to no edge below three spine
-    vertices and to a complete graph for the all-X word.
+    spine vertex, and Z letters cut.  Edges toggle, as CZ twice is no
+    edge, so one walk reads every word.  A closed word is read once round
+    from just after its last Z.  Without a Z it is read from just after
+    its last Y, and its spine closes into a ring by itself: two spine
+    survivors cancel and one makes no edge.  An open word is the closed
+    word ``"Z" + word`` on the same survivors, cut just before its head.
+    Only the all-X closed word, which leaves its survivors complete, is
+    read apart.
     """
     check_word(word)
-    k = len(word)
-    n_survivors = k if close else k + 1
+    n_survivors = len(word) if close else len(word) + 1
     if survivors is None:
-        survivors = list(range(n_survivors))
+        survivors = range(n_survivors)
     if len(survivors) != n_survivors:
         raise ValueError(f"need {n_survivors} survivor labels, got {len(survivors)}")
     if len(set(survivors)) < n_survivors:
         raise ValueError(f"repeated survivor labels in {list(survivors)}")
-    after = list(survivors if close else survivors[1:])  # after[i] follows measured vertex i
-
-    edges: list[tuple[int, int]] = []
-    if close and "Z" not in word:
-        y_pos = [i for i, c in enumerate(word) if c == "Y"]
-        if not y_pos:
-            return complete_graph(after)
-        spine = [after[i] for i in y_pos]
-        if len(spine) >= 3:
-            edges += list(zip(spine, spine[1:])) + [(spine[-1], spine[0])]
-        for i, c in enumerate(word):
-            if c == "X":
-                prev_y = max((p for p in y_pos if p < i), default=y_pos[-1])
-                edges.append((after[i], after[prev_y]))
-        return Graph(after, edges)
-
-    # a closed word is read once round from just after its first Z, an open one from its head
-    start = word.index("Z") + 1 if close else 0
-    tail = after[start - 1] if close else survivors[0]
-    for i in range(start, start + k):
-        letter, here = word[i % k], after[i % k]
-        if letter == "X":
-            edges.append((here, tail))  # a leaf off the spine's tail
-            continue
-        if letter == "Y":
-            edges.append((tail, here))
-        tail = here  # Y extends the spine, Z starts a new one here
-    return Graph(survivors, edges)
+    if close and not word.strip("X"):
+        return complete_graph(survivors)
+    if not close:
+        word = "Z" + word
+    k = len(word)
+    start = word.rfind("Z") if "Z" in word else word.rfind("Y")
+    tail, toggles = survivors[start], []
+    for i in range(start + 1, start + 1 + k):
+        letter, here = word[i % k], survivors[i % k]
+        if letter != "Z" and here != tail:
+            toggles.append((here, tail))  # a leaf off the spine's tail, or the spine's next edge
+        if letter != "X":
+            tail = here  # Y extends the spine, Z starts a new one here
+    return Graph(survivors).with_edges_toggled(toggles)
 
 
 def predict_class(word: str, close: bool) -> ShapeClass:

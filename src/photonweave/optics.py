@@ -245,7 +245,6 @@ def _plan(spec: dict) -> tuple[list, list[list[Source]], list[list[int]], list[i
 Terms = dict[int, int]
 _COUNT = 31  # one mode's count field
 _PORT = 1023  # a port's H and V fields
-_GROUP = (1 << 30) - 1  # three ports' fields
 _SINGLE = (1, 1 << 5)  # a port's fields holding exactly one photon, H or V
 _ROOT2 = 1 << 10 * MAX_PHOTONS  # the key of a coefficient's sqrt(2) part
 #: the count bits worth 2 or more in every field: a key without them has all m! = 1
@@ -390,20 +389,11 @@ def _amplitudes(terms: Terms, norm: tuple[int, int], ports: list[int]) -> dict[P
             if key not in values:
                 values[key] = _real(terms.get(key, 0), terms.get(key | _ROOT2, 0))
     root = math.sqrt(_real(*norm)) if terms else 1.0
-    # a key is read three ports (30 bits) at a time, each value of a group decoded once
-    groups = [(10 * i, ports[i:i + 3], {}) for i in range(0, len(ports), 3)]
     amps: dict[Pattern, complex] = {}
     for key, v in values.items():
-        pat: Pattern = ()
-        for s, group, seen in groups:
-            fields = key >> s & _GROUP
-            piece = seen.get(fields)
-            if piece is None:
-                piece = seen[fields] = _pattern_of(fields, group)
-            pat += piece
         if key & _MULTI:
             v *= math.sqrt(_factorials(key))
-        amps[pat] = complex(v / root)
+        amps[_pattern_of(key, ports)] = complex(v / root)
     return amps
 
 

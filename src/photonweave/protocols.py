@@ -61,7 +61,7 @@ class ProtocolResult:
 def _canonical_outcomes(outcomes: str | None, length: int) -> str:
     if outcomes is None:
         outcomes = "+" * length
-    if len(outcomes) != length or any(c not in "+-" for c in outcomes):
+    if not isinstance(outcomes, str) or len(outcomes) != length or outcomes.strip("+-"):
         raise InputShapeError(f"need {length} outcomes over '+-', got {outcomes!r}")
     return outcomes
 
@@ -340,19 +340,17 @@ def caterpillar_layout_graph(layout: Sequence[str], close_cycle: bool = False) -
 
     The layout is a measurement word read off the users, spine Y and leaf
     X (see ``minors.predict_representative``): leaf users attach to the
-    most recent spine user.  Open, user 1 is the word's head; with
-    close_cycle the spine closes through the stored server qubit 0, read
-    as a leading Y.
+    most recent spine user.  Closed, the spine closes through the stored
+    server qubit 0, read as a leading Y: the word ``"Y" + word`` closed on
+    0..M.  Open, user 1 is the head and the word is cut just before it:
+    ``"Z" + word[1:]`` closed on 1..M.
     """
     _check_layout(layout)
     word = "".join("Y" if kind == "spine" else "X" for kind in layout)
-    if close_cycle:
-        if word.count("Y") < 2:
-            raise ValueError("closing needs at least two spine users")
-        return predict_representative("Y" + word, close=True, survivors=range(len(word) + 1))
-    if len(word) == 1:
-        return Graph([1])
-    return predict_representative(word[1:], close=False, survivors=range(1, len(word) + 1))
+    if close_cycle and word.count("Y") < 2:
+        raise ValueError("closing needs at least two spine users")
+    word, first = ("Y" + word, 0) if close_cycle else ("Z" + word[1:], 1)
+    return predict_representative(word, close=True, survivors=range(first, len(layout) + 1))
 
 
 def _weave_circuit(

@@ -144,9 +144,5 @@ def state_locally_equivalent(sv: StateVector, g: Graph) -> bool:
     """True iff single-qubit Cliffords map sv onto the graph state of g."""
     if sv.n > STATE_VECTOR_LIMIT:
         raise ValueError(f"equivalence test limited to {STATE_VECTOR_LIMIT} qubits")
-    if set(sv.qubit_order) != set(g.vertices):
-        return False
     decoded = graph_form(sv)
-    if decoded is None:
-        return False
-    return locally_equivalent(decoded, g)
+    return decoded is not None and locally_equivalent(decoded, g)

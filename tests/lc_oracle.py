@@ -10,13 +10,21 @@ the path-every-third resource, for the spine/leaf prediction that
 
 ``bouchet_solution_rows`` is the row-elimination solver of that linear
 test, the oracle for ``graphs._bouchet_solution``, which solves the same
-system by columns.
+system by columns.  ``local_cliffords`` reads the vertex operators off
+``graphs._bouchet_solution``'s solutions, so a test can apply them to one
+graph state and find the other; the package only asks whether they exist.
 """
 
 from collections import deque
 from typing import Iterator
 
-from photonweave.graphs import LC_DIMENSION_LIMIT, Graph, classify_graph, local_complement
+from photonweave.graphs import (
+    LC_DIMENSION_LIMIT,
+    Graph,
+    _bouchet_solution,
+    classify_graph,
+    local_complement,
+)
 
 ORBIT_VERTEX_LIMIT = 12
 ORBIT_CAP = 10**6
@@ -57,6 +65,28 @@ def locally_equivalent(g1: Graph, g2: Graph) -> bool:
     if set(g1.components()) != set(g2.components()):
         return False
     return any(h.adj == g2.adj for h in lc_orbit(g1))
+
+
+def local_cliffords(g1: Graph, g2: Graph) -> dict[int, tuple[int, int, int, int]] | None:
+    """A local Clifford taking g1's graph state to g2's up to Paulis, or None.
+
+    Maps each vertex to the (a, b, c, d) of its single-qubit Clifford:
+    X goes to X^a Z^c and Z to X^b Z^d, up to sign.  Each component's
+    operators are the first solution ``graphs._bouchet_solution`` finds
+    (its docstring gives the equations).
+    """
+    if g1.adj.keys() != g2.adj.keys() or set(g1.components()) != set(g2.components()):
+        return None
+    frames: dict[int, tuple[int, int, int, int]] = {}
+    for comp in g1.components():
+        order = [v for v in g1.adj if v in comp]
+        x = _bouchet_solution(order, g1.adj, g2.adj)
+        if x is None:
+            return None
+        n = len(order)
+        for i, v in enumerate(order):
+            frames[v] = tuple(x >> (part * n + i) & 1 for part in range(4))
+    return frames
 
 
 def single_leaf_caterpillars(g: Graph) -> bool:

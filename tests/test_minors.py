@@ -2,8 +2,11 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lc_oracle
+import word_oracle
 from photonweave import minors
 from photonweave.graphs import (
     Graph,
@@ -355,6 +358,49 @@ def test_z_split_locality():
             inner = {3, 5, 7}  # survivors strictly between the two Z cuts
             graphs[left] = (sim.induced(inner).edges, rep.induced(inner).edges)
         assert graphs["X"] == graphs["Y"]
+
+
+def _reading(predict, word, close, survivors=None):
+    """The graph a prediction gives, or the type and message of the error it raises."""
+    try:
+        return predict(word, close, survivors)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_walk_matches_the_case_by_case_reading_on_every_short_word():
+    # the same vertex order and the same edges on every word of up to 8 letters
+    for k in range(1, 9):
+        for word in ALL_WORDS(k):
+            for close in (True, False):
+                assert (predict_representative(word, close)
+                        == word_oracle.predict_representative(word, close)), (word, close)
+
+
+@st.composite
+def labelled_words(draw):
+    """A word with survivor labels: unsorted and negative, or a range; sometimes
+    one label too few or too many, or a label repeated."""
+    word = draw(st.text("XYZ", min_size=1, max_size=9))
+    close = draw(st.booleans())
+    n = len(word) + (not close) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if draw(st.booleans()):
+        start, step = draw(st.integers(-20, 20)), draw(st.sampled_from([-3, -1, 1, 2]))
+        return word, close, range(start, start + step * n, step)
+    labels = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    if labels and draw(st.integers(0, 4)) == 0:
+        labels[-1] = labels[0]
+    return word, close, labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelled_words())
+def test_one_walk_matches_the_case_by_case_reading_on_any_labels(case):
+    word, close, survivors = case
+    got = _reading(predict_representative, word, close, survivors)
+    assert got == _reading(word_oracle.predict_representative, word, close, survivors)
+    if isinstance(got, Graph):
+        assert got.vertices == tuple(survivors)
 
 
 # -- resources and crosscheck ---------------------------------------------------------------

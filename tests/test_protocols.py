@@ -28,6 +28,7 @@ from photonweave.protocols import (
     REQUESTS,
     block_optics,
     build_block,
+    caterpillar_layout_graph,
     caterpillar_optics,
     comb_graph,
     cycle_optics,
@@ -51,6 +52,7 @@ from photonweave.states import (
     to_state_vector,
 )
 from optics_oracle import FLOAT_ENGINE_TOL, prepare
+import word_oracle
 
 
 def textbook_comb(m_users: int) -> Graph:
@@ -141,6 +143,23 @@ def test_ghz_range_checks():
         run_ghz(9)
     with pytest.raises(ValueError):
         run_ghz(3, outcomes="++")
+
+
+# ghz and cycle with three users and path with four read three outcomes
+@pytest.mark.parametrize("run, m", [(run_ghz, 3), (ghz_optics, 3), (run_path, 4),
+                                    (path_optics, 4), (run_cycle, 3), (cycle_optics, 3)])
+@pytest.mark.parametrize("outcomes", [["+", "-", "+"], ["", "+-", "+"], ("+", "+", "+"),
+                                      b"+++", 5, "++", "+0+", "+ +"])
+def test_outcomes_are_a_string_over_plus_minus(run, m, outcomes):
+    # a list or tuple of outcome strings is no string, even with '+-' or '' items
+    with pytest.raises(InputShapeError, match="outcomes over"):
+        run(m, outcomes=outcomes)
+    run(m, outcomes="+-+")
+
+
+def test_request_outcomes_are_a_string():
+    with pytest.raises(InputShapeError, match="outcomes over"):
+        run_request({"protocol": "path", "M": 3, "outcomes": ["+-", ""]})
 
 
 # -- path protocol -----------------------------------------------------------------
@@ -451,6 +470,26 @@ def test_caterpillar_layout_validation():
         run_caterpillar(["leaf", "spine"])
     with pytest.raises(ValueError):
         run_caterpillar(["spine", "leaf"], close_cycle=True)  # one spine vertex
+
+
+def _layout_reading(build, layout, close):
+    """The graph a layout builds, or the type and message of the error it raises."""
+    try:
+        return build(layout, close)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_call_layout_graph_matches_the_case_by_case_reading():
+    # every open and closed layout of up to 9 users, the malformed ones included:
+    # the same vertex order and edges, or the same error
+    layouts = [list(layout) for m in range(10)
+               for layout in itertools.product(("spine", "leaf"), repeat=m)]
+    for layout in layouts + [["spine", "stem"]]:
+        for close in (False, True):
+            assert (_layout_reading(caterpillar_layout_graph, layout, close)
+                    == _layout_reading(word_oracle.caterpillar_layout_graph, layout, close)), \
+                (layout, close)
 
 
 # -- weaving and fusion ops ---------------------------------------------------------------
