@@ -99,6 +99,9 @@ COMMANDS = [
     "montecarlo --protocol chain --blocks path4,path4,path4 --plan YX --trials 500 --seed 4"
     " --csv chain.csv",
     "montecarlo --protocol chain --blocks three,three --close --trials 500 --seed 1 --csv closed.csv",
+    # a mixed closed chain past one block of 4,096 trials
+    "montecarlo --protocol chain --blocks star4,path4,three --close --trials 5000 --seed 9"
+    " --csv mixed.csv",
     "montecarlo --protocol chain --blocks path4,path4 --plan= --trials 10 --seed 1",
     "montecarlo --protocol chain --blocks path4,bar --trials 10 --seed 1",
     "montecarlo --protocol ghz --users 3 --trials 10",

@@ -433,6 +433,8 @@ def zigzag_resource(n: int) -> tuple[Graph, list[int], list[int]]:
 
 def honeycomb_resource(n: int) -> tuple[Graph, list[int], list[int]]:
     """The zigzag cycle with one extra user leaf on every unmeasured vertex."""
+    if n % 2 or n < 6:
+        raise InputShapeError("honeycomb needs even n >= 6")
     g, measured, survivors = zigzag_resource(n)
     for s in survivors:
         g = g.add_vertex(100 + s, [s])

@@ -530,6 +530,42 @@ def _retry_counts(
     return not (close_cycle and fusion_fails()), consumed, pairs, fusions
 
 
+def _retry_count_rows(
+    blocks: Sequence[str], close_cycle: bool, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_retry_counts`` for each row of 64-bit outputs, as int64 rows (succeeded, blocks,
+    bell_pairs, fusions), and a mask of the rows whose coins run past their outputs.
+
+    Coin 2i is bit 31 of output i and coin 2i + 1 its bit 63; a 0 coin is a
+    success.  With z_j the position of a row's (j+1)-th 0 coin and z_-1 = -1,
+    joint j takes z_j - z_(j-1) tries, and a closed chain's closure coin is
+    coin z_last + 1.  A masked row holds no counts.
+    """
+    trials, joints, coins = len(words), len(blocks) - 1, 2 * words.shape[1]
+    zero = np.empty((trials, coins), bool)
+    zero[:, 0::2] = (words & np.uint64(1 << 31)) == 0
+    zero[:, 1::2] = words < np.uint64(1 << 63)
+    # the flat positions of the 0 coins, row by row, padded so a short row reads in range
+    at = np.append(np.flatnonzero(zero), np.full(joints, zero.size))
+    starts = np.arange(trials + 1) * coins
+    first = np.searchsorted(at, starts)  # where each row's 0s start in ``at``, and where they end
+    z = np.full((trials, joints + 1), -1, np.int64)  # z_-1, z_0, ..., z_last
+    z[:, 1:] = at[first[:-1, None] + np.arange(joints)] - starts[:-1, None]
+    last = z[:, -1]
+    pairs = [BLOCK_BELL_PAIRS[b] for b in blocks]
+    rows = np.empty((trials, 4), np.int64)
+    rows[:, 1] = last + 2
+    rows[:, 2] = (z[:, 1:] - z[:, :-1]) @ pairs[1:] + pairs[0]
+    rows[:, 3] = last + 1 + int(close_cycle)
+    short = np.diff(first) < joints
+    if close_cycle:
+        short |= last + 1 >= coins
+        rows[:, 0] = zero[np.arange(trials), np.minimum(last + 1, coins - 1)]
+    else:
+        rows[:, 0] = 1
+    return rows, short
+
+
 def fuse_chain(
     blocks: Sequence[str],
     measurement_plan: Sequence[str | None] | None = None,
@@ -811,7 +847,10 @@ def monte_carlo(
     succeeds when its ``random()`` falls below the analytic probability,
     and a chain's fusion coins are its ``integers(0, 2)``.  The streams of
     each block of trials are computed together and equal those generators
-    bit for bit, so results do not depend on evaluation order.  ``trials``
+    bit for bit, so results do not depend on evaluation order.  A chain
+    trial's tries are read, in array arithmetic, from the positions of the
+    0 coins in its computed prefix of outputs; the Python coin stream
+    ``_fusion_coins`` only continues a trial that runs past it.  ``trials``
     is an int >= 1 and ``seed`` an int >= 0.  Pass a list as ``trial_log``
     to collect (trial, success, resource...) rows for CSV export.
     """
@@ -831,17 +870,19 @@ def monte_carlo(
         block = np.arange(start, min(start + _TRIAL_BLOCK, trials), dtype=np.uint64)
         if chain:
             # a trial needs two coins per joint on average, and a closed chain one
-            # more; the prefix holds two per output, and a trial past it steps on
+            # more; the prefix holds two per output, and a trial past it steps on.
+            # Longer prefixes (4 to 8 spare outputs) cut the closed trials that step
+            # on from 1.7% to 0.01% but measured no faster per call.
             words, state = _pcg64_words(seed, block, len(base.blocks) + 3)
-            runs = [_retry_counts(base.blocks, base.close_cycle,
-                                  _fusion_coins(prefix, state, i).__next__)
-                    for i, prefix in enumerate(words.tolist())]
-            oks, *columns = zip(*runs)
-            successes += sum(oks)
-            totals = [total + sum(column) for total, column in zip(totals, columns)]
+            runs, short = _retry_count_rows(base.blocks, base.close_cycle, words)
+            for i in np.flatnonzero(short).tolist():
+                runs[i] = _retry_counts(base.blocks, base.close_cycle,
+                                        _fusion_coins(words[i].tolist(), state, i).__next__)
+            sums = runs.sum(axis=0).tolist()
+            successes += sums[0]
+            totals = [total + column for total, column in zip(totals, sums[1:])]
             if trial_log is not None:
-                trial_log.extend((start + i, int(ok), *counts)
-                                 for i, (ok, *counts) in enumerate(runs))
+                trial_log.extend((start + i, *run) for i, run in enumerate(runs.tolist()))
         else:
             words, _ = _pcg64_words(seed, block, 1)
             hits = (words[:, 0] >> np.uint64(11)) * 2.0**-53 < analytic  # random() < analytic

@@ -225,6 +225,8 @@ def test_wrong_length_input_is_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["classify", "--word", "XXX", "--n", "7"], "zigzag needs even n >= 6"),
+    (["classify", "--word", "XYZ", "--resource", "honeycomb", "--n", "7"],
+     "honeycomb needs even n >= 6"),
     (["classify", "--word", "XXX", "--resource", "path_every_third", "--n", "8"],
      "needs n = 3m + 1 so both path ends are server-held"),
     (["verify", "--suite", "appendix-b", "--n", "7"], "zigzag needs even n >= 6"),

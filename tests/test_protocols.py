@@ -758,6 +758,12 @@ def per_trial_monte_carlo(
         totals["fusions"] += chain.fusion_attempts
         trial_log.append((t, int(chain.succeeded), chain.blocks_consumed,
                           chain.bell_pairs_used, chain.fusion_attempts))
+    return chain_stats(trials, successes, totals, seed, close)
+
+
+def chain_stats(trials: int, successes: int, totals: dict, seed: int,
+                close: bool) -> MonteCarloStats:
+    """A chain Monte Carlo's statistics from its success count and resource totals."""
     analytic = 0.5 if close else 1.0
     p_hat = successes / trials
     std_error = math.sqrt(p_hat * (1 - p_hat) / trials)
@@ -806,6 +812,102 @@ def test_monte_carlo_chain_trial_past_the_prefix():
     assert log[5] == (5, 0, 20, 60, 20)
     assert repr(stats) == repr(per_trial_monte_carlo(req, 6, 2, oracle_log))
     assert log == oracle_log
+
+
+def retry_loop_rows(blocks: list[str], close: bool, words: np.ndarray,
+                    state: np.ndarray) -> tuple[list[tuple], list[bool]]:
+    """``_retry_counts`` over each row's coin stream, and whether it drew past the row."""
+    rows, past = [], []
+    for i, prefix in enumerate(words.tolist()):
+        coins, drawn = protocols._fusion_coins(prefix, state, i), []
+
+        def fails() -> int:
+            drawn.append(next(coins))
+            return drawn[-1]
+
+        ok, *counts = protocols._retry_counts(blocks, close, fails)
+        rows.append((int(ok), *counts))
+        past.append(len(drawn) > 2 * len(prefix))
+    return rows, past
+
+
+def retry_loop_monte_carlo(
+    request: dict, trials: int, seed: int, trial_log: list
+) -> MonteCarloStats:
+    """Chain Monte Carlo with the retry policy run trial by trial in Python.
+
+    The test oracle for the array retry counts of ``monte_carlo``: the
+    chain is built once, each block of trials computes the same stream
+    prefix, and each trial runs ``_retry_counts`` over its coin stream.
+    """
+    base = run_request(request)
+    successes, totals = 0, {"blocks": 0, "bell_pairs": 0, "fusions": 0}
+    for start in range(0, trials, protocols._TRIAL_BLOCK):
+        block = np.arange(start, min(start + protocols._TRIAL_BLOCK, trials), dtype=np.uint64)
+        words, state = protocols._pcg64_words(seed, block, len(base.blocks) + 3)
+        rows, _ = retry_loop_rows(base.blocks, base.close_cycle, words, state)
+        for i, (ok, *counts) in enumerate(rows):
+            successes += ok
+            for key, count in zip(totals, counts):
+                totals[key] += count
+            trial_log.append((start + i, ok, *counts))
+    return chain_stats(trials, successes, totals, seed, base.close_cycle)
+
+
+@pytest.mark.parametrize("blocks", [["star4", "path4", "three"],
+                                    ["three", "path4", "star4", "path4"]])
+@pytest.mark.parametrize("close", [False, True])
+def test_monte_carlo_matches_the_retry_loop_across_trial_blocks(blocks, close):
+    # 4,100 trials: a full block of 4,096 and a second block of 4
+    req = {"protocol": "chain", "blocks": blocks, "close": close}
+    log, oracle_log = [], []
+    stats = monte_carlo(req, 4100, 9, trial_log=log)
+    assert repr(stats) == repr(retry_loop_monte_carlo(req, 4100, 9, oracle_log))
+    assert log == oracle_log
+
+
+def coin_words(coin_rows: list[list[int]]) -> np.ndarray:
+    """64-bit outputs whose coins (bit 31, then bit 63, of each) are the given rows.
+
+    Every other bit is set from a fixed pattern, which the coins must ignore.
+    """
+    filler = 0x5A5A_5A5A_5A5A_5A5A & ~(1 << 31 | 1 << 63)
+    return np.array([[filler | row[i] << 31 | row[i + 1] << 63 for i in range(0, len(row), 2)]
+                     for row in coin_rows], dtype=np.uint64)
+
+
+def assert_rows_match_retry_loop(blocks: list[str], close: bool, words: np.ndarray) -> list[bool]:
+    """The array retry counts flag exactly the rows that draw past their outputs, and
+    agree with the retry loop on every other row; returns the flags."""
+    _, state = protocols._pcg64_words(3, np.arange(len(words), dtype=np.uint64), 1)
+    rows, short = protocols._retry_count_rows(blocks, close, words)
+    oracle, past = retry_loop_rows(blocks, close, words, state)
+    assert short.tolist() == past
+    assert [tuple(row) for row, s in zip(rows.tolist(), past) if not s] == \
+        [row for row, s in zip(oracle, past) if not s]
+    return past
+
+
+def test_retry_count_rows_on_the_prefix_boundary():
+    blocks = ["path4", "three", "star4"]  # two joints; four outputs hold eight coins
+    last_coin = [1, 0, 1, 1, 1, 1, 1, 0]  # the second 0 is the prefix's last coin
+    rows = [last_coin, [1, 1, 1, 0, 1, 1, 1, 1], [0] * 8, [1] * 8]
+    words = coin_words(rows)
+    assert assert_rows_match_retry_loop(blocks, False, words) == [False, True, False, True]
+    # closed: the closure coin of the first row lies past the prefix
+    assert assert_rows_match_retry_loop(blocks, True, words) == [True, True, False, True]
+    counts, _ = protocols._retry_count_rows(blocks, False, words)
+    assert counts[0].tolist() == [1, 9, 4 + 2 * 3 + 6 * 4, 8]
+    assert counts[2].tolist() == [1, 3, 11, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda outputs: st.lists(
+           st.lists(st.integers(0, 2**64 - 1), min_size=outputs, max_size=outputs),
+           min_size=1, max_size=6)),
+       st.lists(st.sampled_from(BLOCK_KINDS), min_size=2, max_size=9), st.booleans())
+def test_retry_count_rows_match_the_retry_loop(rows, blocks, close):
+    assert_rows_match_retry_loop(blocks, close, np.array(rows, dtype=np.uint64))
 
 
 #: seeds of 1, 2, 3, 5 and 6 32-bit words: with the index, 5 or more entropy
