@@ -102,6 +102,8 @@ COMMANDS = [
     # a mixed closed chain past one block of 4,096 trials
     "montecarlo --protocol chain --blocks star4,path4,three --close --trials 5000 --seed 9"
     " --csv mixed.csv",
+    # a 4-word seed (2^96 + 1), whose entropy runs past SeedSequence's pool, over two blocks
+    "montecarlo --protocol path --users 5 --trials 5000 --seed 79228162514264337593543950337",
     "montecarlo --protocol chain --blocks path4,path4 --plan= --trials 10 --seed 1",
     "montecarlo --protocol chain --blocks path4,bar --trials 10 --seed 1",
     "montecarlo --protocol ghz --users 3 --trials 10",

@@ -682,42 +682,66 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TRIAL_BLOCK = 4096
 
 
-def _hash_constants(h: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
-    """SeedSequence's hash constant before and after each of its steps."""
-    while True:
-        after = h * mult & _MASK32
-        yield np.uint32(h), np.uint32(after)
-        h = after
+#: uint64 shifts and masks of the stream arithmetic, and _PCG_MULT's words and halves
+_U1, _U32, _U58, _U63, _U64, _LOW32 = (np.uint64(x) for x in (1, 32, 58, 63, 64, _MASK32))
+_M_HI, _M_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_M_LO0, _M_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_SHIFT16, _MIX_L, _MIX_R = np.uint32(16), np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
 
 
-def _hashmix(value: np.ndarray, hashes: Iterator[tuple[np.uint32, np.uint32]]) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of uint32 words, stepping the shared hash constant once."""
-    xor, mult = next(hashes)
+def _hash_columns(h: int, mult: int, start: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of SeedSequence's hash steps ``start`` on, as
+    ``(rows, 1)`` uint32 columns: step k xors h * mult^k and multiplies by h * mult^(k+1)."""
+    constants = [h * pow(mult, start + k, 1 << 32) & _MASK32 for k in range(rows + 1)]
+    column = np.array(constants, np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _source_columns(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of source word ``src``'s row step: its three hash steps, in
+    destination order, with a dummy 0 at its own row."""
+    steps = _hash_columns(_INIT_A, _MULT_A, _POOL_SIZE + (_POOL_SIZE - 1) * src, _POOL_SIZE - 1)
+    return tuple(np.insert(column, src, 0, axis=0) for column in steps)
+
+
+def _extra_columns(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of the row step that mixes in entropy word _POOL_SIZE + k."""
+    return _hash_columns(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + k), _POOL_SIZE)
+
+
+#: mix_entropy's steps: the pool fill, one row step per source word, then one per
+#: entropy word past the pool (built here for seeds of up to 12 words, and past
+#: them when called); generate_state's eight steps over the pool stacked twice
+_FILL = _hash_columns(_INIT_A, _MULT_A, 0, _POOL_SIZE)
+_SOURCE_STEPS = [_source_columns(src) for src in range(_POOL_SIZE)]
+_EXTRA_STEPS = [_extra_columns(k) for k in range(10)]
+_STATE_STEPS = _hash_columns(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of uint32 words, with the constants of each row's step."""
     value = (value ^ xor) * mult
-    return value ^ value >> np.uint32(16)
+    return value ^ value >> _SHIFT16
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``mix`` of two uint32 words."""
-    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return value ^ value >> np.uint32(16)
-
-
-def _mul_hi(a: np.ndarray, m: int) -> np.ndarray:
-    """The high 64 bits of each a * m, for a 64-bit constant m, from 32-bit halves."""
-    low, half = np.uint64(_MASK32), np.uint64(32)
-    a0, a1, m0, m1 = a & low, a >> half, np.uint64(m & _MASK32), np.uint64(m >> 32)
-    cross0, cross1 = a0 * m1, a1 * m0
-    mid = (a0 * m0 >> half) + (cross0 & low) + (cross1 & low)
-    return a1 * m1 + (cross0 >> half) + (cross1 >> half) + (mid >> half)
+    """SeedSequence's ``mix`` of uint32 words."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> _SHIFT16
 
 
 def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """One LCG step, state * _PCG_MULT + inc mod 2^128, on (high, low) words."""
-    m_lo = _PCG_MULT & _MASK64
-    new_hi = _mul_hi(lo, m_lo) + lo * np.uint64(_PCG_MULT >> 64) + hi * np.uint64(m_lo)
-    new_lo = lo * np.uint64(m_lo) + inc_lo
-    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
+    """One LCG step, state * _PCG_MULT + inc mod 2^128, on (high, low) words.
+
+    The high word of lo * _M_LO is Hacker's Delight's ``mulhu``: four
+    32-bit partial products, each carry folded into the next sum.
+    """
+    lo0, lo1 = lo & _LOW32, lo >> _U32
+    mid = lo1 * _M_LO0 + (lo0 * _M_LO0 >> _U32)
+    low = lo0 * _M_LO1 + (mid & _LOW32)
+    mul_hi = lo1 * _M_LO1 + (mid >> _U32) + (low >> _U32)
+    new_lo = lo * _M_LO + inc_lo
+    return mul_hi + lo * _M_HI + hi * _M_LO + inc_hi + (new_lo < inc_lo), new_lo
 
 
 def _pcg64_words(seed: int, trials: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -725,47 +749,53 @@ def _pcg64_words(seed: int, trials: np.ndarray, count: int) -> tuple[np.ndarray,
 
     Returns the 64-bit words, one row per trial, and the generators' state
     after them, one column per trial: state high, state low, increment high,
-    increment low.
+    increment low.  SeedSequence's pool is one ``(4, trials)`` array, and
+    each NumPy call does a whole pool's work: a source word is hashed for
+    the three other rows in one step, against a ``(4, 1)`` column of hash
+    constants built at import, which NumPy broadcasts.  Constant tables
+    repeated to the block's width on every call measured slower even than
+    the word-by-word hash that these row steps replace.
     """
     seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    seed_column = np.array(seed_words, np.uint32)[:, None]
     trials = np.asarray(trials, dtype=np.uint64)
     words = np.empty((len(trials), count), np.uint64)
     state = np.empty((4, len(trials)), np.uint64)
-    wide = trials > np.uint64(_MASK32)
+    wide = trials > _LOW32
     # an index of two 32-bit words makes the entropy one word longer: seed those apart
     for rows in (np.flatnonzero(~wide), np.flatnonzero(wide)):
         if not len(rows):
             continue
         t = trials[rows]
-        entropy = [np.full(len(t), w, np.uint32) for w in seed_words]
-        entropy.append((t & np.uint64(_MASK32)).astype(np.uint32))
-        if wide[rows[0]]:
-            entropy.append((t >> np.uint64(32)).astype(np.uint32))
-        # SeedSequence.mix_entropy: fill the pool (zeros past the entropy), mix
-        # every pool word into every other, then mix in the entropy past the pool
-        hashes = _hash_constants(_INIT_A, _MULT_A)
-        padded = entropy + [np.zeros(len(t), np.uint32)] * (_POOL_SIZE - len(entropy))
-        pool = [_hashmix(word, hashes) for word in padded[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], _hashmix(word, hashes))
+        index_words = [t & _LOW32, t >> _U32] if wide[rows[0]] else [t]
+        # the entropy as rows, zeros past it to fill the pool
+        entropy = np.zeros((max(len(seed_words) + len(index_words), _POOL_SIZE), len(t)),
+                           np.uint32)
+        entropy[:len(seed_words)] = seed_column
+        entropy[len(seed_words):len(seed_words) + len(index_words)] = index_words
+        # SeedSequence.mix_entropy: fill the pool, mix each pool word into every
+        # other (the source row's own step is a dummy, restored after), then mix
+        # in each entropy word past the pool
+        pool = _hashmix(entropy[:_POOL_SIZE], *_FILL)
+        for src, columns in enumerate(_SOURCE_STEPS):
+            source = pool[src]
+            pool = _mix(pool, _hashmix(source, *columns))
+            pool[src] = source
+        for k, word in enumerate(entropy[_POOL_SIZE:]):
+            columns = _EXTRA_STEPS[k] if k < len(_EXTRA_STEPS) else _extra_columns(k)
+            pool = _mix(pool, _hashmix(word, *columns))
         # generate_state(4, uint64): eight hashed 32-bit words, read little-endian in pairs
-        hashes = _hash_constants(_INIT_B, _MULT_B)
-        out = [_hashmix(pool[i % _POOL_SIZE], hashes).astype(np.uint64) for i in range(8)]
-        val = [out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+        out = _hashmix(np.concatenate((pool, pool)), *_STATE_STEPS).astype(np.uint64)
+        val = out[0::2] | out[1::2] << _U32
         # PCG64 seeding: inc = (val[2], val[3]) << 1 | 1; step from 0, add (val[0], val[1]), step
-        inc_hi = val[2] << np.uint64(1) | val[3] >> np.uint64(63)
-        inc_lo = val[3] << np.uint64(1) | np.uint64(1)
+        inc_hi = val[2] << _U1 | val[3] >> _U63
+        inc_lo = val[3] << _U1 | _U1
         lo = inc_lo + val[1]
         hi, lo = _pcg64_step(inc_hi + val[0] + (lo < inc_lo), lo, inc_hi, inc_lo)
         for k in range(count):  # each output: step, then XSL-RR
             hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-            folded, rot = hi ^ lo, hi >> np.uint64(58)
-            words[rows, k] = folded >> rot | folded << (np.uint64(64) - rot & np.uint64(63))
+            folded, rot = hi ^ lo, hi >> _U58
+            words[rows, k] = folded >> rot | folded << (_U64 - rot & _U63)
         state[:, rows] = hi, lo, inc_hi, inc_lo
     return words, state
 
@@ -847,9 +877,11 @@ def monte_carlo(
     succeeds when its ``random()`` falls below the analytic probability,
     and a chain's fusion coins are its ``integers(0, 2)``.  The streams of
     each block of trials are computed together and equal those generators
-    bit for bit, so results do not depend on evaluation order.  A chain
-    trial's tries are read, in array arithmetic, from the positions of the
-    0 coins in its computed prefix of outputs; the Python coin stream
+    bit for bit, so results do not depend on evaluation order; the
+    SeedSequence pool is mixed in row steps against hash-constant columns
+    built at import (see ``_pcg64_words``).  A chain trial's tries are
+    read, in array arithmetic, from the positions of the 0 coins in its
+    computed prefix of outputs; the Python coin stream
     ``_fusion_coins`` only continues a trial that runs past it.  ``trials``
     is an int >= 1 and ``seed`` an int >= 0.  Pass a list as ``trial_log``
     to collect (trial, success, resource...) rows for CSV export.

@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import inspect
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonweave import optics, protocols
@@ -52,6 +54,7 @@ from photonweave.states import (
     to_state_vector,
 )
 from optics_oracle import FLOAT_ENGINE_TOL, prepare
+from stream_oracle import pair_step_pcg64_words
 import word_oracle
 
 
@@ -910,16 +913,19 @@ def test_retry_count_rows_match_the_retry_loop(rows, blocks, close):
     assert_rows_match_retry_loop(blocks, close, np.array(rows, dtype=np.uint64))
 
 
-#: seeds of 1, 2, 3, 5 and 6 32-bit words: with the index, 5 or more entropy
-#: words overflow SeedSequence's pool of 4 and take its last mixing loop
-stream_seeds = st.sampled_from([1, 2, 3, 5, 6]).flatmap(
+#: seeds of 1 to 12 32-bit words: with the index, 5 or more entropy words
+#: overflow SeedSequence's pool of 4 and take its last mixing loop
+stream_seeds = st.integers(1, 12).flatmap(
     lambda words: st.integers(1 << 32 * (words - 1), (1 << 32 * words) - 1) | st.just(0))
 #: trial indices of one and of two 32-bit words
 stream_indices = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1]) | st.integers(0, 2**40)
 
 
 @settings(max_examples=60, deadline=None)
-@given(stream_seeds, st.lists(stream_indices, min_size=1, max_size=6), st.integers(1, 4))
+@given(stream_seeds, st.lists(stream_indices, min_size=1, max_size=6), st.integers(1, 12))
+# a seed of 32 words, past the hash constants built at import, and one call
+# over indices of one and of two words
+@example(2**1000 + 1, [0, 2**32 + 1, 7, 2**40 - 1, 2**32 - 1], 12)
 def test_trial_streams_match_default_rng(seed, trials, count):
     words, state = protocols._pcg64_words(seed, np.array(trials, dtype=np.uint64), count)
     for i, t in enumerate(trials):
@@ -931,6 +937,81 @@ def test_trial_streams_match_default_rng(seed, trials, count):
         rng = np.random.default_rng([seed, t])
         for _ in range(2 * count + 9):
             assert next(coins) == rng.integers(0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream_seeds | st.integers(0, 2**1100),
+       st.lists(stream_indices, min_size=1, max_size=40), st.integers(1, 12))
+def test_row_step_streams_match_the_pair_step_oracle(seed, trials, count):
+    trials = np.array(trials, dtype=np.uint64)
+    words, state = protocols._pcg64_words(seed, trials, count)
+    oracle_words, oracle_state = pair_step_pcg64_words(seed, trials, count)
+    assert words.tolist() == oracle_words.tolist()
+    assert state.tolist() == oracle_state.tolist()
+
+
+#: requests whose reports and CSV logs are pinned below
+PINNED_REQUESTS = {
+    "ghz M=3": {"protocol": "ghz", "M": 3},
+    "path M=5 server": {"protocol": "path", "M": 5, "server": True},
+    "closed caterpillar": {"protocol": "caterpillar", "layout": ["spine", "leaf", "spine"],
+                           "close": True},
+    "chain path4x4 YXZ": {"protocol": "chain", "blocks": ["path4"] * 4, "plan": list("YXZ")},
+    "closed three x5 YXYZY": {"protocol": "chain", "blocks": ["three"] * 5, "close": True,
+                              "plan": list("YXYZY")},
+    "closed star4,path4,three": {"protocol": "chain", "blocks": ["star4", "path4", "three"],
+                                 "close": True},
+}
+
+
+# recorded at commit 62df127, the last with the word-pair stream mirror in the
+# package: the first 16 hex digits of the SHA-256 of the JSON of
+# [as_dict(), trial_log], for 1, 1,000 and 4,097 trials
+@pytest.mark.parametrize("name, seed, digests", [
+    ("ghz M=3", 0, ["43482e54991cc35f", "56a45ae92af275a9", "756c91af2bae3c43"]),
+    ("ghz M=3", 7, ["dab8ac5d2c94e48f", "e125b41316d7377d", "17595afeed7d8839"]),
+    ("ghz M=3", 2**32 + 5, ["5b7a0932ff569a88", "90854bdabb0525f1", "204b543fce05b170"]),
+    ("ghz M=3", 2**130 + 1, ["db9b7ba6b093fb12", "59ee65a279635bdb", "80f94aff174a6fa9"]),
+    ("path M=5 server", 0, ["0adc318a8dcfb58b", "581c326d294fcb36", "39c9d5ae9221d4ad"]),
+    ("path M=5 server", 7, ["5e8eb11cfb6df9f4", "4a5dbe061307e7bd", "af707874c2d59d78"]),
+    ("path M=5 server", 2**32 + 5, ["326d9f098588b6ed", "f2994a811c014aa5", "37abeda3920be18a"]),
+    ("path M=5 server", 2**130 + 1,
+     ["f89725ed3335c549", "550382f278402c10", "dbe4aa939368af4d"]),
+    ("closed caterpillar", 0, ["ebfd4d9bca70987b", "b2fa830b71e69ebd", "081d384c64780255"]),
+    ("closed caterpillar", 7, ["cfb35f6198089b8d", "091302711f00cd95", "a5676d9d3ecc36cc"]),
+    ("closed caterpillar", 2**32 + 5,
+     ["20243fbeeecf7a35", "522d37accf270454", "8c357fb1e97a28b8"]),
+    ("closed caterpillar", 2**130 + 1,
+     ["2263fd29410e739a", "ff1780d443d0076c", "2cf8fa17514f51dd"]),
+    ("chain path4x4 YXZ", 0, ["92615d8cdc72810d", "f4c0bf6ac970bbd9", "6fabf4ea4ad26cf1"]),
+    ("chain path4x4 YXZ", 7, ["e1cd3571beaa2f97", "5a71bfb9c5a706f3", "51937273ea8aca5c"]),
+    ("chain path4x4 YXZ", 2**32 + 5,
+     ["ff9dba8f5ea1d70b", "9a80923cf13d7720", "a77e6692a9e6b0e5"]),
+    ("chain path4x4 YXZ", 2**130 + 1,
+     ["c6cd03b68ee79233", "869978cfcd859108", "e4e57693599ae343"]),
+    ("closed three x5 YXYZY", 0, ["ad0339a0fe3a7ccf", "54471615c2716eac", "1f0306863a5d15e8"]),
+    ("closed three x5 YXYZY", 7, ["35d2c6d2b7bc8caa", "89d3707c10c85254", "76a43efb5dc247a7"]),
+    ("closed three x5 YXYZY", 2**32 + 5,
+     ["16093de8e909dddd", "2932337846c38dec", "5b7830aceb64b2c7"]),
+    ("closed three x5 YXYZY", 2**130 + 1,
+     ["bf6ed2389c98acc7", "278ca07da4b43dff", "4398d8fb9b33d536"]),
+    ("closed star4,path4,three", 0,
+     ["75e78d3992a65a19", "8767cbda87192340", "46e86c52b4cdeea5"]),
+    ("closed star4,path4,three", 7,
+     ["8a9ce8fa5f57f0e3", "4564a5fec2accfa7", "86f52f6ba1ac237d"]),
+    ("closed star4,path4,three", 2**32 + 5,
+     ["c99f08d5b08a2cde", "0b2ee8a4de6aea80", "2c251a18dc005392"]),
+    ("closed star4,path4,three", 2**130 + 1,
+     ["7d2f6a3f090db115", "3bbb6497c24d0093", "f373c07971adadd7"]),
+])
+def test_monte_carlo_reports_pinned(name, seed, digests):
+    found = []
+    for trials in (1, 1000, 4097):
+        log = []
+        stats = monte_carlo(PINNED_REQUESTS[name], trials, seed, trial_log=log)
+        text = json.dumps([stats.as_dict(), log])
+        found.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert found == digests
 
 
 @pytest.mark.parametrize("trials, seed, error", [
