@@ -697,24 +697,18 @@ def _hash_columns(h: int, mult: int, start: int, rows: int) -> tuple[np.ndarray,
     return column[:-1], column[1:]
 
 
-def _source_columns(src: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constants of source word ``src``'s row step: its three hash steps, in
-    destination order, with a dummy 0 at its own row."""
-    steps = _hash_columns(_INIT_A, _MULT_A, _POOL_SIZE + (_POOL_SIZE - 1) * src, _POOL_SIZE - 1)
-    return tuple(np.insert(column, src, 0, axis=0) for column in steps)
-
-
 def _extra_columns(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The constants of the row step that mixes in entropy word _POOL_SIZE + k."""
     return _hash_columns(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + k), _POOL_SIZE)
 
 
-#: mix_entropy's steps: the pool fill, one row step per source word, then one per
-#: entropy word past the pool (built here for seeds of up to 12 words, and past
-#: them when called); generate_state's eight steps over the pool stacked twice
+#: mix_entropy's steps: the pool fill, then per source word its other rows and
+#: the constants of its three hash steps, in row order; generate_state's eight
+#: steps over the pool stacked twice
 _FILL = _hash_columns(_INIT_A, _MULT_A, 0, _POOL_SIZE)
-_SOURCE_STEPS = [_source_columns(src) for src in range(_POOL_SIZE)]
-_EXTRA_STEPS = [_extra_columns(k) for k in range(10)]
+_SOURCE_STEPS = [(np.delete(np.arange(_POOL_SIZE), src),
+                  _hash_columns(_INIT_A, _MULT_A, _POOL_SIZE + (_POOL_SIZE - 1) * src,
+                                _POOL_SIZE - 1)) for src in range(_POOL_SIZE)]
 _STATE_STEPS = _hash_columns(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
 
 
@@ -751,7 +745,7 @@ def _pcg64_words(seed: int, trials: np.ndarray, count: int) -> tuple[np.ndarray,
     after them, one column per trial: state high, state low, increment high,
     increment low.  SeedSequence's pool is one ``(4, trials)`` array, and
     each NumPy call does a whole pool's work: a source word is hashed for
-    the three other rows in one step, against a ``(4, 1)`` column of hash
+    the three other rows in one step, against a ``(3, 1)`` column of hash
     constants built at import, which NumPy broadcasts.  Constant tables
     repeated to the block's width on every call measured slower even than
     the word-by-word hash that these row steps replace.
@@ -773,17 +767,13 @@ def _pcg64_words(seed: int, trials: np.ndarray, count: int) -> tuple[np.ndarray,
                            np.uint32)
         entropy[:len(seed_words)] = seed_column
         entropy[len(seed_words):len(seed_words) + len(index_words)] = index_words
-        # SeedSequence.mix_entropy: fill the pool, mix each pool word into every
-        # other (the source row's own step is a dummy, restored after), then mix
-        # in each entropy word past the pool
+        # SeedSequence.mix_entropy: fill the pool, mix each pool word into the
+        # three other rows, then mix in each entropy word past the pool
         pool = _hashmix(entropy[:_POOL_SIZE], *_FILL)
-        for src, columns in enumerate(_SOURCE_STEPS):
-            source = pool[src]
-            pool = _mix(pool, _hashmix(source, *columns))
-            pool[src] = source
+        for src, (others, columns) in enumerate(_SOURCE_STEPS):
+            pool[others] = _mix(pool[others], _hashmix(pool[src], *columns))
         for k, word in enumerate(entropy[_POOL_SIZE:]):
-            columns = _EXTRA_STEPS[k] if k < len(_EXTRA_STEPS) else _extra_columns(k)
-            pool = _mix(pool, _hashmix(word, *columns))
+            pool = _mix(pool, _hashmix(word, *_extra_columns(k)))
         # generate_state(4, uint64): eight hashed 32-bit words, read little-endian in pairs
         out = _hashmix(np.concatenate((pool, pool)), *_STATE_STEPS).astype(np.uint64)
         val = out[0::2] | out[1::2] << _U32
