@@ -50,6 +50,8 @@ COMMANDS = [
     "simulate --protocol chain --blocks path4,star4 --keep-ends --seed 3",
     "simulate --protocol chain --blocks Three,PATH4,star4 --plan XZ --seed 5",
     "simulate --protocol chain --blocks three,three --close --seed 1",
+    # a closed chain that succeeds after three retries
+    "simulate --protocol chain --blocks three,path4,star4 --close --plan YXZ --seed 12",
     "simulate --protocol ghz --users 2 --out report.json",
     "simulate --protocol ghz",
     "simulate --protocol caterpillar",

@@ -14,11 +14,13 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
 from . import minors, optics as po, protocols as pr
-from .graphs import InputShapeError, graph_as_dict, graph_from_json, graph_to_dot, graph_to_json
+from .graphs import (Graph, InputShapeError, graph_as_dict, graph_from_json, graph_to_dot,
+                     graph_to_json)
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = "1"
@@ -134,15 +136,8 @@ def _request(args, also_reads: tuple[str, ...]) -> tuple[dict, tuple[str, ...]]:
 
 # -- verbs ---------------------------------------------------------------------
 
-_FAILED_CHAIN_RESULT = {
-    "protocol": "chain",
-    "final_graph": {"vertices": [], "edges": []},
-    "probability": {"exponent": 0, "value": 1.0},
-    "measurement_record": [],
-    "m_minus": 0,
-    "corrections": [],
-    "resources": {},
-}
+#: a failed chain's result: the empty graph at no cost
+_FAILED_CHAIN_RESULT = protocol_result_as_dict(pr.ProtocolResult("chain", Graph([]), 0, (), ()))
 
 
 def _cmd_simulate(args) -> tuple[dict, bool | None, dict]:
@@ -153,10 +148,10 @@ def _cmd_simulate(args) -> tuple[dict, bool | None, dict]:
     command = {"protocol": args.protocol}
     command.update((flag, getattr(args, flag)) for flag in (*flags, *seed)
                    if flag not in _ECHO_WHEN_SET or _is_set(getattr(args, flag)))
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    res = pr.run_request(request, rng=rng)
-    if args.protocol != "chain":
-        return command, True, {"result": protocol_result_as_dict(res)}
+    if not seed:
+        return command, True, {"result": protocol_result_as_dict(pr.run_request(request))}
+    coins = iter(partial(np.random.default_rng(args.seed).integers, 0, 2), None)  # fusion coins
+    res = pr.run_request(request, coins)
     results = {
         "chain": {
             "succeeded": res.succeeded,
@@ -164,8 +159,7 @@ def _cmd_simulate(args) -> tuple[dict, bool | None, dict]:
             "bell_pairs_used": res.bell_pairs_used,
             "fusion_attempts": res.fusion_attempts,
         },
-        "result": _FAILED_CHAIN_RESULT if res.result is None
-        else protocol_result_as_dict(res.result),
+        "result": protocol_result_as_dict(res.result) if res.succeeded else _FAILED_CHAIN_RESULT,
     }
     return command, res.succeeded, results
 

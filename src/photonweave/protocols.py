@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -511,23 +511,23 @@ class ChainResult:
 
 
 def _retry_counts(
-    blocks: Sequence[str], close_cycle: bool, fusion_fails: Callable[[], bool]
+    blocks: Sequence[str], close_cycle: bool, coins: Iterator
 ) -> tuple[bool, int, int, int]:
     """The discard-last-block policy as counts: (succeeded, blocks, bell_pairs, fusions).
 
-    Each joint in order weaves a fresh incoming block until a coin from
-    ``fusion_fails`` says success; a closed chain then draws one closure
-    coin, whose failure aborts the chain.
+    Each joint in order weaves a fresh incoming block until a falsy coin
+    says success; a closed chain then draws one closure coin, whose
+    failure aborts the chain.  Once ``coins`` run out, every fusion succeeds.
     """
     consumed, pairs = 1, BLOCK_BELL_PAIRS[blocks[0]]
     for kind in blocks[1:]:
         tries = 1
-        while fusion_fails():
+        while next(coins, False):
             tries += 1
         consumed += tries
         pairs += tries * BLOCK_BELL_PAIRS[kind]
     fusions = consumed - 1 + (1 if close_cycle else 0)
-    return not (close_cycle and fusion_fails()), consumed, pairs, fusions
+    return not (close_cycle and next(coins, False)), consumed, pairs, fusions
 
 
 def _retry_count_rows(
@@ -571,8 +571,7 @@ def fuse_chain(
     measurement_plan: Sequence[str | None] | None = None,
     close_cycle: bool = False,
     keep_server_ends: bool = False,
-    rng: np.random.Generator | None = None,
-    failure_schedule: Iterable[bool] | None = None,
+    coins: Iterable = (),
 ) -> ChainResult:
     """Fuse stored building blocks into one distributed graph state.
 
@@ -586,8 +585,8 @@ def fuse_chain(
     after all fusions; open-chain outer server photons are then removed
     unless ``keep_server_ends``.
 
-    Fusion coins come from ``failure_schedule`` (True = fail) when given,
-    otherwise from ``rng``; with neither, every fusion succeeds.
+    ``coins`` are the fusion coins in order, a truthy coin a failure; once
+    they run out every fusion succeeds, so by default all do.
     """
     blocks = [b.lower() for b in blocks]
     for b in blocks:
@@ -602,16 +601,7 @@ def fuse_chain(
     for axis in plan:
         if axis not in (*AXES, None):
             raise InputShapeError(f"plan entries are 'X', 'Y', 'Z' or None, got {axis!r}")
-    schedule = iter(failure_schedule) if failure_schedule is not None else None
-
-    def fusion_fails() -> bool:
-        if schedule is not None:
-            return bool(next(schedule, False))
-        if rng is not None:
-            return bool(rng.integers(0, 2))
-        return False
-
-    succeeded, consumed, pairs, fusions = _retry_counts(blocks, close_cycle, fusion_fails)
+    succeeded, consumed, pairs, fusions = _retry_counts(blocks, close_cycle, iter(coins))
     if not succeeded:
         return ChainResult(None, False, consumed, pairs, fusions, tuple(blocks), close_cycle)
     # users are numbered along the chain; block k stores server photons
@@ -824,18 +814,41 @@ REQUESTS = {
     "path": ("run_path", ("M",), ("server", "outcomes")),
     "cycle": ("run_cycle", ("M",), ("outcomes",)),
     "caterpillar": ("run_caterpillar", ("layout",), ("close",)),
-    # only the chain runner also takes ``rng``, which draws its fusion coins
     "chain": ("fuse_chain", ("blocks",), ("plan", "close", "keep_server_ends")),
 }
 #: the runner parameter behind each optional key whose name differs
 _PARAMETERS = {"server": "server_participates", "close": "close_cycle", "plan": "measurement_plan"}
 
 
-def run_request(request: dict, rng: np.random.Generator | None = None):
-    """Run the protocol a request names (see ``REQUESTS``); ``rng`` draws a chain's fusion coins.
+def _check_value(protocol: str, key: str, value) -> None:
+    """Raise ``InputShapeError`` for a request value of the wrong type.
 
-    A request that lacks a required key, or holds a key its protocol does
-    not read, raises ``InputShapeError``; an unknown protocol, ``ValueError``.
+    ``M`` is an int; ``server``, ``close`` and ``keep_server_ends`` are bools;
+    ``layout`` and ``blocks`` are lists of strings and ``plan`` a list.  The
+    runners check ``outcomes`` and the entries of ``plan``.
+    """
+    if key == "M":
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an int"
+    elif key in ("server", "close", "keep_server_ends"):
+        ok, want = isinstance(value, bool), "a bool"
+    elif key in ("layout", "blocks"):
+        ok = isinstance(value, list) and all(isinstance(x, str) for x in value)
+        want = "a list of strings"
+    elif key == "plan":
+        ok, want = isinstance(value, list), "a list"
+    else:
+        return
+    if not ok:
+        raise InputShapeError(f"a {protocol} request's {key!r} is {want}, got {value!r}")
+
+
+def run_request(request: dict, coins: Iterable | None = None):
+    """Run the protocol a request names (see ``REQUESTS``); ``coins`` pass to its runner.
+
+    Only ``fuse_chain`` draws coins, so given with another protocol they
+    raise ``TypeError``.  A request that lacks a required key, holds a key
+    its protocol does not read, or holds a value of the wrong type (see
+    ``_check_value``) raises ``InputShapeError``; an unknown protocol, ``ValueError``.
     """
     protocol = request.get("protocol")
     if protocol not in REQUESTS:
@@ -844,10 +857,11 @@ def run_request(request: dict, rng: np.random.Generator | None = None):
     for key in required:
         if key not in request:
             raise InputShapeError(f"a {protocol} request needs {key!r}")
-    kwargs = {"rng": rng} if protocol == "chain" else {}
+    kwargs = {} if coins is None else {"coins": coins}
     for key, value in request.items():
         if key not in (*required, *optional, "protocol"):
             raise InputShapeError(f"a {protocol} request does not read {key!r}")
+        _check_value(protocol, key, value)
         if key in optional:
             kwargs[_PARAMETERS.get(key, key)] = value
     return globals()[runner](*(request[key] for key in required), **kwargs)
@@ -899,7 +913,7 @@ def monte_carlo(
             runs, short = _retry_count_rows(base.blocks, base.close_cycle, words)
             for i in np.flatnonzero(short).tolist():
                 runs[i] = _retry_counts(base.blocks, base.close_cycle,
-                                        _fusion_coins(words[i].tolist(), state, i).__next__)
+                                        _fusion_coins(words[i].tolist(), state, i))
             sums = runs.sum(axis=0).tolist()
             successes += sums[0]
             totals = [total + column for total, column in zip(totals, sums[1:])]

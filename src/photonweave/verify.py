@@ -315,11 +315,11 @@ def check_properties() -> CriterionResult:
                 return _result("properties", False, "photon number not conserved", t0)
     # failure containment: retries at a later joint never disturb earlier blocks
     base = pr.fuse_chain(
-        ["path4"] * 3, keep_server_ends=True, failure_schedule=[False, False]
+        ["path4"] * 3, keep_server_ends=True, coins=[False, False]
     ).result.final_graph
     for schedule in ([False, True, False], [False, True, True, False]):
         retry = pr.fuse_chain(
-            ["path4"] * 3, keep_server_ends=True, failure_schedule=schedule
+            ["path4"] * 3, keep_server_ends=True, coins=schedule
         ).result.final_graph
         if retry.edges != base.edges:
             return _result("properties", False, "failure not contained", t0)

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import photonweave
+from photonweave import cli
 from photonweave.cli import main, stable_json
 
 REPORT_SCHEMA = {
@@ -512,6 +513,19 @@ def test_simulate_chain_dispatch(capsys):
                            "--blocks", "three,three", "--close", "--seed", "1")
     assert code == 1 and report["pass"] is False
     assert report["results"]["result"]["final_graph"] == {"vertices": [], "edges": []}
+
+
+def test_failed_chain_result_is_the_empty_result():
+    # the result a failed chain reports, written out
+    assert cli._FAILED_CHAIN_RESULT == {
+        "protocol": "chain",
+        "final_graph": {"vertices": [], "edges": []},
+        "probability": {"exponent": 0, "value": 1.0},
+        "measurement_record": [],
+        "m_minus": 0,
+        "corrections": [],
+        "resources": {},
+    }
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -6,6 +6,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -655,38 +656,62 @@ def test_chain_exponent_bookkeeping():
 
 def test_chain_failure_policy():
     # one failure at the first joint: the incoming block is rebuilt once
-    chain = fuse_chain(["path4", "path4"], failure_schedule=[True, False])
+    chain = fuse_chain(["path4", "path4"], coins=[True, False])
     assert chain.succeeded and chain.blocks_consumed == 3 and chain.fusion_attempts == 2
-    clean = fuse_chain(["path4", "path4"], failure_schedule=[False])
+    clean = fuse_chain(["path4", "path4"], coins=[False])
     assert clean.blocks_consumed == 2
     assert chain.result.final_graph.edges == clean.result.final_graph.edges
 
 
 def test_chain_failure_containment():
     base = fuse_chain(["path4"] * 3, keep_server_ends=True,
-                      failure_schedule=[False, False]).result.final_graph
+                      coins=[False, False]).result.final_graph
     for schedule in ([False, True, False], [True, False, True, True, False]):
         retry = fuse_chain(["path4"] * 3, keep_server_ends=True,
-                           failure_schedule=schedule).result.final_graph
+                           coins=schedule).result.final_graph
         assert retry.edges == base.edges
 
 
 def test_chain_retry_counts_on_mixed_blocks():
     # a retry costs the Bell pairs of the block woven at that joint
     chain = fuse_chain(["path4", "three", "path4"],
-                       failure_schedule=[True, False, True, True, False])
+                       coins=[True, False, True, True, False])
     assert (chain.blocks_consumed, chain.bell_pairs_used, chain.fusion_attempts) == (6, 22, 5)
     assert chain.result.resources == {"blocks": 6, "bell_pairs": 22, "fusions": 5}
     closed = fuse_chain(["three", "star4"], close_cycle=True,
-                        failure_schedule=[True, False, True])
+                        coins=[True, False, True])
     assert (closed.succeeded, closed.blocks_consumed, closed.bell_pairs_used,
             closed.fusion_attempts) == (False, 3, 11, 3)
 
 
 def test_chain_closure_failure_aborts():
     chain = fuse_chain(["three", "three"], close_cycle=True,
-                       failure_schedule=[False, True])
+                       coins=[False, True])
     assert not chain.succeeded and chain.result is None
+
+
+@pytest.mark.parametrize("blocks, close, seed", [
+    (["three", "path4", "star4"], True, 12), (["three", "path4", "star4"], True, 1),
+    (["path4"] * 4, False, 3), (["star4", "three"], False, 8),
+])
+def test_chain_coins_from_list_generator_and_stream_agree(blocks, close, seed):
+    # the same coins as a list, a generator and the seeded integers(0, 2) stream
+    draw = partial(np.random.default_rng(seed).integers, 0, 2)
+    coins = [draw() for _ in range(64)]
+    stream = iter(partial(np.random.default_rng(seed).integers, 0, 2), None)
+    chain = fuse_chain(blocks, close_cycle=close, coins=coins)
+    assert chain.fusion_attempts < len(coins)  # the list holds every coin drawn
+    assert chain == fuse_chain(blocks, close_cycle=close, coins=(c for c in coins))
+    assert chain == fuse_chain(blocks, close_cycle=close, coins=stream)
+
+
+def test_chain_coins_that_run_out_succeed():
+    # two failures at the first joint, then the list is spent: every later fusion succeeds
+    chain = fuse_chain(["three"] * 3, close_cycle=True, coins=[True, True])
+    assert chain == fuse_chain(["three"] * 3, close_cycle=True, coins=[True, True, False] + [0] * 3)
+    assert (chain.succeeded, chain.blocks_consumed, chain.fusion_attempts) == (True, 5, 5)
+    assert fuse_chain(["three"] * 3, close_cycle=True) == fuse_chain(["three"] * 3, close_cycle=True,
+                                                                       coins=[])
 
 
 def test_chain_plan_validation():
@@ -752,9 +777,10 @@ def per_trial_monte_carlo(
     close = request.get("close", False)
     successes, totals = 0, {"blocks": 0, "bell_pairs": 0, "fusions": 0}
     for t in range(trials):
+        draw = partial(np.random.default_rng([seed, t]).integers, 0, 2)
         chain = fuse_chain(request["blocks"], request.get("plan"), close_cycle=close,
                            keep_server_ends=request.get("keep_server_ends", False),
-                           rng=np.random.default_rng([seed, t]))
+                           coins=iter(draw, None))
         successes += chain.succeeded
         totals["blocks"] += chain.blocks_consumed
         totals["bell_pairs"] += chain.bell_pairs_used
@@ -828,7 +854,7 @@ def retry_loop_rows(blocks: list[str], close: bool, words: np.ndarray,
             drawn.append(next(coins))
             return drawn[-1]
 
-        ok, *counts = protocols._retry_counts(blocks, close, fails)
+        ok, *counts = protocols._retry_counts(blocks, close, iter(fails, None))
         rows.append((int(ok), *counts))
         past.append(len(drawn) > 2 * len(prefix))
     return rows, past
@@ -1091,6 +1117,42 @@ def test_run_request_rejects_unread_and_missing_keys(run, request_, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("run", [run_request, lambda request: monte_carlo(request, 10, 1)],
+                         ids=["run_request", "monte_carlo"])
+@pytest.mark.parametrize("request_, message", [
+    ({"protocol": "ghz", "M": 3, "server": "no"}, "a ghz request's 'server' is a bool, got 'no'"),
+    ({"protocol": "caterpillar", "layout": ["spine", "spine"], "close": "no"},
+     "a caterpillar request's 'close' is a bool, got 'no'"),
+    ({"protocol": "chain", "blocks": [1, 2]},
+     "a chain request's 'blocks' is a list of strings, got [1, 2]"),
+    ({"protocol": "ghz", "M": "3"}, "a ghz request's 'M' is an int, got '3'"),
+    ({"protocol": "chain", "blocks": ["three", "three"], "plan": 5},
+     "a chain request's 'plan' is a list, got 5"),
+    ({"protocol": "path", "M": True}, "a path request's 'M' is an int, got True"),
+    ({"protocol": "caterpillar", "layout": "spine,leaf"},
+     "a caterpillar request's 'layout' is a list of strings, got 'spine,leaf'"),
+    ({"protocol": "chain", "blocks": ["three", "three"], "keep_server_ends": 1},
+     "a chain request's 'keep_server_ends' is a bool, got 1"),
+])
+def test_run_request_rejects_values_of_the_wrong_type(run, request_, message):
+    with pytest.raises(InputShapeError) as excinfo:
+        run(request_)
+    assert str(excinfo.value) == message
+
+
+def test_run_request_passes_coins_to_the_runner():
+    chain = run_request({"protocol": "chain", "blocks": ["three", "three"]}, [True, False])
+    assert chain.blocks_consumed == 3
+    with pytest.raises(TypeError):
+        run_request({"protocol": "ghz", "M": 3}, [True, False])
+
+
+#: a value of the right type for each request key
+REQUEST_VALUES = {"M": 3, "server": True, "outcomes": "++", "layout": ["spine", "leaf"],
+                  "close": False, "blocks": ["three", "path4"], "plan": ["Y"],
+                  "keep_server_ends": True}
+
+
 @pytest.mark.parametrize("protocol", list(REQUESTS))
 def test_run_request_calls_the_runner_the_module_holds(monkeypatch, protocol):
     # a wrapper set on the module (as a call tracer sets it) sees each call,
@@ -1104,8 +1166,8 @@ def test_run_request_calls_the_runner_the_module_holds(monkeypatch, protocol):
         calls.append(args)
 
     monkeypatch.setattr(protocols, runner, spy)
-    run_request({"protocol": protocol, **{key: key for key in required + optional}})
-    assert calls == [required]
+    run_request({"protocol": protocol, **{key: REQUEST_VALUES[key] for key in required + optional}})
+    assert calls == [tuple(REQUEST_VALUES[key] for key in required)]
 
 
 def test_readme_request_table_matches_requests():
