@@ -121,7 +121,7 @@ def _request(args, also_reads: tuple[str, ...]) -> tuple[dict, tuple[str, ...]]:
     """The protocol request named by ``simulate``/``montecarlo`` flags, and the flags it reads.
 
     Each request key the protocol reads (``protocols.REQUESTS``) comes from
-    its flag; ``run_request`` checks the request.
+    its flag; ``run_request`` checks its keys and the runner their values.
     """
     _, required, optional = pr.REQUESTS[args.protocol]
     flags = {key: _FLAG_OF.get(key, key) for key in required + optional}

@@ -7,6 +7,7 @@ post-processing corrections) and the weaving circuit that realizes it,
 built from the two weaving primitives.  ``run_*`` return the first
 view; ``*_optics`` run the second through ``optics.run_circuit`` at
 oracle scale.  Tests assert that the two views agree state-by-state.
+Wrong types (``"no"`` or ``1`` for a bool, a string for a list) raise ``InputShapeError``.
 
 Label conventions: users are 1..M in weaving order; server-held
 vertices are 0 or negative.  Corrections are recorded in the frame of
@@ -64,6 +65,18 @@ def _canonical_outcomes(outcomes: str | None, length: int) -> str:
     if not isinstance(outcomes, str) or len(outcomes) != length or outcomes.strip("+-"):
         raise InputShapeError(f"need {length} outcomes over '+-', got {outcomes!r}")
     return outcomes
+
+
+def _check_type(name: str, value, kinds: tuple[type, ...], want: str) -> None:
+    """Raise ``InputShapeError`` unless ``value`` is one of ``kinds``; a bool is only a bool."""
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+        raise InputShapeError(f"{name} must be {want}, got {value!r}")
+
+
+def _check_users(m_users: int, least: int, most: int, protocol: str) -> None:
+    _check_type("m_users", m_users, (int, np.integer), "an int")
+    if not least <= m_users <= most:
+        raise ValueError(f"{protocol} supports {least}..{most} users")
 
 
 def _check_weaver(outcome: str) -> None:
@@ -159,8 +172,8 @@ def _optics(circuit: _Circuit) -> tuple[StateVector, float]:
 
 
 def _ghz(m_users: int, server_participates: bool, outcomes: str | None) -> _Views:
-    if not 2 <= m_users <= 8:
-        raise ValueError("ghz supports 2..8 users")
+    _check_users(m_users, 2, 8, "ghz")
+    _check_type("server_participates", server_participates, (bool,), "a bool")
     outcomes = _canonical_outcomes(outcomes, m_users - (1 if server_participates else 0))
     users = range(1, m_users + 1)
     pairs, qubits = _user_pairs(users)
@@ -212,8 +225,8 @@ def ghz_optics(
 def _path(
     m_users: int, server_participates: bool, outcomes: str | None, weaver_outcome: str
 ) -> _Views:
-    if not 2 <= m_users <= 7:
-        raise ValueError("path supports 2..7 users")
+    _check_users(m_users, 2, 7, "path")
+    _check_type("server_participates", server_participates, (bool,), "a bool")
     outcomes = _canonical_outcomes(outcomes, m_users - 1)
     _check_weaver(weaver_outcome)
     users = list(range(1, m_users + 1))
@@ -276,6 +289,7 @@ def path_optics(
     is returned instead, with server photons mapped to 200 + j.
     """
     result, circuit = _path(m_users, server_participates, outcomes, weaver_outcome)
+    _check_type("stop_before_measurement", stop_before_measurement, (bool,), "a bool")
     if stop_before_measurement:
         qubits = circuit.qubits | {j: 200 + j for j in range(1, m_users + 1)}
         return *_optics(circuit._replace(detections=[], qubits=qubits)), ()
@@ -283,8 +297,7 @@ def path_optics(
 
 
 def _cycle(m_users: int, outcomes: str | None, weaver_outcome: str) -> _Views:
-    if not 3 <= m_users <= 6:
-        raise ValueError("cycle supports 3..6 users")
+    _check_users(m_users, 3, 6, "cycle")
     outcomes = _canonical_outcomes(outcomes, m_users)
     _check_weaver(weaver_outcome)
     users = list(range(1, m_users + 1))
@@ -326,7 +339,9 @@ def cycle_optics(
 # ---------------------------------------------------------------------------
 
 
-def _check_layout(layout: Sequence[str]) -> None:
+def _check_layout(layout: Sequence[str], close_cycle: bool) -> None:
+    _check_type("layout", layout, (list, tuple), "a list or a tuple")
+    _check_type("close_cycle", close_cycle, (bool,), "a bool")
     if not layout:
         raise ValueError("layout is empty")
     if any(kind not in ("spine", "leaf") for kind in layout):
@@ -345,7 +360,7 @@ def caterpillar_layout_graph(layout: Sequence[str], close_cycle: bool = False) -
     0..M.  Open, user 1 is the head and the word is cut just before it:
     ``"Z" + word[1:]`` closed on 1..M.
     """
-    _check_layout(layout)
+    _check_layout(layout, close_cycle)
     word = "".join("Y" if kind == "spine" else "X" for kind in layout)
     if close_cycle and word.count("Y") < 2:
         raise ValueError("closing needs at least two spine users")
@@ -381,9 +396,9 @@ def _weave_circuit(
 
 
 def _caterpillar(layout: Sequence[str], close_cycle: bool) -> _Views:
+    _check_layout(layout, close_cycle)
     m = len(layout)
     if m > 7:
-        _check_layout(layout)  # a malformed layout reports that before the size cap
         raise ValueError("caterpillar supports up to 7 users")
     final = caterpillar_layout_graph(layout, close_cycle)
     corrections = tuple((i + 1, "H") for i, kind in enumerate(layout) if kind == "spine")
@@ -398,7 +413,7 @@ def run_caterpillar(layout: Sequence[str], close_cycle: bool = False) -> Protoco
     Spine users extend the woven path; leaf users join the previous spine
     user's redundant cluster (a weave step without the polarization
     rotation).  Open runs cost 2^-(M-1); closing through a server pair
-    costs 2^-(M+1).
+    costs 2^-(M+1).  ``layout`` is a list or a tuple of up to 7 entries.
     """
     return _caterpillar(layout, close_cycle)[0]
 
@@ -588,14 +603,18 @@ def fuse_chain(
     ``coins`` are the fusion coins in order, a truthy coin a failure; once
     they run out every fusion succeeds, so by default all do.
     """
-    blocks = [b.lower() for b in blocks]
+    _check_type("blocks", blocks, (list, tuple), "a list or a tuple")
+    _check_type("close_cycle", close_cycle, (bool,), "a bool")
+    _check_type("keep_server_ends", keep_server_ends, (bool,), "a bool")
+    blocks = [b.lower() if isinstance(b, str) else b for b in blocks]
     for b in blocks:
         if b not in BLOCK_KINDS:
             raise InputShapeError(f"unknown block kind {b!r}")
     if len(blocks) < 2:
         raise ValueError("a chain needs at least two blocks")
     joints = len(blocks) - 1 + (1 if close_cycle else 0)
-    plan = [None] * joints if measurement_plan is None else list(measurement_plan)
+    plan = [None] * joints if measurement_plan is None else measurement_plan
+    _check_type("measurement_plan", plan, (list, tuple), "a list, a tuple or None")
     if len(plan) != joints:
         raise InputShapeError(f"plan length {len(plan)} != joints {joints}")
     for axis in plan:
@@ -820,35 +839,12 @@ REQUESTS = {
 _PARAMETERS = {"server": "server_participates", "close": "close_cycle", "plan": "measurement_plan"}
 
 
-def _check_value(protocol: str, key: str, value) -> None:
-    """Raise ``InputShapeError`` for a request value of the wrong type.
-
-    ``M`` is an int; ``server``, ``close`` and ``keep_server_ends`` are bools;
-    ``layout`` and ``blocks`` are lists of strings and ``plan`` a list.  The
-    runners check ``outcomes`` and the entries of ``plan``.
-    """
-    if key == "M":
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an int"
-    elif key in ("server", "close", "keep_server_ends"):
-        ok, want = isinstance(value, bool), "a bool"
-    elif key in ("layout", "blocks"):
-        ok = isinstance(value, list) and all(isinstance(x, str) for x in value)
-        want = "a list of strings"
-    elif key == "plan":
-        ok, want = isinstance(value, list), "a list"
-    else:
-        return
-    if not ok:
-        raise InputShapeError(f"a {protocol} request's {key!r} is {want}, got {value!r}")
-
-
 def run_request(request: dict, coins: Iterable | None = None):
     """Run the protocol a request names (see ``REQUESTS``); ``coins`` pass to its runner.
 
     Only ``fuse_chain`` draws coins, so given with another protocol they
-    raise ``TypeError``.  A request that lacks a required key, holds a key
-    its protocol does not read, or holds a value of the wrong type (see
-    ``_check_value``) raises ``InputShapeError``; an unknown protocol, ``ValueError``.
+    raise ``TypeError``.  A missing or unread key raises ``InputShapeError``
+    and an unknown protocol ``ValueError``; the runner checks the values.
     """
     protocol = request.get("protocol")
     if protocol not in REQUESTS:
@@ -861,7 +857,6 @@ def run_request(request: dict, coins: Iterable | None = None):
     for key, value in request.items():
         if key not in (*required, *optional, "protocol"):
             raise InputShapeError(f"a {protocol} request does not read {key!r}")
-        _check_value(protocol, key, value)
         if key in optional:
             kwargs[_PARAMETERS.get(key, key)] = value
     return globals()[runner](*(request[key] for key in required), **kwargs)

@@ -474,6 +474,9 @@ def test_caterpillar_layout_validation():
         run_caterpillar(["leaf", "spine"])
     with pytest.raises(ValueError):
         run_caterpillar(["spine", "leaf"], close_cycle=True)  # one spine vertex
+    # a malformed layout reports that before the size cap
+    with pytest.raises(InputShapeError, match="layout entries are 'spine' or 'leaf'"):
+        caterpillar_optics(["spine"] * 8 + ["stem"])
 
 
 def _layout_reading(build, layout, close):
@@ -1120,24 +1123,128 @@ def test_run_request_rejects_unread_and_missing_keys(run, request_, message):
 @pytest.mark.parametrize("run", [run_request, lambda request: monte_carlo(request, 10, 1)],
                          ids=["run_request", "monte_carlo"])
 @pytest.mark.parametrize("request_, message", [
-    ({"protocol": "ghz", "M": 3, "server": "no"}, "a ghz request's 'server' is a bool, got 'no'"),
+    ({"protocol": "ghz", "M": 3, "server": "no"}, "server_participates must be a bool, got 'no'"),
     ({"protocol": "caterpillar", "layout": ["spine", "spine"], "close": "no"},
-     "a caterpillar request's 'close' is a bool, got 'no'"),
+     "close_cycle must be a bool, got 'no'"),
     ({"protocol": "chain", "blocks": [1, 2]},
-     "a chain request's 'blocks' is a list of strings, got [1, 2]"),
-    ({"protocol": "ghz", "M": "3"}, "a ghz request's 'M' is an int, got '3'"),
+     "unknown block kind 1"),
+    ({"protocol": "ghz", "M": "3"}, "m_users must be an int, got '3'"),
     ({"protocol": "chain", "blocks": ["three", "three"], "plan": 5},
-     "a chain request's 'plan' is a list, got 5"),
-    ({"protocol": "path", "M": True}, "a path request's 'M' is an int, got True"),
+     "measurement_plan must be a list, a tuple or None, got 5"),
+    ({"protocol": "path", "M": True}, "m_users must be an int, got True"),
     ({"protocol": "caterpillar", "layout": "spine,leaf"},
-     "a caterpillar request's 'layout' is a list of strings, got 'spine,leaf'"),
+     "layout must be a list or a tuple, got 'spine,leaf'"),
     ({"protocol": "chain", "blocks": ["three", "three"], "keep_server_ends": 1},
-     "a chain request's 'keep_server_ends' is a bool, got 1"),
+     "keep_server_ends must be a bool, got 1"),
 ])
 def test_run_request_rejects_values_of_the_wrong_type(run, request_, message):
     with pytest.raises(InputShapeError) as excinfo:
         run(request_)
     assert str(excinfo.value) == message
+
+
+# each runner checks the types of the values it reads, so a direct call, which
+# no request check sees, rejects them too: a "no" is no False, a string no list
+@pytest.mark.parametrize("call, args, kwargs, message", [
+    (run_ghz, (3, "no"), {}, "server_participates must be a bool, got 'no'"),
+    (ghz_optics, (3, "no"), {}, "server_participates must be a bool, got 'no'"),
+    (run_path, (3, "no"), {}, "server_participates must be a bool, got 'no'"),
+    (path_optics, (3, "no"), {}, "server_participates must be a bool, got 'no'"),
+    (path_optics, (3,), {"stop_before_measurement": 1},
+     "stop_before_measurement must be a bool, got 1"),
+    (run_caterpillar, (["spine", "spine"], "no"), {}, "close_cycle must be a bool, got 'no'"),
+    (caterpillar_optics, (["spine", "spine"], "no"), {}, "close_cycle must be a bool, got 'no'"),
+    (caterpillar_layout_graph, (["spine", "spine"], "no"), {},
+     "close_cycle must be a bool, got 'no'"),
+    (fuse_chain, (["three", "three"],), {"close_cycle": "no"},
+     "close_cycle must be a bool, got 'no'"),
+    (fuse_chain, (["three", "three"],), {"keep_server_ends": "no"},
+     "keep_server_ends must be a bool, got 'no'"),
+    (fuse_chain, ([1, 2],), {}, "unknown block kind 1"),
+    (fuse_chain, ("path4",), {}, "blocks must be a list or a tuple, got 'path4'"),
+    (fuse_chain, (["three", "three"], 5), {},
+     "measurement_plan must be a list, a tuple or None, got 5"),
+    (fuse_chain, (["three", "three"], "Y"), {},
+     "measurement_plan must be a list, a tuple or None, got 'Y'"),
+    (run_ghz, ("3",), {}, "m_users must be an int, got '3'"),
+    (ghz_optics, ("3",), {}, "m_users must be an int, got '3'"),
+    (run_path, (3.0,), {}, "m_users must be an int, got 3.0"),
+    (path_optics, (True,), {}, "m_users must be an int, got True"),
+    (run_cycle, (3.0,), {}, "m_users must be an int, got 3.0"),
+    (cycle_optics, (3.0,), {}, "m_users must be an int, got 3.0"),
+    (run_caterpillar, ("spine",), {}, "layout must be a list or a tuple, got 'spine'"),
+    (caterpillar_layout_graph, (5,), {}, "layout must be a list or a tuple, got 5"),
+])
+def test_direct_calls_reject_values_of_the_wrong_type(call, args, kwargs, message):
+    with pytest.raises(InputShapeError) as excinfo:
+        call(*args, **kwargs)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("run", [run_request, lambda request: monte_carlo(request, 10, 1)],
+                         ids=["run_request", "monte_carlo"])
+@pytest.mark.parametrize("request_, message", [
+    ({"protocol": "path", "M": 3, "server": "no"}, "server_participates must be a bool, got 'no'"),
+    ({"protocol": "chain", "blocks": ["three", "three"], "close": "no"},
+     "close_cycle must be a bool, got 'no'"),
+    ({"protocol": "chain", "blocks": "path4"}, "blocks must be a list or a tuple, got 'path4'"),
+    ({"protocol": "cycle", "M": 3.0}, "m_users must be an int, got 3.0"),
+])
+def test_requests_reach_the_runners_type_checks(run, request_, message):
+    with pytest.raises(InputShapeError) as excinfo:
+        run(request_)
+    assert str(excinfo.value) == message
+
+
+def test_runners_take_tuples_and_numpy_ints():
+    assert run_ghz(np.int64(3)) == run_ghz(3)
+    assert run_caterpillar(("spine", "leaf")) == run_caterpillar(["spine", "leaf"])
+    assert (fuse_chain(("path4", "path4"), ("Y",)).result
+            == fuse_chain(["path4", "path4"], ["Y"]).result)
+
+
+#: wrong-typed values for each kind of parameter; None is the default of a plan
+_NOT_ANY = (st.text(max_size=6) | st.floats() | st.dictionaries(st.text(max_size=3), st.integers())
+            | st.sets(st.integers(), max_size=3))
+_WRONG = {
+    "int": _NOT_ANY | st.none() | st.booleans(),
+    "bool": _NOT_ANY | st.none() | st.integers(),
+    "list": _NOT_ANY | st.none() | st.integers(),
+    "plan": _NOT_ANY | st.integers(),
+}
+#: the kind of each checked parameter of each entry point
+_ENTRY_POINTS = {
+    run_ghz: {"m_users": "int", "server_participates": "bool"},
+    ghz_optics: {"m_users": "int", "server_participates": "bool"},
+    run_path: {"m_users": "int", "server_participates": "bool"},
+    path_optics: {"m_users": "int", "server_participates": "bool",
+                  "stop_before_measurement": "bool"},
+    run_cycle: {"m_users": "int"},
+    cycle_optics: {"m_users": "int"},
+    run_caterpillar: {"layout": "list", "close_cycle": "bool"},
+    caterpillar_optics: {"layout": "list", "close_cycle": "bool"},
+    caterpillar_layout_graph: {"layout": "list", "close_cycle": "bool"},
+    fuse_chain: {"blocks": "list", "measurement_plan": "plan", "close_cycle": "bool",
+                 "keep_server_ends": "bool"},
+}
+#: a valid value of each checked parameter
+_VALID = {"m_users": 3, "server_participates": False, "stop_before_measurement": False,
+          "layout": ["spine", "leaf"], "close_cycle": False, "blocks": ["three", "three"],
+          "measurement_plan": ["Y"], "keep_server_ends": False}
+
+
+@pytest.mark.parametrize("call, parameter, kind", [
+    pytest.param(call, parameter, kind, id=f"{call.__name__}-{parameter}")
+    for call, kinds in _ENTRY_POINTS.items() for parameter, kind in kinds.items()
+])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_entry_points_reject_every_wrong_type(call, parameter, kind, data):
+    value = data.draw(_WRONG[kind], label=parameter)
+    kwargs = {name: _VALID[name] for name in _ENTRY_POINTS[call]} | {parameter: value}
+    with pytest.raises(InputShapeError) as excinfo:
+        call(**kwargs)
+    assert repr(value) in str(excinfo.value)
 
 
 def test_run_request_passes_coins_to_the_runner():

@@ -70,7 +70,9 @@ def test_protocol_table_script_zero_successes():
 
 
 def test_cli_matrix_script():
+    # the digests are pinned in tests/cli_matrix.txt: a report change edits that file
     lines = run_script("scripts/cli_matrix.py").splitlines()
+    assert lines == (ROOT / "tests" / "cli_matrix.txt").read_text().splitlines()
     assert len(lines) == len(set(lines)) >= 40
     fields = [line.split()[:4] for line in lines]
     assert {f[0] for f in fields} == {"exit=0", "exit=1", "exit=2"}

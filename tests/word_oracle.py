@@ -63,7 +63,7 @@ def predict_representative(
 
 def caterpillar_layout_graph(layout: Sequence[str], close_cycle: bool = False) -> Graph:
     """The caterpillar (or leafed cycle) a layout describes over users 1..M, case by case."""
-    _check_layout(layout)
+    _check_layout(layout, close_cycle)
     word = "".join("Y" if kind == "spine" else "X" for kind in layout)
     if close_cycle:
         if word.count("Y") < 2:
