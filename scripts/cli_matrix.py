@@ -84,9 +84,15 @@ COMMANDS = [
     # open words, one with a Z and one of a single letter
     "classify --word XYZX --open",
     "classify --word X --open",
-    # verify: the sub-second suites only
+    # verify: every criterion, with appendix-b at small sizes only
     "verify --suite cz-gate",
     "verify --suite ghz-postselection",
+    "verify --suite path-weaving",
+    "verify --suite protocol-exponents",
+    "verify --suite dual-path",
+    "verify --suite appendix-a",
+    "verify --suite monte-carlo",
+    "verify --suite properties",
     "verify --suite appendix-b --n 8",
     "verify --suite appendix-b --n 18",
     "verify --suite appendix-b --n 7",

@@ -441,11 +441,11 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     # the elements keep the sources' squared norm 2^h; only postselected ports retire
     norm = (1 << h, 0)
     if postselect is not None:
-        # N photons on N ports: a term has one on each port iff each has an odd H or V count,
-        # and no term can meet a list of fewer ports or a port no source has
-        odd = sum(1 << s for s in shift.values())
-        terms = {k: c for k, c in terms.items() if (k | k >> 5) & odd == odd} \
-            if set(postselect) == shift.keys() else {}
+        # N photons on N ports: retirement left one photon on each listed port an element
+        # touches and a port no element touches holds its source's one, so a list of every
+        # port keeps every term; no term can meet a list of fewer ports or a port no source has
+        if set(postselect) != shift.keys():
+            terms = {}
         kept = _norm2(terms)
         prob, norm = _ratio(kept, norm), kept
     log = []

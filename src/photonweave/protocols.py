@@ -81,7 +81,7 @@ def _check_users(m_users: int, least: int, most: int, protocol: str) -> None:
 
 def _check_weaver(outcome: str) -> None:
     if outcome not in ("H", "V"):
-        raise ValueError(f"weaver outcome is 'H' or 'V', got {outcome!r}")
+        raise InputShapeError(f"weaver outcome is 'H' or 'V', got {outcome!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +642,7 @@ def fuse_chain(
             chain = measure_pauli(chain, -1000 - j, axis)
     if not close_cycle and not keep_server_ends:
         for end in (-1, right):
-            if end in chain:
-                chain = chain.without_vertex(end)
+            chain = chain.without_vertex(end)
 
     result = ProtocolResult(
         protocol="chain",

@@ -5,7 +5,9 @@ Each suite re-derives its expected values from an independent route
 projection) and checks the package against them: every optics
 probability equals its dyadic value exactly, and amplitudes and the
 state-vector probability of ``appendix-a`` hold fixed tolerances.
-The acceptance test module runs the same suites.
+Each ``check_*`` returns ``(passed, details)``; ``run_suite`` times it and
+reports it under its ``SUITES`` key.  The acceptance test module runs the
+same suites through ``run_suite``.
 """
 
 from __future__ import annotations
@@ -48,39 +50,33 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name: str, passed: bool, details: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, passed, details, time.time() - t0)
-
-
 def _plus_circuit(n: int, elements: list[dict]) -> dict:
     """A circuit description on n |+> photons at ports 0..n-1, all postselected."""
     return {"sources": [{"plus": i} for i in range(n)], "elements": elements,
             "postselect": list(range(n))}
 
 
-def check_ghz_postselection() -> CriterionResult:
+def check_ghz_postselection() -> tuple[bool, str]:
     """N-photon coincidence chain: probability 2^-(N-1), GHZ output."""
-    t0 = time.time()
     for n in range(2, 9):
         s, prob, _ = po.run_circuit(_plus_circuit(n, pr.ghz_weave(range(n))))
         if prob != 0.5 ** (n - 1):
-            return _result("ghz-postselection", False, f"N={n}: prob {prob}", t0)
+            return False, f"N={n}: prob {prob}"
         for amp in s.terms.values():
             if abs(abs(amp) - 2**-0.5) > AMP_TOL:
-                return _result("ghz-postselection", False, f"N={n}: amplitude {amp}", t0)
+                return False, f"N={n}: amplitude {amp}"
         sv = po.extract_logical(s, {i: i for i in range(n)})
         if not state_locally_equivalent(sv, star_graph(0, range(1, n))):
-            return _result("ghz-postselection", False, f"N={n}: not a star state", t0)
-    return _result("ghz-postselection", True, "N=2..8 exact", t0)
+            return False, f"N={n}: not a star state"
+    return True, "N=2..8 exact"
 
 
-def check_cz_gate() -> CriterionResult:
+def check_cz_gate() -> tuple[bool, str]:
     """Auxiliary-photon CZ: probability 1/4, the four-term state, recovery."""
-    t0 = time.time()
     elements = pr.graph_weave(0, [1, 2])
     s, prob, _ = po.run_circuit(_plus_circuit(3, elements))
     if prob != 0.25:
-        return _result("cz-gate", False, f"prob {prob}", t0)
+        return False, f"prob {prob}"
     # literal four-term target, auxiliary written in the +/- basis
     sv = po.extract_logical(s, {0: 0, 1: 1, 2: 2})
     plus = np.array([1, 1]) / math.sqrt(2)
@@ -95,7 +91,7 @@ def check_cz_gate() -> CriterionResult:
     ) / 4.0
     got = sv.amplitudes * math.sqrt(prob)  # undo the postselection renorm
     if np.max(np.abs(got - expected)) > AMP_TOL:
-        return _result("cz-gate", False, "postselected state != four-term target", t0)
+        return False, "postselected state != four-term target"
     # both auxiliary H/V branches recover the two-qubit path state
     z2 = np.diag([1.0, -1.0])
     for outcome in ("H", "V"):
@@ -106,27 +102,25 @@ def check_cz_gate() -> CriterionResult:
             branch = apply_single_qubit(branch, 2, z2)
         target = to_state_vector(path_graph(2))
         if np.abs(np.abs(np.vdot(branch.amplitudes, target.amplitudes)) - 1) > AMP_TOL:
-            return _result("cz-gate", False, f"branch {outcome} not recovered", t0)
-    return _result("cz-gate", True, "1/4 exact, four-term state, both branches recovered", t0)
+            return False, f"branch {outcome} not recovered"
+    return True, "1/4 exact, four-term state, both branches recovered"
 
 
-def check_path_weaving() -> CriterionResult:
+def check_path_weaving() -> tuple[bool, str]:
     """Weaving chain on N photons: probability 2^-N and an (N+1)-path."""
-    t0 = time.time()
     for n in range(2, 8):
         weave = pr.graph_weave(0, range(1, n + 1))  # 0 is the weaver
         s, prob, _ = po.run_circuit(_plus_circuit(n + 1, weave))
         if prob != 0.5**n:
-            return _result("path-weaving", False, f"N={n}: prob {prob}", t0)
+            return False, f"N={n}: prob {prob}"
         sv = po.extract_logical(s, {i: i for i in range(1, n + 1)} | {0: n + 1})
         if not state_locally_equivalent(sv, path_graph(n + 1)):
-            return _result("path-weaving", False, f"N={n}: not a path", t0)
-    return _result("path-weaving", True, "N=2..7 exact", t0)
+            return False, f"N={n}: not a path"
+    return True, "N=2..7 exact"
 
 
-def check_protocol_exponents() -> CriterionResult:
+def check_protocol_exponents() -> tuple[bool, str]:
     """All analytic success exponents, as exact integers."""
-    t0 = time.time()
     checks: list[tuple[str, int, int]] = []
     for m in range(2, 9):
         checks.append((f"ghz M={m}", pr.run_ghz(m).success_exponent, m - 1))
@@ -150,11 +144,11 @@ def check_protocol_exponents() -> CriterionResult:
     for kind, expected in (("path4", 3), ("star4", 3), ("three", 2)):
         _, p = pr.build_block(kind)
         if p != Fraction(1, 2**expected):
-            return _result("protocol-exponents", False, f"block {kind}: {p}", t0)
+            return False, f"block {kind}: {p}"
     bad = [(name, got, want) for name, got, want in checks if got != want]
     if bad:
-        return _result("protocol-exponents", False, f"mismatches: {bad[:3]}", t0)
-    return _result("protocol-exponents", True, f"{len(checks)} exponents exact", t0)
+        return False, f"mismatches: {bad[:3]}"
+    return True, f"{len(checks)} exponents exact"
 
 
 def _dual_path_cases():
@@ -191,30 +185,27 @@ def _dual_path_cases():
         yield f"block {kind}", pr.block_optics(kind), *pr.build_block(kind)
 
 
-def check_dual_path() -> CriterionResult:
+def check_dual_path() -> tuple[bool, str]:
     """Optics layer and graph layer agree over every protocol's full range.
 
     The comb intermediate (2M qubits) runs at every path M, up to 14 qubits.
     """
-    t0 = time.time()
     for label, (sv, prob), graph, exact in _dual_path_cases():
         if prob != float(exact):
-            return _result("dual-path", False, f"{label} prob", t0)
+            return False, f"{label} prob"
         if not state_locally_equivalent(sv, graph):
-            return _result("dual-path", False, f"{label} state", t0)
-    return _result("dual-path", True, "ghz M<=8, path M<=7 (comb M<=7), cycle M<=6, "
-                   "caterpillar M<=7 and blocks agree", t0)
+            return False, f"{label} state"
+    return True, "ghz M<=8, path M<=7 (comb M<=7), cycle M<=6, caterpillar M<=7 and blocks agree"
 
 
-def check_appendix_a() -> CriterionResult:
+def check_appendix_a() -> tuple[bool, str]:
     """Self-fusion of path ends: a leafed cycle, exactly, for N = 4..8."""
-    t0 = time.time()
     for n in range(4, 9):
         g = path_graph(n)
         fused = pr.fuse_within(g, 1, n)
         want = cycle_graph(range(1, n)).add_vertex(n).add_edge(1, n)
         if fused.edges != want.edges:
-            return _result("appendix-a", False, f"N={n}: wrong rewiring", t0)
+            return False, f"N={n}: wrong rewiring"
         # state-vector oracle: coincidence projection + rotation on the last qubit
         sv = to_state_vector(g)
         amps = sv.amplitudes.copy()
@@ -223,37 +214,35 @@ def check_appendix_a() -> CriterionResult:
                 amps[idx] = 0.0
         prob = float(np.sum(np.abs(amps) ** 2))
         if abs(prob - 0.5) > PROB_TOL:
-            return _result("appendix-a", False, f"N={n}: fusion prob {prob}", t0)
+            return False, f"N={n}: fusion prob {prob}"
         fused_sv = StateVector(amps / math.sqrt(prob), sv.qubit_order)
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         fused_sv = apply_single_qubit(fused_sv, n, hadamard)
         target = to_state_vector(fused)
         if np.max(np.abs(fused_sv.amplitudes - target.amplitudes)) > AMP_TOL:
-            return _result("appendix-a", False, f"N={n}: state mismatch", t0)
-    return _result("appendix-a", True, "P_N ends fuse to C_(N-1)+leaf, N=4..8", t0)
+            return False, f"N={n}: state mismatch"
+    return True, "P_N ends fuse to C_(N-1)+leaf, N=4..8"
 
 
-def check_appendix_b(zigzag_sizes: tuple[int, ...] = (6, 8, 10, 12, 14)) -> CriterionResult:
+def check_appendix_b(zigzag_sizes: tuple[int, ...] = (6, 8, 10, 12, 14)) -> tuple[bool, str]:
     """Crosscheck every word of each resource at each size, sizing every sweep first."""
-    t0 = time.time()
     table = (("zigzag", zigzag_sizes), ("honeycomb", (8, 10, 12)),
              ("path_every_third", (7, 10, 13)))
     cases = [(resource, n, word) for resource, sizes in table for n in sizes
              for word in minors.resource_words(resource, n)]
     for resource, n, word in cases:
         if not minors.crosscheck(n, word, resource):
-            return _result("appendix-b", False, f"{resource} n={n} word {word}", t0)
-    return _result("appendix-b", True, f"{len(cases)} words verified", t0)
+            return False, f"{resource} n={n} word {word}"
+    return True, f"{len(cases)} words verified"
 
 
-def check_monte_carlo(trials: int = 100_000, seed: int = 7) -> CriterionResult:
+def check_monte_carlo(trials: int = 100_000, seed: int = 7) -> tuple[bool, str]:
     """Seeded estimates sit within 3 sigma and reruns are bit-identical."""
-    t0 = time.time()
     stats = pr.monte_carlo({"protocol": "ghz", "M": 3}, trials, seed)
     if stats.flagged:
-        return _result("monte-carlo", False, f"ghz(3) off: {stats.estimated_probability}", t0)
+        return False, f"ghz(3) off: {stats.estimated_probability}"
     if stats != pr.monte_carlo({"protocol": "ghz", "M": 3}, trials, seed):
-        return _result("monte-carlo", False, "ghz rerun differs", t0)
+        return False, "ghz rerun differs"
     chain_req = {"protocol": "chain", "blocks": ["path4"] * 4}
     chain = pr.monte_carlo(chain_req, trials, seed)
     # analytic mean blocks: 1 + sum over 3 joints of geometric(1/2) retries = 7;
@@ -262,20 +251,14 @@ def check_monte_carlo(trials: int = 100_000, seed: int = 7) -> CriterionResult:
     # per-trial variance of 1 + 3 geometrics: 3 * 2 = 6
     se = math.sqrt(6.0 / trials)
     if abs(mean_blocks - 7.0) > 3 * se + 1e-9:
-        return _result("monte-carlo", False, f"chain blocks mean {mean_blocks}", t0)
+        return False, f"chain blocks mean {mean_blocks}"
     if chain != pr.monte_carlo(chain_req, trials, seed):
-        return _result("monte-carlo", False, "chain rerun differs", t0)
-    return _result(
-        "monte-carlo",
-        True,
-        f"ghz(3) p={stats.estimated_probability:.4f}, chain blocks={mean_blocks:.3f}",
-        t0,
-    )
+        return False, "chain rerun differs"
+    return True, f"ghz(3) p={stats.estimated_probability:.4f}, chain blocks={mean_blocks:.3f}"
 
 
-def check_properties() -> CriterionResult:
+def check_properties() -> tuple[bool, str]:
     """Structural invariants at the sizes the module contracts state."""
-    t0 = time.time()
     rnd = random.Random(3)
 
     def random_graph(n: int) -> Graph:
@@ -287,14 +270,14 @@ def check_properties() -> CriterionResult:
         g = random_graph(rnd.randint(1, 8))
         v = rnd.choice(g.vertices)
         if local_complement(local_complement(g, v), v).edges != g.edges:
-            return _result("properties", False, "lc involution failed", t0)
+            return False, "lc involution failed"
     for _ in range(300):
         g = random_graph(rnd.randint(1, 8))
         v = rnd.choice(g.vertices)
         h = measure_pauli(g, v, "Z")
         want_edges = {e for e in g.edges if v not in e}
         if set(h.vertices) != set(g.vertices) - {v} or h.edges != frozenset(want_edges):
-            return _result("properties", False, "Z-measure != deletion", t0)
+            return False, "Z-measure != deletion"
     # unitarity and photon-number conservation through random circuits
     rng = np.random.default_rng(3)
     sources = [{"gbell": [0, 1]}, {"plus": 2}, {"bell_psi": [3, 4]}]
@@ -310,9 +293,9 @@ def check_properties() -> CriterionResult:
         for k in range(1, len(elements) + 1):  # checked after every element
             s, _, _ = po.run_circuit({"sources": sources, "elements": elements[:k]})
             if abs(s.norm_squared() - 1.0) > 1e-12:
-                return _result("properties", False, "unitarity violated", t0)
+                return False, "unitarity violated"
             if any(sum(c for _, c in pat) != s.total_photons for pat in s.terms):
-                return _result("properties", False, "photon number not conserved", t0)
+                return False, "photon number not conserved"
     # failure containment: retries at a later joint never disturb earlier blocks
     base = pr.fuse_chain(
         ["path4"] * 3, keep_server_ends=True, coins=[False, False]
@@ -322,8 +305,8 @@ def check_properties() -> CriterionResult:
             ["path4"] * 3, keep_server_ends=True, coins=schedule
         ).result.final_graph
         if retry.edges != base.edges:
-            return _result("properties", False, "failure not contained", t0)
-    return _result("properties", True, "involution, deletion, unitarity, containment", t0)
+            return False, "failure not contained"
+    return True, "involution, deletion, unitarity, containment"
 
 
 SUITES = {
@@ -340,8 +323,11 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> list[CriterionResult]:
+    """Run one criterion with ``kwargs``, or every criterion with its defaults ("all")."""
     if name == "all":
-        return [fn() for fn in SUITES.values()]
+        return [result for key in SUITES for result in run_suite(key)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; use one of {sorted(SUITES)} or 'all'")
-    return [SUITES[name](**kwargs)]
+    t0 = time.perf_counter()
+    passed, details = SUITES[name](**kwargs)
+    return [CriterionResult(name, passed, details, time.perf_counter() - t0)]

@@ -1,21 +1,13 @@
 """Acceptance gate: every shipped criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line; run with ``pytest -s`` to see them.
-The criteria bodies live in photonweave.verify so the CLI ``verify``
-verb exercises exactly the same checks.
+The criteria run through photonweave.verify.run_suite, the same path the
+CLI ``verify`` verb takes, so both exercise exactly the same checks.
 """
 
-from photonweave.verify import (
-    check_appendix_a,
-    check_appendix_b,
-    check_cz_gate,
-    check_dual_path,
-    check_ghz_postselection,
-    check_monte_carlo,
-    check_path_weaving,
-    check_properties,
-    check_protocol_exponents,
-)
+import pytest
+
+from photonweave.verify import SUITES, CriterionResult, run_suite
 
 RUNTIME_LIMITS = {
     "ghz-postselection": 5.0,
@@ -25,7 +17,8 @@ RUNTIME_LIMITS = {
 }
 
 
-def _report(result):
+def _report(name, **kwargs):
+    [result] = run_suite(name, **kwargs)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name}: {result.details} ({result.seconds:.2f}s)")
     assert result.passed, f"{result.name}: {result.details}"
@@ -35,36 +28,51 @@ def _report(result):
 
 
 def test_criterion_1_ghz_postselection():
-    _report(check_ghz_postselection())
+    _report("ghz-postselection")
 
 
 def test_criterion_2_cz_gate():
-    _report(check_cz_gate())
+    _report("cz-gate")
 
 
 def test_criterion_3_path_weaving():
-    _report(check_path_weaving())
+    _report("path-weaving")
 
 
 def test_criterion_4_protocol_exponents():
-    _report(check_protocol_exponents())
+    _report("protocol-exponents")
 
 
 def test_criterion_5_dual_path_agreement():
-    _report(check_dual_path())
+    _report("dual-path")
 
 
 def test_criterion_6_appendix_a_fusion():
-    _report(check_appendix_a())
+    _report("appendix-a")
 
 
 def test_criterion_7_appendix_b_sweep():
-    _report(check_appendix_b(zigzag_sizes=(6, 8, 10)))
+    _report("appendix-b", zigzag_sizes=(6, 8, 10))
 
 
 def test_criterion_8_monte_carlo():
-    _report(check_monte_carlo(trials=100_000, seed=7))
+    _report("monte-carlo", trials=100_000, seed=7)
 
 
 def test_criterion_9_property_suites():
-    _report(check_properties())
+    _report("properties")
+
+
+def test_run_suite_rejects_an_unknown_name_and_lists_the_suites():
+    with pytest.raises(ValueError) as excinfo:
+        run_suite("ghz")
+    message = str(excinfo.value)
+    assert "unknown suite 'ghz'" in message
+    assert all(repr(name) in message for name in [*SUITES, "all"])
+
+
+def test_run_suite_all_reports_every_criterion_in_order():
+    results = run_suite("all")
+    assert all(isinstance(r, CriterionResult) for r in results)
+    assert [r.name for r in results] == list(SUITES)
+    assert all(r.seconds >= 0 for r in results)

@@ -196,12 +196,9 @@ def test_path_corrections_restore_state():
 
 @pytest.mark.parametrize("weaver_outcome", ["", "HV", "X", "+"])
 def test_bad_weaver_outcome_is_rejected(weaver_outcome):
-    with pytest.raises(ValueError):
-        run_path(3, weaver_outcome=weaver_outcome)
-    with pytest.raises(ValueError):
-        run_cycle(3, weaver_outcome=weaver_outcome)
-    with pytest.raises(ValueError):
-        cycle_optics(3, weaver_outcome=weaver_outcome)
+    for run in (run_path, path_optics, run_cycle, cycle_optics):
+        with pytest.raises(InputShapeError, match="weaver outcome is 'H' or 'V'"):
+            run(3, weaver_outcome=weaver_outcome)
 
 
 def test_comb_intermediate():
