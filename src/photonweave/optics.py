@@ -9,7 +9,9 @@ accounted for exactly.  ``run_circuit`` computes in integers: each term
 is one packed integer key with an integer coefficient of a creation-
 operator monomial, under one global scale 2^(-h/2), so every
 probability is a ratio of exact sums.  Floats appear once, when it
-returns a ``PhotonicState`` keyed by patterns.
+returns a ``PhotonicState`` on the same packed keys; the state decodes
+its patterns on their first read, and ``extract_logical`` reads the
+qubits straight off the keys.
 """
 
 from __future__ import annotations
@@ -54,10 +56,13 @@ class PhotonicState:
 
     ``ports`` are the spatial ports the state lives on: by default the
     occupied ones, but a port stays a port when interference or
-    postselection leaves it empty in every term.
+    postselection leaves it empty in every term.  A state keeps the form
+    it was built from, patterns or ``run_circuit``'s packed keys over its
+    sorted ports, and derives the other once, when it is first read:
+    ``terms`` by pattern, and by key for ``extract_logical``.
     """
 
-    __slots__ = ("terms", "total_photons", "ports")
+    __slots__ = ("_terms", "_keys", "_shift", "total_photons", "ports")
 
     def __init__(self, terms: dict[Pattern, complex], total_photons: int | None = None,
                  ports: frozenset[int] | None = None):
@@ -71,11 +76,35 @@ class PhotonicState:
             raise ValueError("pattern photon counts disagree with total_photons")
         if total_photons > MAX_PHOTONS:
             raise ValueError(f"at most {MAX_PHOTONS} photons supported")
-        self.terms = cleaned
+        self._terms, self._keys, self._shift = cleaned, None, None
         self.total_photons = total_photons
         if ports is None:
             ports = frozenset(port for p in cleaned for (port, _), _ in p)
         self.ports = ports
+
+    @classmethod
+    def _of_keys(cls, keys: dict[int, complex], shift: dict[int, int], total_photons: int,
+                 ports: frozenset[int]) -> PhotonicState:
+        """A state on packed keys: ``shift`` puts the sorted ports' fields 10 bits apart."""
+        state = object.__new__(cls)
+        state._terms, state._keys, state._shift = None, keys, shift
+        state.total_photons, state.ports = total_photons, ports
+        return state
+
+    @property
+    def terms(self) -> dict[Pattern, complex]:
+        if self._terms is None:
+            self._terms = {_pattern_of(key, self._shift): a for key, a in self._keys.items()}
+        return self._terms
+
+    def _keyed(self) -> tuple[dict[int, complex], dict[int, int]]:
+        """The amplitudes by packed key, and the bit of each port's fields in the keys."""
+        if self._keys is None:
+            ports = sorted(self.ports.union(port for p in self._terms for (port, _), _ in p))
+            self._shift = shift = {p: 10 * i for i, p in enumerate(ports)}
+            self._keys = {sum(c << shift[port] + (5 if pol == "V" else 0) for (port, pol), c in pat): a
+                          for pat, a in self._terms.items()}
+        return self._keys, self._shift
 
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.terms.values()))
@@ -121,24 +150,30 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
     Amplitudes whose squared norm is within ``NORM_TOL`` of 1 are read as
     they are; any others are renormalised.
     """
+    keys, shift = state._keyed()
     n = len(port_to_qubit)
-    bit = {port: 1 << (n - 1 - i) for i, port in enumerate(port_to_qubit)}
-    amps = np.zeros(2**n, dtype=complex)
-    for pat, amp in state.terms.items():
-        # a listed port with one photon sets its bit; n distinct bits from n modes is a fit
-        idx = seen = 0
-        for (port, pol), count in pat:
-            b = bit.get(port, 0) if count == 1 else 0
-            seen |= b
-            idx |= b if pol == "V" else 0
-        if len(pat) != n or seen != (1 << n) - 1:  # word the error from every term's port counts
-            counts = [{q: sum(c for (p, _), c in pat if p == q) for (q, _), _ in pat} for pat in state.terms]
+    # one bit at each listed port's H field; a port no key has gets a field past them all
+    fields = [shift.get(port, 10 * (len(shift) + i)) for i, port in enumerate(port_to_qubit)]
+    ones = sum(1 << f for f in fields)
+    qubit_bit = {1 << f: 1 << n - 1 - i for i, f in enumerate(fields)}
+    amps = np.zeros(1 << n, dtype=complex)
+    for key, amp in keys.items():
+        # a fit has one photon, H or V, on each listed port and nothing else
+        h, v = key & ones, key >> 5 & ones
+        if key != h | v << 5 or h + v != ones:  # word the error from every term's port counts
+            counts = [{p: (f & _COUNT) + (f >> 5) for p, s in shift.items() if (f := k >> s & _PORT)}
+                      for k in keys]
             for port in port_to_qubit:
                 if any(per_port.get(port) != 1 for per_port in counts):
                     raise ValueError(f"port {port} does not hold exactly one photon in every term")
-            extra = next(set(per_port) - set(bit) for per_port in counts if set(per_port) - set(bit))
+            extra = next(e for per_port in counts if (e := per_port.keys() - port_to_qubit))
             raise ValueError(f"terms occupy unlisted ports {sorted(extra)}")
-        amps[idx] = amp
+        index = 0
+        while v:  # each V photon sets its qubit's bit
+            low = v & -v
+            index |= qubit_bit[low]
+            v ^= low
+        amps[index] = amp
     norm = np.linalg.norm(amps)
     if norm <= AMP_TOL:
         raise ValueError("zero-probability state: no amplitude to read")
@@ -365,10 +400,11 @@ def _detect_int(terms: Terms, port: int, shift: int, weights: tuple[int, int]) -
     return _nonzero(out)
 
 
-def _pattern_of(key: int, ports: list[int]) -> Pattern:
-    """The occupation pattern of a packed term over these sorted ports."""
+def _pattern_of(key: int, shift: dict[int, int]) -> Pattern:
+    """The occupation pattern of a packed term whose ports, in sorted order, hold their
+    fields at bits ``shift[port]``, 10 bits apart."""
     pattern = []
-    for port in ports:
+    for port in shift:
         if key & _PORT:
             if key & _COUNT:
                 pattern.append(((port, "H"), key & _COUNT))
@@ -378,9 +414,9 @@ def _pattern_of(key: int, ports: list[int]) -> Pattern:
     return tuple(pattern)
 
 
-def _amplitudes(terms: Terms, norm: tuple[int, int], ports: list[int]) -> dict[Pattern, complex]:
-    """Each pattern's amplitude: its coefficient times the root of its m! product, over
-    the root of ``norm``, the terms' ``_norm2``."""
+def _amplitudes(terms: Terms, norm: tuple[int, int]) -> dict[int, complex]:
+    """Each pattern's amplitude by key: its coefficient times the root of its m! product,
+    over the root of ``norm``, the terms' ``_norm2``; those at or under AMP_TOL go."""
     values: dict[int, int | float] = terms
     if any(key >= _ROOT2 for key in terms):  # one value per pattern, in order of first sight
         values = {}
@@ -389,12 +425,12 @@ def _amplitudes(terms: Terms, norm: tuple[int, int], ports: list[int]) -> dict[P
             if key not in values:
                 values[key] = _real(terms.get(key, 0), terms.get(key | _ROOT2, 0))
     root = math.sqrt(_real(*norm)) if terms else 1.0
-    amps: dict[Pattern, complex] = {}
+    amps: dict[int, float] = {}
     for key, v in values.items():
         if key & _MULTI:
             v *= math.sqrt(_factorials(key))
-        amps[_pattern_of(key, ports)] = complex(v / root)
-    return amps
+        amps[key] = v / root
+    return _clean(amps)
 
 
 def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
@@ -455,8 +491,8 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
         before, norm = norm, _norm2(terms)
         branch_prob = _ratio(norm, (before[0] << dh, before[1] << dh)) if terms else 0.0
         log.append({"port": port, "basis": basis, "outcome": outcome, "probability": branch_prob})
-    state = PhotonicState(_amplitudes(terms, norm, ports), len(ports) - len(measures),
-                          frozenset(ports).difference(port for port, *_ in measures))
+    state = PhotonicState._of_keys(_amplitudes(terms, norm), shift, len(ports) - len(measures),
+                                   frozenset(ports).difference(port for port, *_ in measures))
     return state, prob, log
 
 

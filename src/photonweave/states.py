@@ -87,52 +87,59 @@ def graph_form(sv: StateVector) -> Graph | None:
     A stabilizer vector is supported on an affine subspace x0 + V with equal
     magnitudes, and its phases relative to x0 are i^l(y) (-1)^q(y) for a
     linear l and quadratic q in the coordinates y over a basis of V
-    (Dehaene and De Moor, PRA 68, 042318, 2003).  With V in reduced form,
-    one pivot bit per basis vector, q gives the pivot-pivot edges, each
-    basis vector's other bits give its pivot's edges to non-pivot qubits,
-    and X on the bits of x0, S and Z on the pivots and H on the non-pivots
-    are the dropped frame.  Returns None when sv is not a stabilizer state.
+    (Dehaene and De Moor, PRA 68, 042318, 2003).  Take x0 the least point
+    of the support and V's reduced basis b_0 < b_1 < ..., one pivot bit per
+    basis vector, its leading bit, set in no other.  Sorted, V lists b_j at
+    index 2^j and each point at the index of its coordinates y, because b_j's
+    pivot decides the order of any two points whose highest differing
+    coordinate is j.  So the support is affine exactly when the sorted
+    rest = x0 ^ support has rest[y] = rest[y ^ low] ^ rest[low] for every y,
+    low the lowest set bit of y, and then rest[2^j] is b_j.  q gives the
+    pivot-pivot edges, each basis vector's other bits give its pivot's edges
+    to non-pivot qubits, and X on the bits of x0, S and Z on the pivots and
+    H on the non-pivots are the dropped frame.  Returns None when sv is not
+    a stabilizer state.
     """
     tol = 1e-8
     n, amps = sv.n, sv.amplitudes
-    support = np.flatnonzero(np.abs(amps) > tol)
+    magnitudes = np.abs(amps)
+    support = (magnitudes > tol).nonzero()[0]
     k = support.size.bit_length() - 1
-    if support.size != 1 << k or np.any(np.abs(np.abs(amps[support]) - 2 ** (-k / 2)) > tol):
+    if support.size != 1 << k or (np.abs(magnitudes[support] - 2 ** (-k / 2)) > tol).any():
         return None
     x0 = int(support[0])
-    rest, basis, pivots = support ^ x0, [], []
-    for bit in reversed(range(n)):
-        col = (rest >> bit) & 1
-        hit = np.flatnonzero(col)
-        if hit.size:
-            b = int(rest[hit[0]])
-            rest = rest ^ (col * b)
-            basis = [c ^ b if c >> bit & 1 else c for c in basis] + [b]
-            pivots.append(bit)
-    if len(basis) != k:
+    rest = support ^ x0
+    rest.sort()
+    y = np.arange(1 << k)
+    low = y & -y
+    if (rest[y ^ low] ^ rest[low] != rest).any():
         return None  # the support is not an affine subspace
-
-    def phase(x: int) -> complex:
-        return amps[x0 ^ x] / amps[x0]
-
-    unit = [phase(b) for b in basis]
+    basis = rest[1 << np.arange(k)].tolist()
+    pivots = [b.bit_length() - 1 for b in basis]
+    couples = list(combinations(range(k), 2))
+    values = amps[x0 ^ rest]  # the amplitude at each point y of the span
+    # the amplitudes at x0, at x0 ^ b_j and at x0 ^ b_j ^ b_l, as Python complex
+    a0, *picked = values[[0, *(1 << j for j in range(k)), *(1 << j | 1 << l for j, l in couples)]].tolist()
+    unit = [a / a0 for a in picked[:k]]
     if any(min(abs(u - 1j**e) for e in range(4)) > tol for u in unit):
         return None
     edges = []
-    for j, l in combinations(range(k), 2):
-        ratio = phase(basis[j] ^ basis[l]) / (unit[j] * unit[l])
+    for (j, l), a in zip(couples, picked[k:]):
+        ratio = a / a0 / (unit[j] * unit[l])
         if abs(ratio + 1) <= tol:
             edges.append((j, l))
         elif abs(ratio - 1) > tol:
             return None
-    # predict the phase over the whole span, one pivot at a time
-    points, predicted = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
-    for j, b in enumerate(basis):
-        mask = sum(1 << pivots[l] for l, m in edges if m == j)
-        sign = np.where(np.bitwise_count(points & mask) & 1, -1, 1)
-        points = np.concatenate([points, points ^ b])
-        predicted = np.concatenate([predicted, predicted * unit[j] * sign])
-    if np.any(np.abs(amps[x0 ^ points] - amps[x0] * predicted) > tol):
+    # predict the phase at each point y of the span, one coordinate at a time: y + 2^j
+    # takes y's phase times unit[j], negated when y has an odd number of j's lower neighbours
+    predicted = np.empty(1 << k, dtype=complex)
+    predicted[0] = 1
+    for j in range(k):
+        high = predicted[1 << j : 2 << j]
+        np.multiply(predicted[: 1 << j], unit[j], out=high)
+        if mask := sum(1 << l for l, m in edges if m == j):
+            np.negative(high, out=high, where=np.bitwise_count(y[: 1 << j] & mask) & 1 == 1)
+    if (np.abs(values - amps[x0] * predicted) > tol).any():
         return None
     q = sv.qubit_order
     pairs = [(pivots[j], pivots[l]) for j, l in edges]

@@ -12,6 +12,7 @@ same suites through ``run_suite``.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -323,11 +324,20 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> list[CriterionResult]:
-    """Run one criterion with ``kwargs``, or every criterion with its defaults ("all")."""
+    """Run one criterion with ``kwargs``, or every criterion with its defaults ("all").
+
+    A keyword the criterion does not read, or any keyword with "all", raises ValueError.
+    """
     if name == "all":
+        if kwargs:
+            raise ValueError(f"suite 'all' runs every criterion with its defaults and reads "
+                             f"no keyword, got {sorted(kwargs)}")
         return [result for key in SUITES for result in run_suite(key)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; use one of {sorted(SUITES)} or 'all'")
+    reads = inspect.signature(SUITES[name]).parameters
+    if unread := sorted(kwargs.keys() - reads.keys()):
+        raise ValueError(f"suite {name!r} does not read {unread}; it reads {sorted(reads)}")
     t0 = time.perf_counter()
     passed, details = SUITES[name](**kwargs)
     return [CriterionResult(name, passed, details, time.perf_counter() - t0)]

@@ -10,6 +10,8 @@ engine of ``run_circuit`` matches them within a rounding bound.
 ``measure_polarization`` returns every detection branch, and
 ``composed`` runs a circuit description element by element on the whole
 state, postselecting and measuring only at the end.
+``pattern_extract_logical`` reads the qubits off each term's pattern,
+the reference for ``optics.extract_logical``'s read-out of packed keys.
 """
 
 import math
@@ -29,6 +31,7 @@ from photonweave.optics import (
     _require_ports,
     _source_from_json,
 )
+from photonweave.states import NORM_TOL, StateVector
 
 #: how far the exact engine's amplitudes and probabilities may sit from the float engine's:
 #: the float engine rounds at every step, the exact one once at the end
@@ -301,6 +304,39 @@ def composed(spec):
         log.append({"port": m["port"], "basis": m["basis"], "outcome": picked,
                     "probability": branch_prob})
     return state, prob, log
+
+
+def pattern_extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> StateVector:
+    """``optics.extract_logical`` by walking each term's pattern: H -> 0, V -> 1.
+
+    Every term must occupy exactly the listed ports with one photon each.
+    Amplitudes whose squared norm is within ``NORM_TOL`` of 1 are read as
+    they are; any others are renormalised.
+    """
+    n = len(port_to_qubit)
+    bit = {port: 1 << (n - 1 - i) for i, port in enumerate(port_to_qubit)}
+    amps = np.zeros(2**n, dtype=complex)
+    for pat, amp in state.terms.items():
+        # a listed port with one photon sets its bit; n distinct bits from n modes is a fit
+        idx = seen = 0
+        for (port, pol), count in pat:
+            b = bit.get(port, 0) if count == 1 else 0
+            seen |= b
+            idx |= b if pol == "V" else 0
+        if len(pat) != n or seen != (1 << n) - 1:  # word the error from every term's port counts
+            counts = [{q: sum(c for (p, _), c in pat if p == q) for (q, _), _ in pat} for pat in state.terms]
+            for port in port_to_qubit:
+                if any(per_port.get(port) != 1 for per_port in counts):
+                    raise ValueError(f"port {port} does not hold exactly one photon in every term")
+            extra = next(set(per_port) - set(bit) for per_port in counts if set(per_port) - set(bit))
+            raise ValueError(f"terms occupy unlisted ports {sorted(extra)}")
+        amps[idx] = amp
+    norm = np.linalg.norm(amps)
+    if norm <= AMP_TOL:
+        raise ValueError("zero-probability state: no amplitude to read")
+    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > NORM_TOL:  # as StateVector tests it
+        amps = amps / norm
+    return StateVector(amps, tuple(port_to_qubit.values()))
 
 
 # -- packed terms with float amplitudes ------------------------------------------------

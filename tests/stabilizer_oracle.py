@@ -1,10 +1,17 @@
-"""The slow stabilizer decoder, kept as the test oracle for ``states.graph_form``.
+"""The slow stabilizer decoders, kept as the test oracles for ``states.graph_form``.
 
 ``stabilizer_generators`` finds n independent stabilizers by running one
 Walsh-Hadamard transform per X mask (about n·4^n work), and
 ``graph_form`` turns that tableau into a graph by GF(2) elimination,
-swapping X and Z columns (a Hadamard) until the X block is invertible.
+swapping X and Z columns (a Hadamard) until the X block is invertible;
+it agrees with ``states.graph_form`` up to local complementation.
+``eliminated_graph_form`` finds the support's reduced basis by
+eliminating one bit at a time, the reference for ``states.graph_form``,
+which reads the same basis off the sorted support and returns the
+identical graph.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -147,3 +154,62 @@ def _gf2_solve_to_identity(
         if out_x[r] != (1 << (n - 1 - r)):
             return None, None
     return out_x, out_z
+
+
+def eliminated_graph_form(sv: StateVector) -> Graph | None:
+    """``states.graph_form`` by bit-by-bit GF(2) elimination of the support.
+
+    A stabilizer vector is supported on an affine subspace x0 + V with equal
+    magnitudes, and its phases relative to x0 are i^l(y) (-1)^q(y) for a
+    linear l and quadratic q in the coordinates y over a basis of V
+    (Dehaene and De Moor, PRA 68, 042318, 2003).  With V in reduced form,
+    one pivot bit per basis vector, q gives the pivot-pivot edges, each
+    basis vector's other bits give its pivot's edges to non-pivot qubits,
+    and X on the bits of x0, S and Z on the pivots and H on the non-pivots
+    are the dropped frame.  Returns None when sv is not a stabilizer state.
+    """
+    tol = 1e-8
+    n, amps = sv.n, sv.amplitudes
+    support = np.flatnonzero(np.abs(amps) > tol)
+    k = support.size.bit_length() - 1
+    if support.size != 1 << k or np.any(np.abs(np.abs(amps[support]) - 2 ** (-k / 2)) > tol):
+        return None
+    x0 = int(support[0])
+    rest, basis, pivots = support ^ x0, [], []
+    for bit in reversed(range(n)):
+        col = (rest >> bit) & 1
+        hit = np.flatnonzero(col)
+        if hit.size:
+            b = int(rest[hit[0]])
+            rest = rest ^ (col * b)
+            basis = [c ^ b if c >> bit & 1 else c for c in basis] + [b]
+            pivots.append(bit)
+    if len(basis) != k:
+        return None  # the support is not an affine subspace
+
+    def phase(x: int) -> complex:
+        return amps[x0 ^ x] / amps[x0]
+
+    unit = [phase(b) for b in basis]
+    if any(min(abs(u - 1j**e) for e in range(4)) > tol for u in unit):
+        return None
+    edges = []
+    for j, l in combinations(range(k), 2):
+        ratio = phase(basis[j] ^ basis[l]) / (unit[j] * unit[l])
+        if abs(ratio + 1) <= tol:
+            edges.append((j, l))
+        elif abs(ratio - 1) > tol:
+            return None
+    # predict the phase over the whole span, one pivot at a time
+    points, predicted = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    for j, b in enumerate(basis):
+        mask = sum(1 << pivots[l] for l, m in edges if m == j)
+        sign = np.where(np.bitwise_count(points & mask) & 1, -1, 1)
+        points = np.concatenate([points, points ^ b])
+        predicted = np.concatenate([predicted, predicted * unit[j] * sign])
+    if np.any(np.abs(amps[x0 ^ points] - amps[x0] * predicted) > tol):
+        return None
+    q = sv.qubit_order
+    pairs = [(pivots[j], pivots[l]) for j, l in edges]
+    pairs += [(p, bit) for p, b in zip(pivots, basis) for bit in range(n) if bit not in pivots and b >> bit & 1]
+    return Graph(q, ((q[n - 1 - u], q[n - 1 - v]) for u, v in pairs))

@@ -5,6 +5,8 @@ The criteria run through photonweave.verify.run_suite, the same path the
 CLI ``verify`` verb takes, so both exercise exactly the same checks.
 """
 
+import re
+
 import pytest
 
 from photonweave.verify import SUITES, CriterionResult, run_suite
@@ -76,3 +78,19 @@ def test_run_suite_all_reports_every_criterion_in_order():
     assert all(isinstance(r, CriterionResult) for r in results)
     assert [r.name for r in results] == list(SUITES)
     assert all(r.seconds >= 0 for r in results)
+
+
+def test_run_suite_all_rejects_keywords_and_names_them():
+    # "all" runs every criterion with its defaults, so a keyword would be dropped unread
+    with pytest.raises(ValueError, match=re.escape("reads no keyword, got ['seed', 'trials']")):
+        run_suite("all", trials=10, seed=3)
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("cz-gate", {"trials": 3}, "suite 'cz-gate' does not read ['trials']; it reads []"),
+    ("monte-carlo", {"trials": 10, "n": 6}, "suite 'monte-carlo' does not read ['n']; "
+                                            "it reads ['seed', 'trials']"),
+])
+def test_run_suite_rejects_a_keyword_the_criterion_does_not_read(name, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(name, **kwargs)

@@ -28,6 +28,7 @@ from optics_oracle import (
     apply_hwp,
     apply_pbs,
     composed,
+    pattern_extract_logical,
     postselect_coincidence,
     prepare,
     run_packed,
@@ -481,6 +482,33 @@ def test_packed_terms_are_bit_identical(spec):
     assert_bit_identical(spec)
 
 
+@settings(max_examples=300, deadline=None)
+@given(circuits(), st.data())
+def test_extract_logical_matches_pattern_oracle(spec, data):
+    # the key read-out gives the pattern walk's vector bit for bit, or its error, on a state
+    # built from keys and on the same state built from patterns; the port maps list the
+    # state's ports, maybe one short (an unlisted occupied port) or one over (a port the
+    # state lacks), and circuits without coincidence postselection leave bunched ports
+    try:
+        state = run_circuit(spec)[0]
+    except ValueError:  # a detection on a port without exactly one photon
+        return
+    listed = data.draw(st.permutations(sorted(state.ports)))
+    change = data.draw(st.sampled_from(["none", "none", "drop", "add"]))
+    if change == "drop":
+        listed = listed[1:]
+    elif change == "add":
+        listed.insert(data.draw(st.integers(0, len(listed))), data.draw(st.sampled_from([6, 7])))
+    port_to_qubit = dict(zip(listed, data.draw(st.permutations(range(10, 10 + len(listed))))))
+    ref, ref_error = _run_or_error(lambda m: pattern_extract_logical(state, m), port_to_qubit)
+    for form in (state, PhotonicState(state.terms, state.total_photons, state.ports)):
+        sv, error = _run_or_error(lambda m: extract_logical(form, m), port_to_qubit)
+        assert error == ref_error
+        if ref_error is None:
+            assert [_bits(a) for a in sv.amplitudes] == [_bits(a) for a in ref.amplitudes]
+            assert sv.qubit_order == ref.qubit_order
+
+
 def test_dual_path_circuits_are_bit_identical(monkeypatch):
     # every circuit the dual-path criterion runs, over each protocol's full range
     from photonweave import verify
@@ -657,7 +685,7 @@ OPTICS_PRIMITIVES = {"apply_pbs", "apply_hwp", "postselect_coincidence", "prepar
 #: as the references
 TUPLE_ENGINE = OPTICS_PRIMITIVES | {"_detect", "_expand", "_join", "_pattern_ports", "_join_terms",
                                     "_pbs_terms", "_hwp_terms", "_detect_terms", "run_packed",
-                                    "_mode_mix_coeffs", "_hwp_matrix"}
+                                    "_mode_mix_coeffs", "_hwp_matrix", "pattern_extract_logical"}
 
 
 def test_run_circuit_is_the_only_optics_path():

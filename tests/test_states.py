@@ -331,6 +331,14 @@ def test_graph_form_matches_fwht_oracle(sv):
         assert locally_equivalent(got, want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(decoder_inputs())
+def test_graph_form_matches_elimination_oracle(sv):
+    # the sorted-support basis is the elimination's reduced basis, so the graph is the same
+    # one, vertex order and adjacency, not merely one in the same LC class
+    assert graph_form(sv) == stabilizer_oracle.eliminated_graph_form(sv)
+
+
 def test_graph_form_decodes_at_state_vector_limit():
     g = cycle_graph(STATE_VECTOR_LIMIT)
     sv = to_state_vector(g)
