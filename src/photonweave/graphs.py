@@ -205,10 +205,9 @@ def complete_graph(labels: Iterable[int]) -> Graph:
 
 def local_complement(g: Graph, v: int) -> Graph:
     """Toggle every edge between pairs of neighbors of v."""
-    nbrs = g.neighbors(v)
+    g._require(v)
     adj = dict(g.adj)
-    for u in nbrs:
-        adj[u] = adj[u] ^ (nbrs - {u})
+    _complement_at(adj, v)
     return Graph._of(adj)
 
 
@@ -221,23 +220,38 @@ def measure_pauli(g: Graph, v: int, axis: str, x_partner: int | None = None) -> 
     result is one representative of the post-measurement state's class
     under single-qubit Cliffords; byproduct rotations are not tracked.
     """
-    g._require(v)
+    adj = dict(g.adj)
+    _measure(adj, v, axis, x_partner)
+    return Graph._of(adj)
+
+
+def _complement_at(adj: dict[int, frozenset[int]], v: int) -> None:
+    """Locally complement the adjacency map at v, in place."""
+    nbrs = adj[v]
+    for u in nbrs:
+        adj[u] = adj[u] ^ (nbrs - {u})
+
+
+def _measure(adj: dict[int, frozenset[int]], v: int, axis: str, x_partner: int | None) -> None:
+    """Apply ``measure_pauli``'s rule to the adjacency map in place.
+
+    Every check runs before the map is touched, so a bad input leaves it
+    as it was.  The other vertices keep their order.
+    """
+    if v not in adj:
+        raise ValueError(f"unknown vertex {v}")
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    if axis == "Z":
-        return g.without_vertex(v)
-    if axis == "Y":
-        return local_complement(g, v).without_vertex(v)
-    nbrs = g.neighbors(v)
-    if not nbrs:
-        return g.without_vertex(v)
-    w = min(nbrs) if x_partner is None else x_partner
-    if w not in nbrs:
-        raise ValueError(f"x_partner {w} is not a neighbor of {v}")
-    h = local_complement(g, v)
-    h = local_complement(h, w)
-    h = local_complement(h, v)
-    return h.without_vertex(v)
+    if axis == "X" and adj[v]:
+        w = min(adj[v]) if x_partner is None else x_partner
+        if w not in adj[v]:
+            raise ValueError(f"x_partner {w} is not a neighbor of {v}")
+        _complement_at(adj, v)
+        _complement_at(adj, w)
+    if axis != "Z":
+        _complement_at(adj, v)  # Y's one step, or X's last before the deletion
+    for u in adj.pop(v):
+        adj[u] = adj[u] - {v}
 
 
 # -- local equivalence --------------------------------------------------------
@@ -256,15 +270,21 @@ def locally_equivalent(g1: Graph, g2: Graph) -> bool:
     only by a relabelling are not equivalent unless the orbit holds both.
     Decided by Bouchet's linear test on each connected component, not by
     walking the orbit; a component whose solution space has more than
-    ``LC_DIMENSION_LIMIT`` dimensions raises ValueError.
+    ``LC_DIMENSION_LIMIT`` dimensions raises ValueError.  A component of
+    at most three vertices needs no solve: every connected graph on the
+    same one, two or three labels is in one orbit (a three-vertex path
+    becomes the triangle by complementing at its middle vertex), and its
+    system has at most 4 dimensions, far below the limit.
     """
     if g1.adj.keys() != g2.adj.keys():
         return False
     comps = g1.components()
     if set(comps) != set(g2.components()):  # components are invariant under lc
         return False
-    # one system per component, in vertex order, until one has no solution
-    return all(_bouchet_solution([v for v in g1.adj if v in comp], g1.adj, g2.adj) is not None
+    # one system per component, in vertex order, until one has no solution; a
+    # component of <= 3 vertices is connected in both, so in their one orbit
+    return all(len(comp) <= 3
+               or _bouchet_solution([v for v in g1.adj if v in comp], g1.adj, g2.adj) is not None
                for comp in comps)
 
 

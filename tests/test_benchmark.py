@@ -1,5 +1,6 @@
-"""The benchmark's gate, run once: every ``dual-engine`` op must hold on the default and the
-hold-out seed, so a change that breaks an optics-versus-graph agreement fails here first."""
+"""The benchmark's gate, run once: every ``dual-engine`` and ``word-sweep`` op must hold on the
+default and the hold-out seed, so a change that breaks an optics-versus-graph agreement, or
+makes a word's crosscheck fast but wrong, fails here first."""
 
 import importlib.util
 import sys
@@ -26,4 +27,12 @@ def test_dual_engine_ops_agree(workloads, seed):
     workload = workloads.dual_engine(seed)
     results = {i: op.run() for i, op in enumerate(workload.ops)}
     assert len(results) == 34
+    assert [workload.ops[i].label for i in sorted(workload.failed(results))] == []
+
+
+@pytest.mark.parametrize("seed", [20251017, 911])
+def test_word_sweep_ops_agree(workloads, seed):
+    workload = workloads.word_sweep(seed)
+    results = {i: op.run() for i, op in enumerate(workload.ops)}
+    assert len(results) == 1183
     assert [workload.ops[i].label for i in sorted(workload.failed(results))] == []

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import lc_oracle
 import photonweave
+import word_oracle
 from photonweave.graphs import (
+    AXES,
     LC_DIMENSION_LIMIT,
     Graph,
     ShapeClass,
@@ -30,6 +32,7 @@ from photonweave.graphs import (
     path_graph,
     star_graph,
 )
+from photonweave.minors import simulate_word
 
 # -- hypothesis strategy for small random graphs --------------------------------
 
@@ -179,6 +182,70 @@ def test_x_partner_choice_is_equivalent():
     results = [measure_pauli(g, 1, "X", x_partner=w) for w in g.neighbors(1)]
     for other in results[1:]:
         assert locally_equivalent(results[0], other)
+
+
+@st.composite
+def measured_words(draw):
+    """A graph, some of its vertices in a random order, and a word for them."""
+    g = draw(graphs(max_vertices=10))
+    measured = draw(st.permutations(g.vertices))[:draw(st.integers(1, g.n))]
+    word = "".join(draw(st.lists(st.sampled_from(AXES), min_size=len(measured),
+                                 max_size=len(measured))))
+    return g, measured, word
+
+
+def _outcome(call, *args):
+    """The call's result, or the type and message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(measured_words())
+def test_simulate_word_matches_the_per_letter_oracle(case):
+    g, measured, word = case
+    before = dict(g.adj)
+    # Graph equality compares the vertex order as well as the neighbour sets
+    assert simulate_word(g, measured, word) == word_oracle.simulate_word(g, measured, word)
+    assert g.adj == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=10))
+def test_measure_pauli_matches_the_per_step_oracle(g):
+    before = dict(g.adj)
+    for v, nbrs in g.adj.items():
+        assert local_complement(g, v) == word_oracle.local_complement(g, v)
+        for axis, partner in [("Z", None), ("Y", None), ("X", None)] + [("X", w) for w in nbrs]:
+            assert measure_pauli(g, v, axis, partner) == word_oracle.measure_pauli(g, v, axis, partner)
+    assert g.adj == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(measured_words(), st.data())
+def test_bad_measurements_fail_as_the_oracle_does(case, data):
+    g, measured, word = case
+    before = dict(g.adj)
+    unknown = g.n + 1
+    j = data.draw(st.integers(0, len(measured) - 1))
+    at = data.draw(st.integers(0, len(measured)))
+    extra = data.draw(st.sampled_from(AXES))
+    twice = measured[:max(at, j + 1)] + [measured[j]] + measured[max(at, j + 1):]
+    for order in (measured[:at] + [unknown] + measured[at:], twice):
+        got = _outcome(simulate_word, g, order, word + extra)
+        assert got == _outcome(word_oracle.simulate_word, g, order, word + extra)
+        assert isinstance(got, tuple)  # the unknown or repeated vertex is reached
+    v = measured[0]
+    strangers = [w for w in g.vertices if w not in g.adj[v]]  # v itself among them
+    calls = [(unknown, "Z", None), (unknown, "Q", None), (v, "Q", None)]
+    calls += [(v, "X", w) for w in strangers]
+    for args in calls:
+        got = _outcome(measure_pauli, g, *args)
+        assert got == _outcome(word_oracle.measure_pauli, g, *args)
+        assert isinstance(got, tuple) or not g.adj[v]  # X on a lone vertex reads no partner
+    assert g.adj == before
 
 
 # -- local equivalence ---------------------------------------------------------------
@@ -336,6 +403,41 @@ def test_bool_test_builds_no_frames_and_stops_at_the_first_failure(monkeypatch):
     solved.clear()
     assert not locally_equivalent(three, three.add_edge(4, 5))  # the components differ
     assert not locally_equivalent(three, path_graph(11))  # the vertices differ
+    assert solved == []
+
+
+def _connected_graphs(labels):
+    pairs = list(itertools.combinations(labels, 2))
+    for mask in itertools.product((False, True), repeat=len(pairs)):
+        g = Graph(labels, itertools.compress(pairs, mask))
+        if len(g.components()) == 1:
+            yield g
+
+
+def test_small_components_are_answered_without_a_solve(monkeypatch):
+    # every connected graph on the same one, two or three labels is in one orbit
+    solved = []
+    real = photonweave.graphs._bouchet_solution
+
+    def record(order, adj1, adj2):
+        solved.append(order)
+        return real(order, adj1, adj2)
+
+    monkeypatch.setattr(photonweave.graphs, "_bouchet_solution", record)
+    four = path_graph([10, 11, 12, 13])
+    for labels, count in (([1], 1), ([1, 2], 1), ([1, 2, 3], 4)):
+        small = list(_connected_graphs(labels))
+        assert len(small) == count  # three paths and the triangle on three labels
+        for a, b in itertools.product(small, repeat=2):
+            assert b in lc_oracle.lc_orbit(a)
+            solved.clear()
+            assert locally_equivalent(a.disjoint_union(four), b.disjoint_union(four))
+            assert solved == [[10, 11, 12, 13]]  # the four-vertex component is still solved
+    # a component connected in one graph but split in the other is rejected unsolved
+    solved.clear()
+    path, split = path_graph([1, 2, 3]), Graph([1, 2, 3], [(1, 2)])
+    assert not locally_equivalent(path, split) and not locally_equivalent(split, path)
+    assert not locally_equivalent(path.disjoint_union(four), split.disjoint_union(four))
     assert solved == []
 
 

@@ -9,11 +9,19 @@ caterpillar layout with one branch per case: closed, a single open user,
 and every other open layout.  The package reads both with one walk that
 toggles edges (``minors.predict_representative``); these are the oracles
 it is compared with.
+
+``measure_pauli`` and ``simulate_word`` apply the Pauli-measurement rule
+one step at a time, each step a new ``Graph``: a local complementation
+toggles the pairs of v's neighbours with ``Graph.with_edges_toggled``,
+and a deletion is ``Graph.without_vertex``.  The package applies the
+same rule in place on one copy of the adjacency map
+(``graphs._measure``); these are the oracles it is compared with.
 """
 
+import itertools
 from typing import Sequence
 
-from photonweave.graphs import Graph, complete_graph
+from photonweave.graphs import AXES, Graph, InputShapeError, complete_graph
 from photonweave.minors import check_word
 from photonweave.protocols import _check_layout
 
@@ -72,3 +80,35 @@ def caterpillar_layout_graph(layout: Sequence[str], close_cycle: bool = False) -
     if len(word) == 1:
         return Graph([1])
     return predict_representative(word[1:], close=False, survivors=range(1, len(word) + 1))
+
+
+def local_complement(g: Graph, v: int) -> Graph:
+    """Toggle every pair of v's neighbours."""
+    return g.with_edges_toggled(itertools.combinations(sorted(g.neighbors(v)), 2))
+
+
+def measure_pauli(g: Graph, v: int, axis: str, x_partner: int | None = None) -> Graph:
+    """Z deletes v, Y complements at v and deletes it, X runs lc(v), lc(w), lc(v) first."""
+    nbrs = g.neighbors(v)
+    if axis not in AXES:
+        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    if axis == "Z":
+        return g.without_vertex(v)
+    if axis == "Y":
+        return local_complement(g, v).without_vertex(v)
+    if not nbrs:
+        return g.without_vertex(v)
+    w = min(nbrs) if x_partner is None else x_partner
+    if w not in nbrs:
+        raise ValueError(f"x_partner {w} is not a neighbor of {v}")
+    return local_complement(local_complement(local_complement(g, v), w), v).without_vertex(v)
+
+
+def simulate_word(g: Graph, measured: Sequence[int], word: str) -> Graph:
+    """Measure the listed vertices per the word, one new graph per letter."""
+    check_word(word)
+    if len(measured) != len(word):
+        raise InputShapeError("one letter per measured vertex")
+    for v, letter in zip(measured, word):
+        g = measure_pauli(g, v, letter)
+    return g
