@@ -11,7 +11,9 @@ operator monomial, under one global scale 2^(-h/2), so every
 probability is a ratio of exact sums.  Floats appear once, when it
 returns a ``PhotonicState`` on the same packed keys; the state decodes
 its patterns on their first read, and ``extract_logical`` reads the
-qubits straight off the keys.
+qubits straight off the keys.  ``run_circuit`` checks a whole
+description from outside before its engine, ``_run``, builds a term;
+the protocol builders' own circuits go straight to the engine.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ MAX_PHOTONS = 16
 Mode = tuple[int, str]  # (spatial port, "H" | "V")
 Pattern = tuple[tuple[Mode, int], ...]  # sorted ((mode, count), ...)
 Source = tuple[str, tuple[int, ...]]  # (kind, ports), read from a README source entry
+#: what ``_run`` runs: elements, joins, retirements, postselect ports and measures
+Schedule = tuple[list, list[list[Source]], list[list[int]], list[int] | None, list]
 
 AMP_TOL = 1e-12
 
@@ -174,10 +178,10 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
             index |= qubit_bit[low]
             v ^= low
         amps[index] = amp
-    norm = np.linalg.norm(amps)
-    if norm <= AMP_TOL:
-        raise ValueError("zero-probability state: no amplitude to read")
     if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > NORM_TOL:  # as StateVector tests it
+        norm = np.linalg.norm(amps)
+        if norm <= AMP_TOL:
+            raise ValueError("zero-probability state: no amplitude to read")
         amps = amps / norm
     return StateVector(amps, tuple(port_to_qubit.values()))
 
@@ -203,6 +207,12 @@ def _source_from_json(entry: dict) -> Source:
     return kind, tuple(ports)
 
 
+def _element(element: dict) -> tuple[tuple[int, ...], float | None]:
+    """The ports and HWP angle (None for a PBS) of an element entry of the right shape."""
+    (kind, values), = element.items()
+    return (tuple(values), None) if kind == "pbs" else ((values[0],), values[1])
+
+
 def _element_from_json(element: dict, known: frozenset[int]) -> tuple[tuple[int, ...], float | None]:
     """An element's ports and HWP angle (None for a PBS), checked against the sources."""
     kind, values = _only_item(element)
@@ -210,7 +220,7 @@ def _element_from_json(element: dict, known: frozenset[int]) -> tuple[tuple[int,
             or not all(type(p) is int for p in values[:2 if kind == "pbs" else 1]):
         raise ValueError(f"unknown element {element!r}: "
                          "use {'pbs': [a, b]} or {'hwp': [port, angle]}")
-    ports, angle = (tuple(values), None) if kind == "pbs" else ((values[0],), values[1])
+    ports, angle = _element(element)
     _require_ports(known, *ports)
     if angle is not None and (type(angle) not in (int, float) or angle not in (0, 22.5)):
         raise ValueError(f"unsupported HWP angle {angle!r}; use 0 or 22.5")
@@ -231,10 +241,9 @@ def _measure_from_json(entry: dict, known: frozenset[int]) -> tuple[int, str, st
     return port, basis, outcome
 
 
-def _plan(spec: dict) -> tuple[list, list[list[Source]], list[list[int]], list[int] | None, list]:
-    """Check a whole circuit description, building no term: its elements, the sources joining
-    before each element and after the last, the ports retiring after each element, the
-    postselect list (None without the key) and the measure entries."""
+def _plan(spec: dict) -> Schedule:
+    """Check a whole circuit description, building no term, and return its ``_schedule``;
+    the postselect list is None without the key."""
     for key, value in spec.items():
         if key not in ("sources", "elements", "postselect", "measure"):
             raise ValueError(f"a circuit description does not read {key!r}")
@@ -250,6 +259,13 @@ def _plan(spec: dict) -> tuple[list, list[list[Source]], list[list[int]], list[i
     measures = [_measure_from_json(m, known) for m in spec.get("measure", [])]
     if len({port for port, *_ in measures}) < len(measures):
         raise ValueError("a port is measured more than once")
+    return _schedule(sources, elements, postselect, measures)
+
+
+def _schedule(sources: list[Source], elements: list, postselect: list[int] | None,
+              measures: list) -> Schedule:
+    """The elements, the sources joining before each element and after the last, the ports
+    retiring after each element, the postselect list and the (port, basis, outcome) measures."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for i, (ports, _) in enumerate(elements):
@@ -455,7 +471,12 @@ def run_circuit(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
     probability is a ratio of exact sums, and the state is normalised
     once, on return.
     """
-    elements, joins, retires, postselect, measures = _plan(spec)
+    return _run(*_plan(spec))
+
+
+def _run(elements: list, joins: list[list[Source]], retires: list[list[int]],
+         postselect: list[int] | None, measures: list) -> tuple[PhotonicState, float, list[dict]]:
+    """``run_circuit``'s engine, on the ``_schedule`` of a checked description or a builder's circuit."""
     ports = sorted(p for joining in joins for _, source_ports in joining for p in source_ports)
     shift = {p: 10 * i for i, p in enumerate(ports)}
     terms: Terms = {0: 1}

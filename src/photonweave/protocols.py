@@ -5,8 +5,8 @@ inputs and returns two views of one run: the graph-level result (the
 distributed graph, the exact dyadic success probability and the
 post-processing corrections) and the weaving circuit that realizes it,
 built from the two weaving primitives.  ``run_*`` return the first
-view; ``*_optics`` run the second through ``optics.run_circuit`` at
-oracle scale.  Tests assert that the two views agree state-by-state.
+view; ``*_optics`` run the second on the engine of ``optics.run_circuit``
+at oracle scale.  Tests assert that the two views agree state-by-state.
 Wrong types (``"no"`` or ``1`` for a bool, a string for a list) raise ``InputShapeError``.
 
 Label conventions: users are 1..M in weaving order; server-held
@@ -135,8 +135,11 @@ def _record(detections: Iterable[tuple[int, str, str]]) -> tuple[tuple[str, str]
 
 
 def _optics(circuit: _Circuit) -> tuple[StateVector, float]:
-    """Run one weaving circuit; returns its read-out qubits and probability.
+    """Run one weaving circuit on the optics engine; returns its read-out qubits and probability.
 
+    The builders made the circuit, so it goes straight to ``optics._run``
+    on its ``_schedule``, without the description checks of
+    ``run_circuit``.  Every pair is postselected to one photon per port.
     A pair with a photon on an idle port, one that no element touches and
     no detection reads, runs as ``bell_psi``, and that photon's qubit takes
     a Hadamard at read-out: ``gbell`` = (H x I) ``bell_psi``, with the H on
@@ -144,18 +147,14 @@ def _optics(circuit: _Circuit) -> tuple[StateVector, float]:
     sources, so every probability is the same exact ratio, and the pair no
     longer doubles the terms of every later step.
     """
+    elements = [po._element(element) for element in circuit.elements]
     busy = {port for port, _, _ in circuit.detections}
-    for element in circuit.elements:
-        busy.update(element["pbs"] if "pbs" in element else element["hwp"][:1])
+    for ports, _ in elements:
+        busy.update(ports)
     idle = [next((p for p in pair if p not in busy), None) for pair in circuit.pairs]
-    spec = {
-        "sources": [{"gbell" if p is None else "bell_psi": list(pair)}
-                    for pair, p in zip(circuit.pairs, idle)],
-        "elements": circuit.elements,
-        "postselect": [port for pair in circuit.pairs for port in pair],
-        "measure": [{"port": p, "basis": b, "outcome": o} for p, b, o in circuit.detections],
-    }
-    state, prob, _ = po.run_circuit(spec)
+    sources = [("gbell" if p is None else "bell_psi", pair) for pair, p in zip(circuit.pairs, idle)]
+    postselect = [port for pair in circuit.pairs for port in pair]
+    state, prob, _ = po._run(*po._schedule(sources, elements, postselect, circuit.detections))
     sv = po.extract_logical(state, circuit.qubits)
     axes = [sv.qubit_order.index(circuit.qubits[p]) for p in idle if p is not None]
     amps = sv.amplitudes
@@ -163,7 +162,8 @@ def _optics(circuit: _Circuit) -> tuple[StateVector, float]:
         split = amps.reshape(1 << axis, 2, -1)
         h, v = split[:, :1], split[:, 1:]
         amps = np.concatenate((h + v, h - v), 1)
-    return StateVector(amps.reshape(-1) * 2 ** (-len(axes) / 2), sv.qubit_order), prob
+    # a unitary image of the vector extract_logical has just checked
+    return StateVector._of(amps.reshape(-1) * 2 ** (-len(axes) / 2), sv.qubit_order), prob
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,14 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "qubit_order", tuple(self.qubit_order))
 
+    @classmethod
+    def _of(cls, amplitudes: np.ndarray, qubit_order: tuple[int, ...]) -> StateVector:
+        """Wrap a complex vector already known to fit its labels, be finite and be normalized."""
+        sv = object.__new__(cls)
+        object.__setattr__(sv, "amplitudes", amplitudes)
+        object.__setattr__(sv, "qubit_order", qubit_order)
+        return sv
+
     @property
     def n(self) -> int:
         return len(self.qubit_order)

@@ -12,6 +12,10 @@ engine of ``run_circuit`` matches them within a rounding bound.
 state, postselecting and measuring only at the end.
 ``pattern_extract_logical`` reads the qubits off each term's pattern,
 the reference for ``optics.extract_logical``'s read-out of packed keys.
+``protocol_description`` writes a protocol builder's circuit as a README
+description, and ``described_optics`` runs it through ``run_circuit``
+and ``protocols._optics``'s read-out: the reference for ``_optics``,
+which runs the circuit on the engine without a description.
 """
 
 import math
@@ -30,6 +34,8 @@ from photonweave.optics import (
     _plan,
     _require_ports,
     _source_from_json,
+    extract_logical,
+    run_circuit,
 )
 from photonweave.states import NORM_TOL, StateVector
 
@@ -465,3 +471,39 @@ def run_packed(spec: dict) -> tuple[PhotonicState, float, list[dict]]:
                           len(ports) - len(measures),
                           frozenset(ports).difference(port for port, *_ in measures))
     return state, prob, log
+
+
+# -- protocol circuits as descriptions ------------------------------------------------
+
+
+def _idle_photons(circuit) -> list[int | None]:
+    """Each pair's port that no element touches and no detection reads, or None."""
+    busy = {port for port, _, _ in circuit.detections}
+    for element in circuit.elements:
+        busy.update(element["pbs"] if "pbs" in element else element["hwp"][:1])
+    return [next((p for p in pair if p not in busy), None) for pair in circuit.pairs]
+
+
+def protocol_description(circuit) -> dict:
+    """A protocol builder's ``_Circuit`` as a README description, with ``protocols._optics``'s
+    sources: ``bell_psi`` for a pair with an idle photon, ``gbell`` for the others; every
+    pair's ports are postselected."""
+    return {"sources": [{"gbell" if p is None else "bell_psi": list(pair)}
+                        for pair, p in zip(circuit.pairs, _idle_photons(circuit))],
+            "elements": circuit.elements,
+            "postselect": [port for pair in circuit.pairs for port in pair],
+            "measure": [{"port": p, "basis": b, "outcome": o} for p, b, o in circuit.detections]}
+
+
+def described_optics(circuit) -> tuple[StateVector, float]:
+    """``run_circuit`` on the ``protocol_description``, then ``protocols._optics``'s read-out:
+    ``extract_logical``, a Hadamard on each idle photon's qubit and a checked ``StateVector``."""
+    state, prob, _ = run_circuit(protocol_description(circuit))
+    sv = extract_logical(state, circuit.qubits)
+    axes = [sv.qubit_order.index(circuit.qubits[p]) for p in _idle_photons(circuit) if p is not None]
+    amps = sv.amplitudes
+    for axis in axes:
+        split = amps.reshape(1 << axis, 2, -1)
+        h, v = split[:, :1], split[:, 1:]
+        amps = np.concatenate((h + v, h - v), 1)
+    return StateVector(amps.reshape(-1) * 2 ** (-len(axes) / 2), sv.qubit_order), prob

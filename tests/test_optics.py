@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonweave
-from photonweave import optics
+from photonweave import optics, protocols
 from photonweave.graphs import path_graph, star_graph
 from photonweave.optics import (
     PhotonicState,
@@ -31,6 +31,7 @@ from optics_oracle import (
     pattern_extract_logical,
     postselect_coincidence,
     prepare,
+    protocol_description,
     run_packed,
     run_tuples,
 )
@@ -510,23 +511,24 @@ def test_extract_logical_matches_pattern_oracle(spec, data):
 
 
 def test_dual_path_circuits_are_bit_identical(monkeypatch):
-    # every circuit the dual-path criterion runs, over each protocol's full range
+    # every circuit the dual-path criterion runs, over each protocol's full range, as the
+    # description of the sources protocols._optics runs it with
     from photonweave import verify
 
-    specs = []
-    real = optics.run_circuit
+    circuits = []
+    real = protocols._optics
 
-    def record(spec):
-        specs.append(spec)
-        return real(spec)
+    def record(circuit):
+        circuits.append(circuit)
+        return real(circuit)
 
-    monkeypatch.setattr(optics, "run_circuit", record)
+    monkeypatch.setattr(protocols, "_optics", record)
     for _ in verify._dual_path_cases():
         pass
     monkeypatch.undo()
-    assert len(specs) == 46
-    for spec in specs:
-        assert_bit_identical(spec)
+    assert len(circuits) == 46
+    for circuit in circuits:
+        assert_bit_identical(protocol_description(circuit))
 
 
 def assert_matches_float_engine(spec):
@@ -688,14 +690,32 @@ TUPLE_ENGINE = OPTICS_PRIMITIVES | {"_detect", "_expand", "_join", "_pattern_por
                                     "_mode_mix_coeffs", "_hwp_matrix", "pattern_extract_logical"}
 
 
+def _calls(node) -> set[str]:
+    """The names of the functions called under an AST node, as attribute or bare name."""
+    return {call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
 def test_run_circuit_is_the_only_optics_path():
-    # every package module outside optics builds its states through run_circuit
+    # every package module outside optics builds its states on run_circuit's engine
     for path in sorted(Path(photonweave.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & TUPLE_ENGINE, path.name
         if path.name == "optics.py":
             continue
-        called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        assert not called & OPTICS_PRIMITIVES, path.name
+        assert not _calls(tree) & OPTICS_PRIMITIVES, path.name
+
+
+def test_only_protocols_run_the_engine_unchecked():
+    # _run and _schedule skip the description checks: outside optics only protocols._optics
+    # calls them, and verify's optics criteria still go through run_circuit
+    package = Path(photonweave.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name not in ("optics.py", "protocols.py"):
+            assert not _calls(ast.parse(path.read_text())) & {"_run", "_schedule"}, path.name
+    tree = ast.parse((package / "verify.py").read_text())
+    runs = {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and "run_circuit" in _calls(node)}
+    assert runs == {"check_ghz_postselection", "check_cz_gate", "check_path_weaving",
+                    "check_properties"}

@@ -54,7 +54,7 @@ from photonweave.states import (
     state_locally_equivalent,
     to_state_vector,
 )
-from optics_oracle import FLOAT_ENGINE_TOL, prepare
+from optics_oracle import FLOAT_ENGINE_TOL, described_optics, prepare, protocol_description
 from stream_oracle import pair_step_pcg64_words
 import word_oracle
 
@@ -350,10 +350,85 @@ def test_optics_rejects_what_its_runner_rejects(run, optics_run, args):
 
 
 def test_protocols_run_circuits_from_one_site():
+    # the builders' circuits go to the engine from _optics alone, past the description check
     tree = ast.parse(Path(protocols.__file__).read_text())
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr == "run_circuit"]
-    assert len(calls) == 1
+    called = [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)]
+    assert called.count("_run") == 1
+    assert called.count("run_circuit") == called.count("_plan") == 0
+
+
+def _builder_circuits(family):
+    """(label, circuit, exact probability) over one protocol family's full user range: GHZ
+    on three outcome strings, path on both weaver outcomes and with the server, the comb to
+    M = 5, cycle on both weaver outcomes, every caterpillar layout with M <= 5 and the two
+    of dual-path at M = 7, and the three blocks."""
+    if family == "ghz":
+        for m, server in itertools.product(range(2, 9), (False, True)):
+            k = m - server
+            for outcomes in ("+" * k, "-" * k, ("-+" * k)[:k]):
+                result, circuit = protocols._ghz(m, server, outcomes)
+                yield (m, server, outcomes), circuit, result.success_probability
+    elif family == "path":
+        for m in range(2, 8):
+            outcomes = ("-+" * m)[:m - 1]
+            for server, weaver in ((False, "H"), (False, "V"), (True, "H")):
+                result, circuit = protocols._path(m, server, outcomes, weaver)
+                yield (m, server, weaver), circuit, result.success_probability
+    elif family == "comb":
+        for m in range(2, 6):
+            result, circuit = protocols._path(m, False, None, "H")
+            qubits = circuit.qubits | {j: 200 + j for j in range(1, m + 1)}
+            yield m, circuit._replace(detections=[], qubits=qubits), result.success_probability
+    elif family == "cycle":
+        for m, weaver in itertools.product(range(3, 7), "HV"):
+            result, circuit = protocols._cycle(m, ("+-" * m)[:m], weaver)
+            yield (m, weaver), circuit, result.success_probability
+    elif family == "caterpillar":
+        layouts = [param.values for param in _layouts_up_to(5)]
+        layouts += [(["spine", "leaf", "spine", "leaf", "spine", "leaf", "spine"], False),
+                    (["spine", "spine", "leaf", "spine", "leaf", "spine", "leaf"], True)]
+        for layout, close in layouts:
+            result, circuit = protocols._caterpillar(layout, close)
+            yield (layout, close), circuit, result.success_probability
+    else:
+        for kind in BLOCK_KINDS:
+            (_, exact), circuit = protocols._block(kind)
+            yield kind, circuit, exact
+
+
+def assert_scheduled(circuit) -> None:
+    """Each source joins just before the first element on its ports (after the last element
+    when none is), and each postselected port an element touches retires after the last."""
+    elements, joins, retires, postselect, _ = optics._plan(protocol_description(circuit))
+    on = [set(ports) for ports, _ in elements]
+    for i, joining in enumerate(joins):
+        for _, ports in joining:
+            assert min((k for k, touched in enumerate(on) if touched & set(ports)),
+                       default=len(elements)) == i
+    assert sum(map(len, joins)) == len(circuit.pairs)
+    for p in postselect:
+        assert [k for k, retiring in enumerate(retires) if p in retiring] == \
+            [k for k, touched in enumerate(on) if p in touched][-1:]
+
+
+@pytest.mark.parametrize("family", ["ghz", "path", "comb", "cycle", "caterpillar", "block"])
+def test_builder_circuits_match_their_descriptions(family):
+    # _optics runs a builder's circuit on the engine with no description; run_circuit on
+    # the description, after _plan's checks, and the same read-out give the same bits.  One
+    # retirement dropped leaves every result as it is (the other ports hold one photon each,
+    # so the last one does too), so the schedule is checked as well
+    count = 0
+    for label, circuit, exact in _builder_circuits(family):
+        sv, prob = protocols._optics(circuit)
+        ref, ref_prob = described_optics(circuit)
+        assert sv.amplitudes.tobytes() == ref.amplitudes.tobytes(), label
+        assert sv.qubit_order == ref.qubit_order, label
+        assert prob == ref_prob == float(exact), label
+        assert_scheduled(circuit)
+        count += 1
+    assert count == {"ghz": 42, "path": 18, "comb": 4, "cycle": 8, "caterpillar": 59,
+                     "block": 3}[family]
 
 
 # -- idle photons: the literal `gbell` description is the oracle ------------------------
@@ -438,16 +513,16 @@ def test_a_detected_photon_is_not_idle():
                                       (caterpillar_optics, (["spine", "spine", "leaf"], True))])
 def test_closed_weave_server_pair_stays_gbell(monkeypatch, run, args):
     # both photons of the (50, 0) pair are woven; every user pair has an idle photon
-    specs = []
-    real = optics.run_circuit
+    circuits = []
+    real = protocols._optics
 
-    def record(spec):
-        specs.append(spec)
-        return real(spec)
+    def record(circuit):
+        circuits.append(circuit)
+        return real(circuit)
 
-    monkeypatch.setattr(optics, "run_circuit", record)
+    monkeypatch.setattr(protocols, "_optics", record)
     run(*args)
-    [spec] = specs
+    [spec] = map(protocol_description, circuits)
     assert spec["sources"][0] == {"gbell": [protocols.SERVER_WEAVER, 0]}
     assert all(list(source) == ["bell_psi"] for source in spec["sources"][1:])
 
