@@ -97,6 +97,9 @@ COMMANDS = [
     "verify --suite appendix-b --n 18",
     "verify --suite appendix-b --n 7",
     "verify --suite cz-gate --trials 3",
+    # --trials and --seed passed through to the monte-carlo criterion, and a rejected count
+    "verify --suite monte-carlo --trials 2000 --seed 3",
+    "verify --suite monte-carlo --trials 0",
     # montecarlo: every protocol, CSV logs, usage errors
     "montecarlo --protocol ghz --users 3 --trials 2000 --seed 7 --csv ghz.csv",
     "montecarlo --protocol path --users 4 --server --trials 1000 --seed 2",
@@ -123,6 +126,8 @@ COMMANDS = [
     "export --in graph.json --format dot --out graph.dot",
     "export --in graph.json --format json",
     "export --in state.json --format csv",
+    "export --in state.json --format json",
+    "export --in state.json --format dot",
     "export --in graph.json --format csv",
     "export --in neither.json --format json",
     "export --in repeated_vertex.json --format json",

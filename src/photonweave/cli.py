@@ -226,8 +226,6 @@ def _cmd_montecarlo(args) -> tuple[dict, bool | None, dict]:
 
 
 def _cmd_export(args) -> tuple[dict, bool | None, dict]:
-    if args.infile is None:
-        raise UsageError("--in is required for export")
     with open(args.infile) as fh:
         text = fh.read()
     payload = json.loads(text)

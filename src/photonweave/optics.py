@@ -8,12 +8,13 @@ sqrt(n!) factors are still applied so that the discarded probability is
 accounted for exactly.  ``run_circuit`` computes in integers: each term
 is one packed integer key with an integer coefficient of a creation-
 operator monomial, under one global scale 2^(-h/2), so every
-probability is a ratio of exact sums.  Floats appear once, when it
-returns a ``PhotonicState`` on the same packed keys; the state decodes
-its patterns on their first read, and ``extract_logical`` reads the
-qubits straight off the keys.  ``run_circuit`` checks a whole
-description from outside before its engine, ``_run``, builds a term;
-the protocol builders' own circuits go straight to the engine.
+probability is a ratio of exact sums.  Floats appear once, in the
+``PhotonicState`` it returns on the same keys.  Every state holds that
+one form, packed at construction from patterns and decoded to patterns
+on their first read; ``extract_logical`` reads qubits off the keys.
+``run_circuit`` checks a whole description from outside before its
+engine, ``_run``, builds a term; the protocol builders' own circuits go
+straight to the engine.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ class PhotonicState:
 
     ``ports`` are the spatial ports the state lives on: by default the
     occupied ones, but a port stays a port when interference or
-    postselection leaves it empty in every term.  A state keeps the form
-    it was built from, patterns or ``run_circuit``'s packed keys over its
-    sorted ports, and derives the other once, when it is first read:
-    ``terms`` by pattern, and by key for ``extract_logical``.
+    postselection leaves it empty in every term.  Every state holds
+    ``run_circuit``'s packed keys over its sorted ports, occupied ones
+    included: a state built from patterns packs them here and keeps them
+    as its ``terms``, and one built from keys decodes ``terms`` once,
+    when they are first read.
     """
 
     __slots__ = ("_terms", "_keys", "_shift", "total_photons", "ports")
@@ -80,11 +82,12 @@ class PhotonicState:
             raise ValueError("pattern photon counts disagree with total_photons")
         if total_photons > MAX_PHOTONS:
             raise ValueError(f"at most {MAX_PHOTONS} photons supported")
-        self._terms, self._keys, self._shift = cleaned, None, None
-        self.total_photons = total_photons
-        if ports is None:
-            ports = frozenset(port for p in cleaned for (port, _), _ in p)
-        self.ports = ports
+        occupied = frozenset(port for p in cleaned for (port, _), _ in p)
+        self.ports = occupied if ports is None else ports
+        self._shift = shift = {p: 10 * i for i, p in enumerate(sorted(occupied.union(self.ports)))}
+        self._keys = {sum(c << shift[port] + (5 if pol == "V" else 0) for (port, pol), c in pat): a
+                      for pat, a in cleaned.items()}
+        self._terms, self.total_photons = cleaned, total_photons
 
     @classmethod
     def _of_keys(cls, keys: dict[int, complex], shift: dict[int, int], total_photons: int,
@@ -101,17 +104,8 @@ class PhotonicState:
             self._terms = {_pattern_of(key, self._shift): a for key, a in self._keys.items()}
         return self._terms
 
-    def _keyed(self) -> tuple[dict[int, complex], dict[int, int]]:
-        """The amplitudes by packed key, and the bit of each port's fields in the keys."""
-        if self._keys is None:
-            ports = sorted(self.ports.union(port for p in self._terms for (port, _), _ in p))
-            self._shift = shift = {p: 10 * i for i, p in enumerate(ports)}
-            self._keys = {sum(c << shift[port] + (5 if pol == "V" else 0) for (port, pol), c in pat): a
-                          for pat, a in self._terms.items()}
-        return self._keys, self._shift
-
     def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.terms.values()))
+        return float(sum(abs(a) ** 2 for a in self._keys.values()))
 
 
 def _check_sources(sources: list[Source]) -> frozenset[int]:
@@ -154,7 +148,7 @@ def extract_logical(state: PhotonicState, port_to_qubit: dict[int, int]) -> Stat
     Amplitudes whose squared norm is within ``NORM_TOL`` of 1 are read as
     they are; any others are renormalised.
     """
-    keys, shift = state._keyed()
+    keys, shift = state._keys, state._shift
     n = len(port_to_qubit)
     # one bit at each listed port's H field; a port no key has gets a field past them all
     fields = [shift.get(port, 10 * (len(shift) + i)) for i, port in enumerate(port_to_qubit)]

@@ -188,6 +188,11 @@ def test_tour_interlacement_matches_per_component_tours():
             assert got.vertices == want.vertices and got.edges == want.edges, (n, word)
             words += 1
     assert words == 1080
+    # a vertex without edges stands alone
+    circulant = build_circulant(6)
+    lone = Multigraph(circulant.vertices + (99,), circulant.edges)
+    got, want = tour_interlacement(lone), _per_component_interlacement(lone)
+    assert got.vertices == want.vertices and got.edges == want.edges
 
 
 def test_all_z_disconnects_everything():

@@ -18,6 +18,7 @@ from photonweave.optics import (
     extract_logical,
     run_circuit,
     state_from_json,
+    state_from_json_dict,
     state_to_json,
     state_to_json_dict,
 )
@@ -324,6 +325,44 @@ def test_state_json_round_trip():
     assert set(back.terms) == set(s.terms)
     for pat, amp in s.terms.items():
         assert back.terms[pat] == pytest.approx(amp)
+
+
+@st.composite
+def json_states(draw):
+    """A state dump of up to six terms, each of the same up to MAX_PHOTONS photons on
+    sparse ports, negative ones too, and a set of extra ports to hold empty."""
+    pool = draw(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=6, unique=True))
+    total = draw(st.integers(0, optics.MAX_PHOTONS))
+    modes = st.tuples(st.sampled_from(pool), st.sampled_from("HV"))
+    amplitude = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    terms = {}
+    for photons, amp in draw(st.lists(st.tuples(st.lists(modes, min_size=total, max_size=total),
+                                                amplitude), max_size=6)):
+        counts = {}
+        for mode in photons:
+            counts[mode] = counts.get(mode, 0) + 1
+        terms.setdefault(tuple(sorted(counts.items())), amp)
+    payload = {"total_photons": total, "terms": [
+        {"occupations": [[port, pol, count] for (port, pol), count in pat],
+         "amplitude": [amp.real, amp.imag]} for pat, amp in terms.items()]}
+    return payload, frozenset(draw(st.lists(st.integers(-2**40, 2**40), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_states())
+def test_pattern_states_hold_packed_keys(case):
+    # a state built from patterns holds run_circuit's packed keys over its sorted ports,
+    # empty ones included, and they decode to its terms, in their order
+    payload, extra = case
+    dumped = state_from_json_dict(payload)
+    for state in (dumped, PhotonicState(dumped.terms, dumped.total_photons, dumped.ports | extra)):
+        occupied = {port for pat in state.terms for (port, _), _ in pat}
+        ports = sorted(state.ports | occupied)
+        assert state._shift == {port: 10 * i for i, port in enumerate(ports)}
+        assert [(optics._pattern_of(key, state._shift), _bits(a)) for key, a in state._keys.items()] \
+            == [(pat, _bits(a)) for pat, a in state.terms.items()]
+        total = float(sum(abs(a) ** 2 for a in state.terms.values()))
+        assert _bits(state.norm_squared()) == _bits(total)
 
 
 def test_run_circuit_json():

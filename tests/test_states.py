@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lc_oracle
@@ -333,6 +333,10 @@ def test_graph_form_matches_fwht_oracle(sv):
 
 @settings(max_examples=300, deadline=None)
 @given(decoder_inputs())
+# 2^k equal magnitudes on a support that is not affine: {0, 1, 2, 4} of 3 qubits
+@example(StateVector(np.array([1, 1, 1, 0, 1, 0, 0, 0]) / 2, (1, 2, 3)))
+# an affine support whose pair ratio is i, not +-1
+@example(StateVector(np.array([1, 1, 1, 1j]) / 2, (1, 2)))
 def test_graph_form_matches_elimination_oracle(sv):
     # the sorted-support basis is the elimination's reduced basis, so the graph is the same
     # one, vertex order and adjacency, not merely one in the same LC class
