@@ -72,6 +72,8 @@ class PhotonicState:
 
     def __init__(self, terms: dict[Pattern, complex], total_photons: int | None = None,
                  ports: frozenset[int] | None = None):
+        if any(_pattern(dict(p)) != p for p in terms):
+            raise ValueError("a pattern lists each mode once, in sorted order, with no zero count")
         cleaned = _clean(terms)
         totals = {sum(c for _, c in p) for p in cleaned}
         if total_photons is None:

@@ -4,9 +4,10 @@ Every protocol is written once, as a private builder that checks its
 inputs and returns two views of one run: the graph-level result (the
 distributed graph, the exact dyadic success probability and the
 post-processing corrections) and the weaving circuit that realizes it,
-built from the two weaving primitives.  ``run_*`` return the first
-view; ``*_optics`` run the second on the engine of ``optics.run_circuit``
-at oracle scale.  Tests assert that the two views agree state-by-state.
+built from the two weaving primitives (a cycle is the closed all-spine
+caterpillar, from the one graph-weave builder).  ``run_*`` return the
+first view; ``*_optics`` run the second on ``optics.run_circuit``'s
+engine at oracle scale.  Tests assert that the two views agree state-by-state.
 Wrong types (``"no"`` or ``1`` for a bool, a string for a list) raise ``InputShapeError``.
 
 Label conventions: users are 1..M in weaving order; server-held
@@ -19,14 +20,14 @@ the frame Hadamards listed alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import optics as po
-from .graphs import AXES, Graph, InputShapeError, cycle_graph, measure_pauli, path_graph, star_graph
+from .graphs import AXES, Graph, InputShapeError, measure_pauli, path_graph, star_graph
 from .minors import predict_representative
 from .states import StateVector
 
@@ -298,18 +299,8 @@ def path_optics(
 
 def _cycle(m_users: int, outcomes: str | None, weaver_outcome: str) -> _Views:
     _check_users(m_users, 3, 6, "cycle")
-    outcomes = _canonical_outcomes(outcomes, m_users)
-    _check_weaver(weaver_outcome)
-    users = list(range(1, m_users + 1))
-    circuit = _weave_circuit(["spine"] * m_users, True, outcomes, weaver_outcome)
-    corrections = [(u, "H") for u in users]
-    corrections += [(j, "Z") for j, out in zip(users, outcomes) if out == "-"]
-    if weaver_outcome == "V":
-        corrections.append((0, "Z"))
-    result = ProtocolResult("cycle", cycle_graph([0] + users), m_users + 1,
-                            _record(circuit.detections), tuple(corrections),
-                            {"bell_pairs": m_users + 1})
-    return result, circuit
+    result, circuit = _caterpillar(["spine"] * m_users, True, outcomes, weaver_outcome)
+    return replace(result, protocol="cycle"), circuit
 
 
 def run_cycle(m_users: int, outcomes: str | None = None, weaver_outcome: str = "H") -> ProtocolResult:
@@ -332,11 +323,6 @@ def cycle_optics(
     """
     result, circuit = _cycle(m_users, outcomes, weaver_outcome)
     return *_optics(circuit), result.measurement_record
-
-
-# ---------------------------------------------------------------------------
-# caterpillar protocol
-# ---------------------------------------------------------------------------
 
 
 def _check_layout(layout: Sequence[str], close_cycle: bool) -> None:
@@ -368,18 +354,28 @@ def caterpillar_layout_graph(layout: Sequence[str], close_cycle: bool = False) -
     return predict_representative(word, close=True, survivors=range(first, len(layout) + 1))
 
 
-def _weave_circuit(
-    layout: Sequence[str], close_cycle: bool, outcomes: str, weaver_outcome: str
-) -> _Circuit:
-    """Weave the layout's users; the woven users are detected with ``outcomes``.
+def _caterpillar(
+    layout: Sequence[str], close_cycle: bool, outcomes: str | None = None, weaver_outcome: str = "H"
+) -> _Views:
+    """The one graph-weave builder; a cycle is the closed all-spine layout.
 
-    Closed, the weaver is a server photon that ends on the stored
-    qubit 0.  Open, user 1's shared photon weaves, rotated once before
-    it meets user 2 when that user is on the spine.
+    Closed, a server photon weaves and ends on the stored qubit 0; open, user 1's
+    photon weaves, rotated before user 2 if that user is spine.  The frame: H on
+    each spine user; a Z on the spine owner (the user, or for a leaf the spine user
+    before it) of each woven user whose photon gave '-'; for a V weaver, a Z on
+    qubit 0 when closed, or on user M's owner when open.
     """
+    _check_layout(layout, close_cycle)
     m = len(layout)
+    if m > 7:
+        raise ValueError("caterpillar supports up to 7 users")
+    final = caterpillar_layout_graph(layout, close_cycle)
+    outcomes = _canonical_outcomes(outcomes, m if close_cycle else m - 1)
+    _check_weaver(weaver_outcome)
     users = range(1, m + 1)
-    leaves = {j for j in users if layout[j - 1] == "leaf"}
+    spine = [j for j in users if layout[j - 1] == "spine"]
+    owner = {j: max(s for s in spine if s <= j) for j in users}
+    leaves = owner.keys() - spine
     pairs, qubits = _user_pairs(users)
     if close_cycle:
         weaver, woven = SERVER_WEAVER, users
@@ -392,19 +388,14 @@ def _weave_circuit(
         elements = lead + graph_weave(weaver, woven, leaves)
     detections = [(j, "PM", out) for j, out in zip(woven, outcomes)]
     detections.append((weaver, "HV", weaver_outcome))
-    return _Circuit(pairs, elements, detections, qubits)
-
-
-def _caterpillar(layout: Sequence[str], close_cycle: bool) -> _Views:
-    _check_layout(layout, close_cycle)
-    m = len(layout)
-    if m > 7:
-        raise ValueError("caterpillar supports up to 7 users")
-    final = caterpillar_layout_graph(layout, close_cycle)
-    corrections = tuple((i + 1, "H") for i, kind in enumerate(layout) if kind == "spine")
-    result = ProtocolResult("caterpillar", final, m + 1 if close_cycle else m - 1, (), corrections,
+    corrections = [(j, "H") for j in spine]
+    corrections += [(owner[j], "Z") for j, out in zip(woven, outcomes) if out == "-"]
+    if weaver_outcome == "V":
+        corrections.append((0 if close_cycle else owner[m], "Z"))
+    result = ProtocolResult("caterpillar", final, m + 1 if close_cycle else m - 1,
+                            _record(detections), tuple(corrections),
                             {"bell_pairs": m + (1 if close_cycle else 0)})
-    return result, _weave_circuit(layout, close_cycle, "+" * (m if close_cycle else m - 1), "H")
+    return result, _Circuit(pairs, elements, detections, qubits)
 
 
 def run_caterpillar(layout: Sequence[str], close_cycle: bool = False) -> ProtocolResult:

@@ -1,6 +1,7 @@
-"""The benchmark's gate, run once: every ``dual-engine`` and ``word-sweep`` op must hold on the
-default and the hold-out seed, so a change that breaks an optics-versus-graph agreement, or
-makes a word's crosscheck fast but wrong, fails here first."""
+"""The benchmark's gate, run once: every ``dual-engine``, ``word-sweep`` and ``montecarlo`` op
+must hold on the default and the hold-out seed, so a change that breaks an optics-versus-graph
+agreement, makes a word's crosscheck fast but wrong, or moves a Monte Carlo estimate off its
+analytic value, fails here first."""
 
 import importlib.util
 import sys
@@ -35,4 +36,12 @@ def test_word_sweep_ops_agree(workloads, seed):
     workload = workloads.word_sweep(seed)
     results = {i: op.run() for i, op in enumerate(workload.ops)}
     assert len(results) == 1183
+    assert [workload.ops[i].label for i in sorted(workload.failed(results))] == []
+
+
+@pytest.mark.parametrize("seed", [20251017, 911])
+def test_montecarlo_ops_agree(workloads, seed):
+    workload = workloads.montecarlo(seed)
+    results = {i: op.run() for i, op in enumerate(workload.ops)}
+    assert len(results) == 120
     assert [workload.ops[i].label for i in sorted(workload.failed(results))] == []

@@ -365,6 +365,47 @@ def test_pattern_states_hold_packed_keys(case):
         assert _bits(state.norm_squared()) == _bits(total)
 
 
+PATTERN_MESSAGE = "a pattern lists each mode once, in sorted order, with no zero count"
+
+
+def test_two_spellings_of_one_pattern_are_rejected():
+    # both spellings packed to one key: 2 terms, but norm_squared() read 0.64
+    with pytest.raises(ValueError, match=PATTERN_MESSAGE):
+        PhotonicState({(((0, "H"), 1), ((1, "H"), 1)): 0.6, (((1, "H"), 1), ((0, "H"), 1)): 0.8})
+
+
+@st.composite
+def miswritten_patterns(draw):
+    """A canonical pattern and a spelling of it that is not canonical: its modes out of
+    order, a mode listed twice, or an extra mode with a zero count."""
+    how = draw(st.sampled_from(["permuted", "repeated", "zero"]))
+    modes = st.tuples(st.integers(-2**40, 2**40), st.sampled_from("HV"))
+    counts = draw(st.dictionaries(modes, st.integers(1, 3), min_size=1 + (how == "permuted"),
+                                  max_size=5))
+    pattern = tuple(sorted(counts.items()))
+    if how == "permuted":
+        spelled = draw(st.permutations(pattern).filter(lambda p: tuple(p) != pattern))
+    elif how == "repeated":
+        mode, _ = draw(st.sampled_from(pattern))
+        spelled = sorted([*pattern, (mode, draw(st.integers(1, 3)))])
+    else:
+        spelled = sorted([*pattern, (draw(modes.filter(lambda m: m not in counts)), 0)])
+    return pattern, tuple(spelled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(miswritten_patterns())
+def test_patterns_must_be_canonical(case):
+    pattern, spelled = case
+    state = PhotonicState({pattern: 0.6})
+    assert state.terms == {pattern: 0.6}
+    assert list(state._keys.values()) == [0.6]
+    with pytest.raises(ValueError, match=PATTERN_MESSAGE):
+        PhotonicState({spelled: 0.6})
+    with pytest.raises(ValueError, match=PATTERN_MESSAGE):
+        PhotonicState({pattern: 0.6, spelled: 0.8})
+
+
 def test_run_circuit_json():
     spec = {
         "sources": [{"plus": [0]}, {"plus": [1]}, {"plus": [2]}],

@@ -333,6 +333,46 @@ def test_corrections_give_final_graph_state_on_every_branch(protocol, kwargs):
     assert_is_final_graph_state(corrected(sv, res.corrections), res)
 
 
+def _signs(n):
+    return ["".join(signs) for signs in itertools.product("+-", repeat=n)]
+
+
+def test_caterpillar_frame_gives_final_graph_state_on_every_branch():
+    # the owner rule on every branch with M <= 5: each layout, open and closed, each outcome
+    # string and both weaver outcomes (1,920 branches, and 2 more for the lone user M = 1);
+    # a '-' on a leaf is a Z on the spine user before it
+    count = 0
+    for layout, close in (param.values for param in _layouts_up_to(5)):
+        woven = range(1, len(layout) + 1) if close else range(2, len(layout) + 1)
+        for outcomes, weaver in itertools.product(_signs(len(woven)), "HV"):
+            res, circuit = protocols._caterpillar(layout, close, outcomes, weaver)
+            sv, prob = protocols._optics(circuit)
+            label = (layout, close, outcomes, weaver)
+            assert prob == float(res.success_probability), label
+            assert res.measurement_record == (*((f"b{j}", out) for j, out in zip(woven, outcomes)),
+                                              ("w" if close else "b1", weaver)), label
+            assert_is_final_graph_state(corrected(sv, res.corrections), res)
+            count += 1
+    assert count == 1922
+
+
+def test_cycle_frame_is_the_closed_all_spine_caterpillar_frame():
+    # the cycle's own rule, before cycles were built as caterpillars, is the oracle
+    for m in range(3, 7):
+        users = range(1, m + 1)
+        for outcomes, weaver in itertools.product(_signs(m), "HV"):
+            res = run_cycle(m, outcomes, weaver)
+            want = [(u, "H") for u in users]
+            want += [(j, "Z") for j, out in zip(users, outcomes) if out == "-"]
+            want += [(0, "Z")] if weaver == "V" else []
+            assert res.corrections == tuple(want)
+            assert res.measurement_record == (*((f"b{j}", out) for j, out in zip(users, outcomes)),
+                                              ("w", weaver))
+            assert res.protocol == "cycle" and res.success_exponent == m + 1
+            assert res.final_graph == cycle_graph([0, *users])
+            assert res.resources == {"bell_pairs": m + 1}
+
+
 @pytest.mark.parametrize("run,optics_run,args", [
     (run_ghz, ghz_optics, (1,)),
     (run_path, path_optics, (8,)),
@@ -492,7 +532,7 @@ def protocol_circuits(draw):
         return protocols._cycle(m, signs(m), weaver)[1]
     if kind == "weave":
         layout, close = draw(st.sampled_from([p.values for p in _layouts_up_to(4)]))
-        return protocols._weave_circuit(layout, close, signs(len(layout) - (not close)), weaver)
+        return protocols._caterpillar(layout, close, signs(len(layout) - (not close)), weaver)[1]
     return protocols._block(draw(st.sampled_from(BLOCK_KINDS)))[1]
 
 
