@@ -259,7 +259,9 @@ def _measure(adj: dict[int, frozenset[int]], v: int, axis: str, x_partner: int |
 #: null-space dimension of one component's linear system above which the
 #: solution walk is refused.  The most measured over graphs of at most 12
 #: vertices is 13 (stars and complete graphs: n + 1); a full walk of 2^20
-#: solutions takes about 0.3 s on a 2-core x86_64 host (Python 3.11)
+#: solutions (a 19-leaf star against a 20-vertex path, which has none) takes
+#: about 0.3 s on a 2-core shared x86_64 host (Python 3.11.7; 0.28-0.45 s
+#: over 5 calls)
 LC_DIMENSION_LIMIT = 20
 
 
@@ -276,16 +278,43 @@ def locally_equivalent(g1: Graph, g2: Graph) -> bool:
     becomes the triangle by complementing at its middle vertex), and its
     system has at most 4 dimensions, far below the limit.
     """
-    if g1.adj.keys() != g2.adj.keys():
+    adj1, adj2 = g1.adj, g2.adj
+    if adj1.keys() != adj2.keys():
         return False
-    comps = g1.components()
-    if set(comps) != set(g2.components()):  # components are invariant under lc
-        return False
-    # one system per component, in vertex order, until one has no solution; a
-    # component of <= 3 vertices is connected in both, so in their one orbit
-    return all(len(comp) <= 3
-               or _bouchet_solution([v for v in g1.adj if v in comp], g1.adj, g2.adj) is not None
-               for comp in comps)
+    # one walk of g1 numbers its components in the order of their first vertices
+    comp: dict[int, int] = {}
+    members: list[list[int]] = []
+    for start in adj1:
+        if start in comp:
+            continue
+        c = comp[start] = len(members)
+        walk = [start]
+        for u in walk:
+            for w in adj1[u]:
+                if w not in comp:
+                    comp[w] = c
+                    walk.append(w)
+        members.append(walk)
+    # components are invariant under lc: from each, g2 must reach all of it and nothing else
+    for c, walk in enumerate(members):
+        reached = [walk[0]]
+        seen = {walk[0]}
+        for u in reached:
+            for w in adj2[u]:
+                if comp[w] != c:
+                    return False
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        if len(reached) < len(walk):
+            return False
+    # one system per component, its vertices in g1's order, until one has no
+    # solution; a component of <= 3 vertices is connected in both, so in their one orbit
+    orders: list[list[int]] = [[] for _ in members]
+    for v in adj1:
+        orders[comp[v]].append(v)
+    return all(len(order) <= 3 or _bouchet_solution(order, adj1, adj2) is not None
+               for order in orders)
 
 
 def _bouchet_solution(
@@ -303,9 +332,11 @@ def _bouchet_solution(
 
     The system is held by columns: one n²-bit integer per unknown, whose
     bit jn + k says the unknown appears in equation (j, k).  The columns
-    are reduced by their lowest set bit, each carrying a tag of the
-    unknowns summed into it, and the tags of the columns that reach zero
-    span the null space.  That basis is then put in its canonical form:
+    are reduced by their top set bit, the pivots kept in a list indexed by
+    that bit, each column carrying a tag of the unknowns summed into it,
+    and the tags of the columns that reach zero span the null space.  The
+    pivot rule changes only which basis of that space is found, not the
+    space.  That basis is then put in its canonical form:
     each vector has its own lowest set bit, cleared from all the others,
     in increasing order of that bit: the row-reduced system's free-variable
     basis.  The Gray-code walk below then returns the same first solution
@@ -323,18 +354,18 @@ def _bouchet_solution(
                + [spread2[i] * nb1[i] for i in range(n)]
                + [1 << (n + 1) * j for j in range(n)]
                + [nb1[j] << j * n for j in range(n)])
-    pivots: dict[int, tuple[int, int]] = {}  # lowest set bit -> (column, tag)
+    pivots: list[tuple[int, int] | None] = [None] * (n * n)  # top bit -> (column, tag)
     null = []
     for unknown, col in enumerate(columns):
         tag = 1 << unknown
         while col:
-            low = col & -col
-            if low not in pivots:
-                pivots[low] = (col, tag)
+            top = col.bit_length() - 1
+            pivot = pivots[top]
+            if pivot is None:
+                pivots[top] = (col, tag)
                 break
-            pcol, ptag = pivots[low]
-            col ^= pcol
-            tag ^= ptag
+            col ^= pivot[0]
+            tag ^= pivot[1]
         else:
             null.append(tag)
     if len(null) > LC_DIMENSION_LIMIT:

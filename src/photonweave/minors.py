@@ -13,6 +13,7 @@ zigzag, honeycomb and path-every-third resources can hand to the users.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -132,20 +133,16 @@ def canonical_tour(n: int) -> EulerianTour:
 def _incidence(mg: Multigraph) -> dict[int, list[int]]:
     """Each vertex's edge ids, largest first so pop() takes the smallest.
 
-    A loop is listed once and counts degree 2; an odd degree raises.
+    A loop is listed twice, once per end, so every list is as long as its
+    vertex's degree; an odd degree raises.
     """
     incident: dict[int, list[int]] = {v: [] for v in mg.vertices}
-    odd = dict.fromkeys(mg.vertices, False)
-    for idx, ((u, _), (v, _)) in enumerate(mg.edges):
+    for idx in range(len(mg.edges) - 1, -1, -1):
+        (u, _), (v, _) = mg.edges[idx]
         incident[u].append(idx)
-        if v != u:
-            incident[v].append(idx)
-            odd[u] = not odd[u]
-            odd[v] = not odd[v]
-    if any(odd.values()):
+        incident[v].append(idx)
+    if any(len(lst) & 1 for lst in incident.values()):
         raise ValueError("odd-degree vertex; no Eulerian tour")
-    for lst in incident.values():
-        lst.reverse()
     return incident
 
 
@@ -157,22 +154,25 @@ def _hierholzer(
     Consumes ``incident`` and marks ``used``; returns the visit sequence and
     the edge ids of its steps.
     """
-    stack: list[tuple[int, int | None]] = [(start, None)]  # (vertex, edge used to get here)
-    path: list[tuple[int, int | None]] = []
+    stack, via = [start], [-1]  # the vertices on the walk and the edges that reached them
+    path: list[int] = []
+    path_edges: list[int] = []
     while stack:
-        v, _ = stack[-1]
+        v = stack[-1]
         lst = incident[v]
         while lst and used[lst[-1]]:
-            lst.pop()
+            lst.pop()  # the other end of a loop, or an edge walked from its far end
         if not lst:
             path.append(stack.pop())
+            path_edges.append(via.pop())
             continue
         eid = lst.pop()
         used[eid] = True
         (a, _), (b, _) = edges[eid]
-        stack.append((b if a == v else a, eid))
-    path.reverse()
-    return tuple(v for v, _ in path[:-1]), tuple(e for _, e in path[1:])
+        stack.append(b if a == v else a)
+        via.append(eid)
+    # the walk leaves the tour backwards, ending with start's first visit
+    return tuple(path[:0:-1]), tuple(path_edges[-2::-1])
 
 
 def find_tour(mg: Multigraph) -> EulerianTour:
@@ -186,28 +186,47 @@ def find_tour(mg: Multigraph) -> EulerianTour:
     return EulerianTour(*_hierholzer(mg.edges, incident, [False] * len(mg.edges), mg.vertices[0]))
 
 
-def _interlaced(sequence: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """The sorted vertices of a double-occurrence tour and its alternating pairs."""
-    positions: dict[int, list[int]] = {}
-    for i, v in enumerate(sequence):
-        positions.setdefault(v, []).append(i)
-    for v, pos in positions.items():
-        if len(pos) != 2:
-            raise ValueError(f"vertex {v} visited {len(pos)} times; need a 4-regular tour")
-    verts = sorted(positions)
-    edges = []
-    for i, u in enumerate(verts):
-        a1, a2 = positions[u]
-        for w in verts[i + 1 :]:
-            b1, b2 = positions[w]
-            if (a1 < b1 < a2) != (a1 < b2 < a2):
-                edges.append((u, w))
-    return verts, edges
+def _interlaced(sequence: Sequence[int]) -> dict[int, frozenset[int]]:
+    """The interlacement adjacency of a double-occurrence tour, in sorted vertex order.
+
+    One sweep keeps the parity of each vertex's visits so far as one bit
+    of an integer.  The visits strictly between a vertex's two visits flip
+    exactly the bits of the vertices that alternate with it, so the XOR of
+    the parities just after its first visit and just before its second is
+    its neighbourhood.
+    """
+    bit: dict[int, int] = {}  # vertex -> its parity bit, in first-visit order
+    after_first: dict[int, int] = {}
+    between: dict[int, int] = {}
+    parity = 0
+    for v in sequence:
+        if v in bit:
+            between[v] = parity ^ after_first[v]
+            parity ^= bit[v]
+        else:
+            bit[v] = 1 << len(bit)
+            parity ^= bit[v]
+            after_first[v] = parity
+    # every count even and twice as many visits as vertices: each vertex twice
+    if parity or len(sequence) != 2 * len(bit):
+        for v, count in Counter(sequence).items():
+            if count != 2:
+                raise ValueError(f"vertex {v} visited {count} times; need a 4-regular tour")
+    label = {b: v for v, b in bit.items()}
+    adj: dict[int, frozenset[int]] = {}
+    for v in sorted(bit):
+        mask, nbrs = between[v], []
+        while mask:
+            low = mask & -mask
+            nbrs.append(label[low])
+            mask ^= low
+        adj[v] = frozenset(nbrs)
+    return adj
 
 
 def interlacement(tour: EulerianTour) -> Graph:
     """Two vertices are adjacent iff their visits alternate along the tour."""
-    return Graph(*_interlaced(tour.sequence))
+    return Graph._of(_interlaced(tour.sequence))
 
 
 # ---------------------------------------------------------------------------
@@ -221,66 +240,72 @@ def apply_word(mg: Multigraph, measured: Sequence[int], word: str) -> Multigraph
     Requires the ends at each measured vertex to carry the four circulant
     slot tags (build_circulant output, possibly already rewired at other
     vertices).  Fragments may disconnect the multigraph; closed wires
-    that touch no surviving vertex are dropped.
+    that touch no surviving vertex are dropped.  A vertex measured twice
+    raises ValueError before any is rewired.
     """
     check_word(word)
     if len(measured) != len(word):
         raise InputShapeError(f"{len(measured)} measured vertices but {len(word)} letters")
-    edges: dict[int, MEdge] = {}
-    # each measured vertex's edge ends, (edge id, side) -> tag, kept as edges come and go
-    ends_at: dict[int, dict[tuple[int, int], int | None]] = {v: {} for v in measured}
-    ids = itertools.count()
-
-    def add(ends: MEdge) -> None:
-        eid = next(ids)
-        edges[eid] = ends
-        for side, (vert, tag) in enumerate(ends):
-            if vert in ends_at:
-                ends_at[vert][eid, side] = tag
-
-    for ends in mg.edges:
-        add(ends)
+    measured_set = set(measured)
+    if len(measured_set) < len(measured):
+        raise ValueError(f"repeated measured vertices in {list(measured)}")
+    # edge end h is side h & 1 of edges[h >> 1], and an edge that has gone is
+    # None; each vertex still to measure lists its ends, gone ones included
+    edges: list[MEdge | None] = list(mg.edges)
+    at: dict[int, list[int]] = {v: [] for v in measured}
+    for eid, (a, b) in enumerate(edges):
+        if a[0] in at:
+            at[a[0]].append(2 * eid)
+        if b[0] in at:
+            at[b[0]].append(2 * eid + 1)
     for v, letter in zip(measured, word):
-        slots: dict[int, tuple[int, int]] = {}  # tag -> (edge id, side)
-        for half, tag in ends_at[v].items():
-            if tag is None or tag in slots:
-                raise ValueError(f"vertex {v} lacks distinct slot tags")
-            slots[tag] = half
+        slots: dict[int, int] = {}  # tag -> edge end
+        for h in at.pop(v):
+            if (edge := edges[h >> 1]) is not None:
+                tag = edge[h & 1][1]
+                if tag is None or tag in slots:
+                    raise ValueError(f"vertex {v} lacks distinct slot tags")
+                slots[tag] = h
         if set(slots) != {-2, -1, 1, 2}:
             raise ValueError(f"vertex {v} does not have the four circulant slots")
         # junction partners among v's slots per the letter's pairing
-        partner: dict[tuple[int, int], tuple[int, int]] = {}
+        partner: dict[int, int] = {}
         for ta, tb in FRAGMENT_PAIRINGS[letter]:
             partner[slots[ta]] = slots[tb]
             partner[slots[tb]] = slots[ta]
-        handled: set[tuple[int, int]] = set()
-
-        def walk(half: tuple[int, int]) -> End | None:
-            """Cross edges and v's junctions from slot ``half`` to the wire's end off v.
-
-            None when the wire closes on itself without leaving v.
-            """
-            while True:
-                eid, side = half
-                handled.update((half, (eid, 1 - side)))
-                far = edges[eid][1 - side]
-                if far[0] != v:
-                    return far
-                half = partner[(eid, 1 - side)]
-                if half in handled:
-                    return None
-
-        # the new edges only join ends off v, so they can go in while v's wires are walked
+        # each wire through v is walked out from a slot, crossing edges and
+        # v's junctions, first one way and then from the slot's partner the
+        # other, to the end it reaches off v; a wire that closes on itself
+        # without leaving v has no end and is dropped
+        handled: set[int] = set()
         for tag in (-2, -1, 1, 2):
-            if slots[tag] not in handled and (end := walk(slots[tag])) is not None:
-                add((end, walk(partner[slots[tag]])))
-        for eid, _ in slots.values():
-            # a loop at v holds two of its slots
-            for side, (vert, _) in enumerate(edges.pop(eid, ())):
-                if vert in ends_at:
-                    del ends_at[vert][eid, side]
-    survivors = tuple(v for v in mg.vertices if v not in ends_at)
-    return Multigraph(survivors, tuple(edges.values()))
+            if slots[tag] in handled:
+                continue
+            wire: list[End] = []
+            for h in (slots[tag], partner[slots[tag]]):
+                while True:
+                    handled.add(h)
+                    far = edges[h >> 1][1 - (h & 1)]
+                    if far[0] != v:
+                        wire.append(far)
+                        break
+                    handled.add(h ^ 1)  # a loop at v holds two of its slots
+                    h = partner[h ^ 1]
+                    if h in handled:
+                        break
+                if not wire:
+                    break
+            # the new edge only joins ends off v, so it can go in while v's wires are walked
+            if wire:
+                h = 2 * len(edges)
+                edges.append(tuple(wire))
+                for side, (vert, _) in enumerate(wire):
+                    if vert in at:
+                        at[vert].append(h + side)
+        for h in slots.values():
+            edges[h >> 1] = None
+    survivors = tuple(v for v in mg.vertices if v not in measured_set)
+    return Multigraph(survivors, tuple(filter(None, edges)))
 
 
 def leaf_expansion(
@@ -396,21 +421,15 @@ def tour_interlacement(mg: Multigraph) -> Graph:
     """
     incident = _incidence(mg)
     used = [False] * len(mg.edges)
-    seen: set[int] = set()
-    verts: list[int] = []
-    edges: list[tuple[int, int]] = []
+    adj: dict[int, frozenset[int]] = {}
     for v in mg.vertices:
-        if v in seen:
+        if v in adj:
             continue
-        if not incident[v]:
-            seen.add(v)
-            verts.append(v)
-            continue
-        comp_verts, comp_edges = _interlaced(_hierholzer(mg.edges, incident, used, v)[0])
-        seen.update(comp_verts)
-        verts.extend(comp_verts)
-        edges.extend(comp_edges)
-    return Graph(verts, edges)
+        if incident[v]:
+            adj.update(_interlaced(_hierholzer(mg.edges, incident, used, v)[0]))
+        else:
+            adj[v] = frozenset()
+    return Graph._of(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +496,9 @@ RESOURCE_BUILDERS = {
 }
 RESOURCES = tuple(RESOURCE_BUILDERS)
 #: the most words one sweep enumerates: honeycomb n = 16, the costliest sweep
-#: this admits, takes about 1.5 s on a 2-core x86_64 host (Python 3.11), and
-#: n = 18 about 5 s
+#: this admits, takes 1.5-2 s on a 2-core shared x86_64 host (Python 3.11.7;
+#: every word crosschecked once in a fresh process, 1.52-1.97 s over four
+#: runs as the host's load moved), and n = 18 5.3-6.5 s
 MAX_SWEEP_WORDS = 3**8
 
 
@@ -510,11 +530,14 @@ def simulate_word(g: Graph, measured: Sequence[int], word: str) -> Graph:
     """Measure the listed vertices per the word using the rewrite rules.
 
     Every letter is measured by ``measure_pauli``'s rule, with its default
-    X partner, on one copy of g's adjacency map; g itself is unchanged.
+    X partner, on one copy of g's adjacency map; g itself is unchanged.  A
+    vertex measured twice raises ValueError before any is measured.
     """
     check_word(word)
     if len(measured) != len(word):
         raise InputShapeError("one letter per measured vertex")
+    if len(set(measured)) < len(measured):
+        raise ValueError(f"repeated measured vertices in {list(measured)}")
     adj = dict(g.adj)
     for v, letter in zip(measured, word):
         _measure(adj, v, letter, None)

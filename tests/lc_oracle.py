@@ -10,7 +10,10 @@ the path-every-third resource, for the spine/leaf prediction that
 
 ``bouchet_solution_rows`` is the row-elimination solver of that linear
 test, the oracle for ``graphs._bouchet_solution``, which solves the same
-system by columns.  ``local_cliffords`` reads the vertex operators off
+system by columns.  ``linear_locally_equivalent`` is the linear test with
+a ``Graph.components()`` walk of each graph and a set comparison of the
+two, the oracle for ``graphs.locally_equivalent``, which walks g1 once
+and checks each of its components with one walk of g2.  ``local_cliffords`` reads the vertex operators off
 ``graphs._bouchet_solution``'s solutions, so a test can apply them to one
 graph state and find the other; the package only asks whether they exist.
 """
@@ -65,6 +68,31 @@ def locally_equivalent(g1: Graph, g2: Graph) -> bool:
     if set(g1.components()) != set(g2.components()):
         return False
     return any(h.adj == g2.adj for h in lc_orbit(g1))
+
+
+def linear_locally_equivalent(g1: Graph, g2: Graph) -> bool:
+    """True iff g2 lies in the local-complementation orbit of g1.
+
+    Label-preserving: a vertex keeps its label, so two graphs that differ
+    only by a relabelling are not equivalent unless the orbit holds both.
+    Decided by Bouchet's linear test on each connected component, not by
+    walking the orbit; a component whose solution space has more than
+    ``LC_DIMENSION_LIMIT`` dimensions raises ValueError.  A component of
+    at most three vertices needs no solve: every connected graph on the
+    same one, two or three labels is in one orbit (a three-vertex path
+    becomes the triangle by complementing at its middle vertex), and its
+    system has at most 4 dimensions, far below the limit.
+    """
+    if g1.adj.keys() != g2.adj.keys():
+        return False
+    comps = g1.components()
+    if set(comps) != set(g2.components()):  # components are invariant under lc
+        return False
+    # one system per component, in vertex order, until one has no solution; a
+    # component of <= 3 vertices is connected in both, so in their one orbit
+    return all(len(comp) <= 3
+               or _bouchet_solution([v for v in g1.adj if v in comp], g1.adj, g2.adj) is not None
+               for comp in comps)
 
 
 def local_cliffords(g1: Graph, g2: Graph) -> dict[int, tuple[int, int, int, int]] | None:

@@ -233,10 +233,14 @@ def test_bad_measurements_fail_as_the_oracle_does(case, data):
     at = data.draw(st.integers(0, len(measured)))
     extra = data.draw(st.sampled_from(AXES))
     twice = measured[:max(at, j + 1)] + [measured[j]] + measured[max(at, j + 1):]
-    for order in (measured[:at] + [unknown] + measured[at:], twice):
-        got = _outcome(simulate_word, g, order, word + extra)
-        assert got == _outcome(word_oracle.simulate_word, g, order, word + extra)
-        assert isinstance(got, tuple)  # the unknown or repeated vertex is reached
+    order = measured[:at] + [unknown] + measured[at:]
+    got = _outcome(simulate_word, g, order, word + extra)
+    assert got == _outcome(word_oracle.simulate_word, g, order, word + extra)
+    assert isinstance(got, tuple)  # the unknown vertex is reached
+    # a repeat is refused before any letter is measured; the per-letter
+    # oracle only fails when it reaches the deleted vertex again
+    assert _outcome(simulate_word, g, twice, word + extra) \
+        == (ValueError, f"repeated measured vertices in {twice}")
     v = measured[0]
     strangers = [w for w in g.vertices if w not in g.adj[v]]  # v itself among them
     calls = [(unknown, "Z", None), (unknown, "Q", None), (v, "Q", None)]
@@ -317,6 +321,42 @@ def test_linear_test_matches_orbit_oracle(pair):
 
 
 @st.composite
+def component_pairs(draw):
+    """An lc_pairs pair whose partner may join two components or split one.
+
+    A join adds an edge between two of the partner's components; a split
+    removes every partner edge across a cut of one component.
+    """
+    g, h = draw(lc_pairs(max_vertices=9))
+    comps = h.components()
+    kind = draw(st.sampled_from(["join", "split", "keep"]))
+    if kind == "join" and len(comps) > 1:
+        a, b = draw(st.permutations(comps))[:2]
+        h = h.add_edge(draw(st.sampled_from(sorted(a))), draw(st.sampled_from(sorted(b))))
+    elif kind == "split" and max(map(len, comps)) > 1:
+        comp = sorted(draw(st.sampled_from([c for c in comps if len(c) > 1])))
+        side = set(draw(st.permutations(comp))[:draw(st.integers(1, len(comp) - 1))])
+        h = h.with_edges_toggled([(u, w) for u in side for w in h.adj[u] - side])
+    return g, h
+
+
+_big_star = star_graph(0, range(1, LC_DIMENSION_LIMIT))
+
+
+@settings(max_examples=400, deadline=None)
+@given(component_pairs())
+# a 21-dimensional star against itself raises; split, it is rejected unsolved
+@example((_big_star, _big_star))
+@example((_big_star, _big_star.with_edges_toggled([(0, 1)])))
+def test_one_walk_per_graph_matches_the_components_oracle(pair):
+    # the same verdict, or the same error, either way round
+    g, h = pair
+    for a, b in (g, h), (h, g):
+        assert _outcome(locally_equivalent, a, b) \
+            == _outcome(lc_oracle.linear_locally_equivalent, a, b)
+
+
+@st.composite
 def solver_systems(draw):
     """One system per component of an lc_pairs pair, as ``locally_equivalent`` solves them.
 
@@ -339,7 +379,7 @@ def _solve(solver, order, adj1, adj2):
         return str(exc)
 
 
-_big_star, _edgeless = star_graph(0, range(1, LC_DIMENSION_LIMIT)), empty_graph(8)
+_edgeless = empty_graph(8)
 
 
 @settings(max_examples=400, deadline=None)
@@ -402,6 +442,8 @@ def test_bool_test_builds_no_frames_and_stops_at_the_first_failure(monkeypatch):
     assert solved == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
     solved.clear()
     assert not locally_equivalent(three, three.add_edge(4, 5))  # the components differ
+    # the second path splits in two: rejected before the first path's system is solved
+    assert not locally_equivalent(three, three.with_edges_toggled([(6, 7)]))
     assert not locally_equivalent(three, path_graph(11))  # the vertices differ
     assert solved == []
 

@@ -224,12 +224,27 @@ def retagged(mg: Multigraph, end: tuple[int, int], tag) -> Multigraph:
     (retagged(build_circulant(6), (0, 1), 3), [0], "vertex 0 does not have the four circulant slots"),
     # vertex 1 is measured after 0's fragment has rewired the edges at 1
     (retagged(build_circulant(6), (1, 2), -1), [0, 1], "vertex 1 lacks distinct slot tags"),
-    (build_circulant(6), [0, 0], "vertex 0 does not have the four circulant slots"),
 ])
 def test_apply_word_rejects_bad_slots(mg, measured, message):
     with pytest.raises(ValueError) as excinfo:
         apply_word(mg, measured, "X" * len(measured))
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("measured", [[0, 0], [0, 2, 0], (4, 2, 4, 2)])
+def test_apply_word_rejects_repeated_measured_vertices(measured):
+    # a repeat is a malformed input, not a vertex whose slots went missing
+    with pytest.raises(ValueError) as excinfo:
+        apply_word(build_circulant(6), measured, "XY" + "Z" * (len(measured) - 2))
+    assert str(excinfo.value) == f"repeated measured vertices in {list(measured)}"
+
+
+@pytest.mark.parametrize("measured", [[0, 0], [0, 2, 0], (4, 2, 4, 2)])
+def test_simulate_word_rejects_repeated_measured_vertices(measured):
+    # raised up front, not as an unknown vertex once the first visit deleted it
+    with pytest.raises(ValueError) as excinfo:
+        simulate_word(cycle_graph(range(6)), measured, "XY" + "Z" * (len(measured) - 2))
+    assert str(excinfo.value) == f"repeated measured vertices in {list(measured)}"
 
 
 @pytest.mark.parametrize("word", ["ZXX", "ZXZ"])
@@ -249,6 +264,92 @@ def test_transition_minor_zigzag_style():
     out = apply_word(build_circulant(12), [0, 2, 4, 6, 8, 10], "XXYYXZ")
     assert set(out.vertices) == {1, 3, 5, 7, 9, 11}
     assert all(out.degree(v) == 4 for v in out.vertices)
+
+
+def _result(call, *args):
+    """The call's result, or the type and message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def slot_multigraphs(draw):
+    """A multigraph whose vertices each hold the four circulant slots.
+
+    A circulant on 5..12 vertices, a leaf-expanded honeycomb multigraph on
+    6..12, or the slots of 1..6 vertices paired at random, which makes
+    loops and parallel edges.  Sometimes one end is retagged, to None or
+    to a repeated or stray tag.
+    """
+    kind = draw(st.sampled_from(["circulant", "honeycomb", "paired"]))
+    if kind == "circulant":
+        mg = build_circulant(draw(st.integers(5, 12)))
+    elif kind == "honeycomb":
+        mg = honeycomb_multigraph(draw(st.sampled_from([6, 8, 10, 12])))[0]
+    else:
+        labels = draw(st.permutations(range(draw(st.integers(1, 6)))))
+        ends = draw(st.permutations([(v, tag) for v in labels for tag in (-2, -1, 1, 2)]))
+        mg = Multigraph(tuple(labels), tuple(zip(ends[::2], ends[1::2])))
+    if mg.edges and draw(st.integers(0, 4)) == 0:
+        end = draw(st.sampled_from([end for edge in mg.edges for end in edge]))
+        mg = retagged(mg, end, draw(st.sampled_from([None, -2, -1, 1, 2, 3])))
+    return mg
+
+
+@st.composite
+def rewirings(draw):
+    """A slot multigraph, distinct vertices to measure in any order (sometimes
+    one it lacks) and a word for them."""
+    mg = draw(slot_multigraphs())
+    measured = draw(st.permutations(mg.vertices))[:draw(st.integers(1, len(mg.vertices)))]
+    if draw(st.integers(0, 9)) == 0:
+        measured.insert(draw(st.integers(0, len(measured))), max(mg.vertices) + 1)
+    word = "".join(draw(st.lists(st.sampled_from("XYZ"), min_size=len(measured),
+                                 max_size=len(measured))))
+    return mg, measured, word
+
+
+@settings(max_examples=400, deadline=None)
+@given(rewirings())
+def test_apply_word_matches_the_closure_oracle(case):
+    # the same Multigraph, vertex and edge order and each edge's end order
+    # included, or the same error; the tour interlacement of the result agrees too
+    mg, measured, word = case
+    got = _result(apply_word, mg, measured, word)
+    assert got == _result(word_oracle.apply_word, mg, measured, word)
+    if isinstance(got, Multigraph):
+        assert (_result(tour_interlacement, got)
+                == _result(word_oracle.tour_interlacement, got))
+
+
+@st.composite
+def even_multigraphs(draw):
+    """Random closed walks over a few labels, so loops and parallel edges
+    are common; the ends' tags are random and the edges shuffled.  Sometimes
+    one more edge leaves two degrees odd."""
+    labels = draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True))
+    edges = []
+    for walk in draw(st.lists(st.lists(st.sampled_from(labels), min_size=1, max_size=6),
+                              max_size=4)):
+        tags = draw(st.lists(st.sampled_from([None, -2, -1, 1, 2]), min_size=2 * len(walk),
+                             max_size=2 * len(walk)))
+        for i, v in enumerate(walk):
+            edges.append(((v, tags[2 * i]), (walk[(i + 1) % len(walk)], tags[2 * i + 1])))
+    if draw(st.integers(0, 5)) == 0:
+        edges.append(((draw(st.sampled_from(labels)), None), (draw(st.sampled_from(labels)), None)))
+    return Multigraph(tuple(labels), tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(even_multigraphs())
+def test_tours_match_the_position_oracle(mg):
+    # the same Graph, vertex order included, and the same tour, or the same
+    # error: odd degree, a vertex visited other than twice, disconnected
+    got = _result(tour_interlacement, mg)
+    assert got == _result(word_oracle.tour_interlacement, mg)
+    assert _result(find_tour, mg) == _result(word_oracle.find_tour, mg)
 
 
 # -- leaf expansion --------------------------------------------------------------------
